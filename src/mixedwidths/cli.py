@@ -26,6 +26,7 @@ from .spread import (
     SpreadOperator,
     approximate,
     choose_pipeline_params,
+    column_group_operators,
     grouped_subspace_approximate,
     transposition_partition,
 )
@@ -97,11 +98,9 @@ def sweep_row(
             op = SpreadOperator(partitions[0])
             results = [approximate(x, params, partitions[0], op=op) for x in points]
         else:
-            widths = sorted({min((g + 1) * s, b) - g * s for g in range(-(-b // s))})
-            partitions = [
-                good_partition(s, w, params.d, field_order=PIPELINE_FIELD_ORDER) for w in widths
-            ]
-            results = [grouped_subspace_approximate(x, params) for x in points]
+            ops = column_group_operators(s, b, params.d)
+            partitions = [part for part, _ in ops.values()]
+            results = [grouped_subspace_approximate(x, params, ops) for x in points]
     else:
         raise ValueError(f"unknown partition kind {partition_kind!r}")
 

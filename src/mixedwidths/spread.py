@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -39,7 +40,6 @@ PIPELINE_FIELD_ORDER = "smallest"
 
 __all__ = [
     "SpreadOperator",
-    "apply_spread",
     "spread_error_coefficient",
     "OneColumnCheck",
     "check_one_column_bound",
@@ -49,6 +49,7 @@ __all__ = [
     "choose_pipeline_params",
     "ApproxResult",
     "approximate",
+    "column_group_operators",
     "grouped_subspace_approximate",
     "transposition_partition",
 ]
@@ -63,13 +64,24 @@ class SpreadOperator:
 
     def __init__(self, partition: Partition):
         self.partition = partition
-        s = partition.shape.s
-        index = np.full(partition.shape.n, -1, dtype=np.int64)
-        for k, g in enumerate(partition.groups):
-            for (i, j) in g:
-                index[j * s + i] = k
-        if (index < 0).any():
+        s, b, n = partition.shape.s, partition.shape.b, partition.shape.n
+        sizes = np.fromiter(map(len, partition.groups), dtype=np.int64, count=partition.m)
+        cells = np.fromiter(
+            chain.from_iterable(chain.from_iterable(partition.groups)),
+            dtype=np.int64,
+            count=2 * int(sizes.sum()),
+        ).reshape(-1, 2)
+        i, j = cells[:, 0], cells[:, 1]
+        if ((i < 0) | (i >= s) | (j < 0) | (j >= b)).any():
+            raise ValueError("partition has a cell outside the grid")
+        flat = j * s + i
+        cover = np.bincount(flat, minlength=n)
+        if (cover == 0).any():
             raise ValueError("partition does not cover the grid")
+        if (cover > 1).any():
+            raise ValueError("partition puts some cell in more than one group")
+        index = np.empty(n, dtype=np.int64)
+        index[flat] = np.repeat(np.arange(partition.m, dtype=np.int64), sizes)
         self._group_index = index
 
     @property
@@ -85,12 +97,6 @@ class SpreadOperator:
             )
         sums = np.bincount(self._group_index, weights=x.entries, minlength=self.dim)
         return BlockMatrix(x.shape, sums[self._group_index])
-
-
-def apply_spread(op: SpreadOperator | Partition, x: BlockMatrix) -> BlockMatrix:
-    if isinstance(op, Partition):
-        op = SpreadOperator(op)
-    return op.apply(x)
 
 
 def spread_error_coefficient(partition: Partition, p, q1, q2) -> float:
@@ -274,19 +280,43 @@ def approximate(
     )
 
 
-def grouped_subspace_approximate(x: BlockMatrix, params: PipelineParams) -> ApproxResult:
+def column_group_operators(s: int, b: int, d: int) -> dict[int, tuple[Partition, SpreadOperator]]:
+    """Partition and spreading operator of every distinct column-group
+    width of a wide s x b grid, keyed by width.
+
+    The grouped pipeline splits the b columns into contiguous groups of
+    at most s, so at most two widths occur: s and the remainder.  Build
+    this once and pass it to grouped_subspace_approximate for every point
+    of the grid.
+    """
+    ops = {}
+    for width in sorted({min(s, b - lo) for lo in range(0, b, s)}):
+        part = good_partition(s, width, d, field_order=PIPELINE_FIELD_ORDER)
+        ops[width] = (part, SpreadOperator(part))
+    return ops
+
+
+def grouped_subspace_approximate(
+    x: BlockMatrix,
+    params: PipelineParams,
+    ops: dict[int, tuple[Partition, SpreadOperator]] | None = None,
+) -> ApproxResult:
     """Pipeline for wide grids (s < b): columns are split into ceil(b/s)
     contiguous groups of at most s columns, each approximated with its own
     partition and budget, and the per-group approximants concatenated.
 
-    The certified bound aggregates the per-group bounds with the outer
-    norm, which dominates the mixed norm of the concatenated residual.
+    ops is column_group_operators(s, b, params.d); it is built here when
+    not given.  The certified bound aggregates the per-group bounds with
+    the outer norm, which dominates the mixed norm of the concatenated
+    residual.
     """
     s, b = x.shape.s, x.shape.b
     if s >= b:
         raise ValueError(f"s={s} >= b={b}: use approximate directly")
     if mixed_norm(x, (params.p1, params.p2)) > 1 + 1e-9:
         raise ValueError("input lies outside the unit ball")
+    if ops is None:
+        ops = column_group_operators(s, b, params.d)
 
     approx_entries = np.zeros(x.shape.n)
     selected: list[int] = []
@@ -298,9 +328,9 @@ def grouped_subspace_approximate(x: BlockMatrix, params: PipelineParams) -> Appr
         lo, hi = g * s, min((g + 1) * s, b)
         width = hi - lo
         sub = BlockMatrix(BlockShape(s, width), x.entries[lo * s : hi * s])
-        part = good_partition(s, width, params.d, field_order=PIPELINE_FIELD_ORDER)
+        part, op = ops[width]
         sub_k = max(1, ceil_power(width, params.alpha / 4))
-        result = approximate(sub, replace(params, k=sub_k), part)
+        result = approximate(sub, replace(params, k=sub_k), part, op=op)
         approx_entries[lo * s : hi * s] = result.approximant.entries
         selected.extend(lo + j for j in result.selected_columns)
         dim += result.dim

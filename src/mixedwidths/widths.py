@@ -29,6 +29,7 @@ from .spread import (
     SpreadOperator,
     approximate,
     choose_pipeline_params,
+    column_group_operators,
     grouped_subspace_approximate,
     transposition_partition,
 )
@@ -302,7 +303,8 @@ def nonrigidity_witness(
             op = SpreadOperator(partition)
             results = [approximate(x, params, partition, op=op) for x in points]
         else:
-            results = [grouped_subspace_approximate(x, params) for x in points]
+            ops = column_group_operators(s, b, params.d)
+            results = [grouped_subspace_approximate(x, params, ops) for x in points]
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 

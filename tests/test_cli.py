@@ -166,6 +166,38 @@ class TestSweepCommand:
         assert rc == 2
 
 
+HEADER = "s,b,d,k,r,l,dim,d0,sup_sampled_error,ratio,certified_bound\n"
+
+# stdout of seeded sweeps, pinned byte for byte: the square (2,1) row, the
+# wide grouped rows and a non-integer p1 drawn through the gamma sampler
+GOLDEN_SWEEPS = [
+    (
+        "--p1 2 --p2 1 --q1 1 --q2 2 --sizes 64x64 --samples 8 --seed 0",
+        HEADER
+        + "64,64,4,2,3,2,1688,8.0,1.1929720470755512,0.1491215058844439,1.547871474081036\n",
+    ),
+    (
+        "--p1 inf --p2 1 --q1 1 --q2 2 --sizes 16x64 32x100 --samples 8 --seed 0",
+        HEADER
+        + "16,64,4,2,2,2,512,16.0,5.656854249492381,0.3535533905932738,8.0\n"
+        + "32,100,4,2,3,3,2168,32.0,5.5677643628300215,0.17399263633843817,5.656854249492381\n",
+    ),
+    (
+        "--p1 3/2 --p2 1 --q1 1 --q2 2 --sizes 20x20 8x40 --samples 6 --seed 3",
+        HEADER
+        + "20,20,6,2,2,1,254,2.7144176165949063,0.6287508746124133,0.2316338026869823,0.9359399227559682\n"
+        + "8,40,6,2,2,1,180,2.0,0.36178066786102936,0.18089033393051468,0.47214695812085333\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, expected", GOLDEN_SWEEPS)
+def test_sweep_golden_stdout(args, expected):
+    rc, out, err = run_cli(["sweep", *args.split()])
+    assert (rc, err) == (0, "")
+    assert out == expected
+
+
 class TestExampleTranspose:
     def test_default_sizes(self):
         rc, out, _ = run_cli(["example-transpose", "--samples", "2"])

@@ -19,6 +19,24 @@ from mixedwidths import (
     recip_gap,
     sample_ball,
 )
+from mixedwidths.norms import _symmetric_power_sample
+
+
+def _per_row_sample_ball(shape, p1, p2, seed, count):
+    """Reference sampler that normalises each block with its own lq_norm call."""
+    p1, p2 = Exponent.of(p1), Exponent.of(p2)
+    rng = np.random.default_rng(seed)
+    out = []
+    for idx in range(count):
+        blocks = _symmetric_power_sample(rng, p1, (shape.b, shape.s))
+        blocks = blocks / np.array([lq_norm(row, p1) for row in blocks])[:, None]
+        weights = np.abs(_symmetric_power_sample(rng, p2, shape.b))
+        weights = weights / lq_norm(weights, p2)
+        flat = (blocks * weights[:, None]).reshape(-1)
+        if idx % 2 == 1:
+            flat = flat * float(rng.uniform()) ** (1.0 / shape.n)
+        out.append(flat)
+    return out
 
 
 class TestExponent:
@@ -204,6 +222,15 @@ class TestSampleBall:
         points = sample_ball(BlockShape(3, 3), 2, 2, seed=2, count=4)
         assert mixed_norm(points[0], (2, 2)) == pytest.approx(1.0, abs=1e-12)
         assert mixed_norm(points[2], (2, 2)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("p1", [1, "3/2", 2, 3, "inf"])
+    @pytest.mark.parametrize("p2", [1, 2])
+    @pytest.mark.parametrize("shape", [BlockShape(5, 7), BlockShape(150, 6)])
+    def test_bit_identical_to_per_row_normalisation(self, p1, p2, shape):
+        points = sample_ball(shape, p1, p2, seed=17, count=6)
+        reference = _per_row_sample_ball(shape, p1, p2, seed=17, count=6)
+        for x, ref in zip(points, reference, strict=True):
+            assert np.array_equal(x.entries, ref)
 
     def test_normalized_sample(self):
         x = sample_ball(BlockShape(3, 3), 1, 2, seed=3, count=1)[0]

@@ -11,7 +11,6 @@ from mixedwidths import (
     BlockShape,
     Exponent,
     SpreadOperator,
-    apply_spread,
     approximate,
     best_k_term,
     ceil_power,
@@ -50,7 +49,7 @@ class TestSpreadOperator:
     def test_row_partition_spreads_rows(self):
         part = partition_from_sets([list(range(4))] * 3, 3, 4)
         x = BlockMatrix.one_column(BlockShape(3, 4), 0, [1, 0, 0])
-        image = apply_spread(part, x).as_matrix()
+        image = SpreadOperator(part).apply(x).as_matrix()
         assert np.array_equal(image, [[1, 1, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0]])
 
     def test_transposition_matches_dense_oracle(self):
@@ -97,6 +96,23 @@ class TestSpreadOperator:
         gappy = Partition(BlockShape(2, 2), (((0, 0),), ((1, 1),)), r=1, l=0)
         with pytest.raises(ValueError):
             SpreadOperator(gappy)
+
+    def test_overlapping_groups_rejected(self):
+        from mixedwidths import Partition
+
+        # cell (0, 0) sits in two groups; dim would read 5 on a 4-cell grid
+        groups = (((0, 0),), ((0, 0),), ((1, 0),), ((0, 1),), ((1, 1),))
+        overlapping = Partition(BlockShape(2, 2), groups, r=2, l=1)
+        with pytest.raises(ValueError, match="more than one group"):
+            SpreadOperator(overlapping)
+
+    @pytest.mark.parametrize("cell", [(2, 0), (0, 2), (-1, 0)])
+    def test_cell_outside_grid_rejected(self, cell):
+        from mixedwidths import Partition
+
+        groups = (((0, 0),), ((1, 0),), ((0, 1),), ((1, 1), cell))
+        with pytest.raises(ValueError, match="outside the grid"):
+            SpreadOperator(Partition(BlockShape(2, 2), groups, r=2, l=1))
 
 
 class TestErrorCoefficient:
@@ -241,7 +257,7 @@ class TestApproximate:
         res = approximate(x, params, part)
         assert res.tail_error == 0.0
         assert res.selected_columns == (5,)
-        direct = mixed_norm(x - apply_spread(part, x), (1, 2))
+        direct = mixed_norm(x - SpreadOperator(part).apply(x), (1, 2))
         assert res.measured_error == pytest.approx(direct, abs=1e-15)
 
     def test_square_example_exact_values(self):

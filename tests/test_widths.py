@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mixedwidths import (
@@ -8,12 +9,17 @@ from mixedwidths import (
     b1_l2_width,
     choose_pipeline_params,
     classify,
+    column_group_operators,
     d0_mixed,
+    extreme_points_inf1,
     good_partition,
+    grouped_subspace_approximate,
     nonrigidity_witness,
     pietsch_stesin,
     rigidity_certificate,
+    sample_ball,
 )
+from mixedwidths import spread
 
 GRID_VALUES = (1, "4/3", "3/2", 2, "5/2", 3, 4, 8, "inf")
 
@@ -142,6 +148,44 @@ class TestWitness:
     def test_wide_grid_uses_grouped_pipeline(self):
         record = nonrigidity_witness("inf", 1, 1, 2, 8, 32, samples=4)
         assert record.kind == "computed" and record.n > 0
+
+    def test_wide_witness_builds_each_width_once(self, monkeypatch):
+        calls = {"good_partition": 0, "SpreadOperator": 0}
+        real_partition, real_init = spread.good_partition, spread.SpreadOperator.__init__
+
+        def counted_partition(*args, **kwargs):
+            calls["good_partition"] += 1
+            return real_partition(*args, **kwargs)
+
+        def counted_init(self, *args, **kwargs):
+            calls["SpreadOperator"] += 1
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(spread, "good_partition", counted_partition)
+        monkeypatch.setattr(spread.SpreadOperator, "__init__", counted_init)
+        record = nonrigidity_witness("inf", 1, 1, 2, 32, 100, samples=4)
+        # column groups of widths 32, 32, 32 and 4: two distinct widths
+        assert calls == {"good_partition": 2, "SpreadOperator": 2}
+        assert record.kind == "computed" and record.n > 0
+
+    def test_shared_operators_match_fresh_build(self):
+        s, b = 32, 100
+        shape = BlockShape(s, b)
+        params = choose_pipeline_params("inf", 1, 1, 2, s, b)
+        ops = column_group_operators(s, b, params.d)
+        assert sorted(ops) == [4, 32]
+        points = sample_ball(shape, "inf", 1, 0, 4) + extreme_points_inf1(shape, 1, 4)
+        sup_error = 0.0
+        for x in points:
+            shared = grouped_subspace_approximate(x, params, ops)
+            fresh = grouped_subspace_approximate(x, params)
+            assert shared.measured_error == fresh.measured_error
+            assert shared.certified_bound == fresh.certified_bound
+            assert shared.dim == fresh.dim
+            assert np.array_equal(shared.approximant.entries, fresh.approximant.entries)
+            sup_error = max(sup_error, fresh.measured_error)
+        record = nonrigidity_witness("inf", 1, 1, 2, s, b, samples=4)
+        assert record.sup_error == sup_error and record.n == fresh.dim
 
     def test_square_witness_uses_smallest_order(self):
         record = nonrigidity_witness("inf", 1, 1, 2, 64, 64, samples=2)
