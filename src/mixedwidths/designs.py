@@ -8,10 +8,11 @@ total.  Repeating every set h times multiplies the pair coverage by h.
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+
+import numpy as np
 
 __all__ = [
     "GaloisField",
@@ -84,11 +85,6 @@ class GaloisField:
             return x ^ y
         return (x + y) % self.order
 
-    def neg(self, x: int) -> int:
-        if self.is_binary:
-            return x
-        return (-x) % self.order
-
     def mul(self, x: int, y: int) -> int:
         if not self.is_binary:
             return (x * y) % self.order
@@ -156,13 +152,6 @@ class Design:
         )
 
 
-def _canonical_direction(gf: GaloisField, v: tuple[int, ...]) -> tuple[int, ...]:
-    # scale so the first nonzero coordinate becomes 1
-    lead = next(c for c in v if c != 0)
-    scale = gf.inv(lead)
-    return tuple(gf.mul(scale, c) for c in v)
-
-
 @lru_cache(maxsize=None)
 def affine_line_design(r: int, d: int) -> Design:
     """All affine lines {a + t*v : t in F_r} of F_r^d as a design on r^d points.
@@ -171,28 +160,26 @@ def affine_line_design(r: int, d: int) -> Design:
     order.  Lines are emitted grouped by canonical direction (first
     nonzero coordinate scaled to 1), each direction's lines ordered by
     smallest base point, so the output is deterministic.
+
+    For each direction, a + t*v is looked up in the field tables for
+    every point a at once; a line is kept at its smallest point.
     """
     if d < 2:
         raise ValueError(f"dimension {d} must be at least 2")
     gf = GaloisField(r)
-    points = list(itertools.product(range(r), repeat=d))
-    index = {pt: i for i, pt in enumerate(points)}
-
-    directions = sorted({_canonical_direction(gf, pt) for pt in points if any(pt)})
-    sets = []
-    for v in directions:
-        seen = [False] * len(points)
-        for a in points:
-            if seen[index[a]]:
-                continue
-            line = []
-            for t in gf.elements():
-                pt = tuple(gf.add(ac, gf.mul(t, vc)) for ac, vc in zip(a, v))
-                line.append(index[pt])
-            for i in line:
-                seen[i] = True
-            sets.append(tuple(sorted(line)))
-    return Design(b=r**d, r=r, l=1, sets=tuple(sets))
+    add = np.array([[gf.add(x, y) for y in gf.elements()] for x in gf.elements()])
+    mul = np.array([[gf.mul(x, y) for y in gf.elements()] for x in gf.elements()])
+    n = r**d
+    weights = r ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    coords = np.arange(n, dtype=np.int64)[:, None] // weights % r
+    lead = coords[np.arange(n), (coords != 0).argmax(axis=1)]
+    ints = np.arange(n).astype(object)  # one int object per point
+    sets: list[tuple[int, ...]] = []
+    for v in coords[lead == 1]:  # canonical directions, in sorted order
+        lines = (add[coords[:, None, :], mul[:, v]] * weights).sum(axis=2)
+        lines.sort(axis=1)
+        sets += map(tuple, ints[lines[lines[:, 0] == np.arange(n)]].tolist())
+    return Design(b=n, r=r, l=1, sets=tuple(sets))
 
 
 def repeat_design(design: Design, h: int) -> Design:
@@ -212,32 +199,75 @@ class DesignReport:
     violations: tuple[str, ...]
 
 
+def _pair_multiplicities(keys: np.ndarray, n: int) -> np.ndarray:
+    """How many owners hold each pair of points that some owner holds,
+    in the order of the pair keys lower*n + upper.
+
+    keys are the sorted keys owner*n + point, with points in [0, n);
+    repeats are ignored.  Owners are taken one size class at a time, and
+    a run of owners with the same points, as a repeated design has, is
+    counted once with the run length as its weight.  The weighted pair
+    keys are sorted and their weights summed run by run.
+    """
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    owner = keys // n
+    size = np.bincount(owner)[owner]
+    del owner
+    point = np.remainder(keys, n, out=keys)
+    pairs, weights = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for c in np.flatnonzero(np.bincount(size)).tolist():
+        members = point[size == c].reshape(-1, c)
+        first = np.flatnonzero(np.r_[True, (members[1:] != members[:-1]).any(axis=1)])
+        run = np.diff(first, append=members.shape[0])
+        members = members[first]
+        for p in range(c - 1):
+            pairs.append((members[:, p, None] * n + members[:, p + 1 :]).ravel())
+            weights.append(np.repeat(run, c - 1 - p))
+    pairs, weights = np.concatenate(pairs), np.concatenate(weights)
+    order = np.argsort(pairs)
+    starts = np.flatnonzero(np.diff(pairs[order], prepend=-1))
+    return np.add.reduceat(weights[order], starts) if starts.size else weights
+
+
 def verify_design(design: Design) -> DesignReport:
     """Exhaustive check of set sizes and pair-coverage multiplicity.
 
-    Violations are collected, never raised.  Intended for b <= 4096.
+    Violations are collected, never raised.  The sets are flattened into
+    arrays: sizes and range checks are elementwise, repeated points come
+    from one sort of the (set, point) keys, and the pair coverage from
+    one array with an entry per pair inside each set, r*(r-1)/2 per set
+    (a run of equal sets counted once), summed after one sort.  Time and
+    memory grow with m*r^2, about 50 bytes per pair.  Intended for
+    b <= 4096, where an affine-line design has 8.4 million pairs.
     """
+    sizes = np.fromiter(map(len, design.sets), dtype=np.int64, count=len(design.sets))
+    points = np.fromiter(chain.from_iterable(design.sets), dtype=np.int64, count=int(sizes.sum()))
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    labels, point_id = np.unique(points, return_inverse=True)
+    keys = np.sort(owner * labels.size + point_id)
+    repeats = np.zeros(sizes.size, dtype=bool)
+    repeats[keys[np.diff(keys, prepend=-1) == 0] // labels.size] = True
+    wrong_size = sizes != design.r
+    outside = np.bincount(owner[(points < 0) | (points >= design.b)], minlength=sizes.size) > 0
+
     violations = []
-    for k, s in enumerate(design.sets):
-        if len(set(s)) != len(s):
+    for k in np.flatnonzero(repeats | wrong_size | outside).tolist():
+        if repeats[k]:
             violations.append(f"set {k} repeats a point")
-        if len(s) != design.r:
-            violations.append(f"set {k} has size {len(s)}, expected {design.r}")
-        if any(p < 0 or p >= design.b for p in s):
+        if wrong_size[k]:
+            violations.append(f"set {k} has size {sizes[k]}, expected {design.r}")
+        if outside[k]:
             violations.append(f"set {k} leaves the ground set [0, {design.b})")
 
-    counts: Counter = Counter()
-    for s in design.sets:
-        for pair in itertools.combinations(sorted(set(s)), 2):
-            counts[pair] += 1
+    counts = _pair_multiplicities(keys, labels.size)
 
     n_pairs = design.b * (design.b - 1) // 2
     l_observed: int | None
     if n_pairs == 0:
         l_observed = None
     else:
-        values = set(counts.values())
-        if len(counts) < n_pairs:
+        values = set(np.unique(counts).tolist())
+        if counts.size < n_pairs:
             values.add(0)
         if len(values) == 1:
             l_observed = values.pop()

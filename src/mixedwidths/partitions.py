@@ -10,15 +10,14 @@ affine-line design enough times that every point is covered s-fold.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, compress, islice
 from typing import Sequence
 
 import numpy as np
 
-from .designs import affine_line_design, is_supported_order, repeat_design
+from .designs import _pair_multiplicities, affine_line_design, is_supported_order, repeat_design
 from .norms import BlockShape
 
 __all__ = [
@@ -63,6 +62,7 @@ class Partition:
             "m": self.m,
             "r": self.r,
             "l": self.l,
+            "dropped_empty": self.dropped_empty,
             "groups": [[[i, j] for (i, j) in g] for g in self.groups],
         }
 
@@ -74,7 +74,19 @@ class Partition:
             groups=groups,
             r=int(data["r"]),
             l=int(data["l"]),
+            dropped_empty=int(data.get("dropped_empty", 0)),
         )
+
+
+def _flatten_groups(partition: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sizes, rows, cols) of partition.groups as int64 arrays: the size
+    of each group, then the row and column of every cell, group by group."""
+    groups = partition.groups
+    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+    cells = np.fromiter(
+        chain.from_iterable(chain.from_iterable(groups)), dtype=np.int64, count=2 * int(sizes.sum())
+    )
+    return sizes, cells[0::2], cells[1::2]
 
 
 def partition_from_sets(sets: Sequence[Sequence[int]], s: int, b: int) -> Partition:
@@ -84,39 +96,52 @@ def partition_from_sets(sets: Sequence[Sequence[int]], s: int, b: int) -> Partit
     Requires every point of [b] to lie in at least s sets.  The certified
     r is the largest set size, the certified l the largest number of sets
     containing any single pair of points.
+
+    A stable argsort of the flattened sets lists each point's sets in
+    order, so a cell's row is its rank there; cells are then grouped by
+    one stable sort of the (set, point) keys, whose distinct values also
+    give the pairs counted for l.
     """
-    membership: list[list[int]] = [[] for _ in range(b)]
-    for k, a in enumerate(sets):
-        for j in a:
-            if not 0 <= j < b:
-                raise ValueError(f"set {k} contains point {j} outside [0, {b})")
-            membership[j].append(k)
+    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    points = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=int(sizes.sum()))
+    outside = (points < 0) | (points >= b)
+    if outside.any():
+        first = int(outside.argmax())
+        k = np.searchsorted(np.cumsum(sizes), first, side="right")
+        raise ValueError(f"set {k} contains point {points[first]} outside [0, {b})")
+    shape = BlockShape(s, b)
+    counts = np.bincount(points, minlength=b)
+    short = np.flatnonzero(counts < s)
+    if short.size:
+        j = short[0]
+        raise ValueError(
+            f"point {j} lies in {counts[j]} sets, but every point needs at least {s}"
+        )
 
-    for j in range(b):
-        if len(membership[j]) < s:
-            raise ValueError(
-                f"point {j} lies in {len(membership[j])} sets, "
-                f"but every point needs at least {s}"
-            )
+    # Each temporary is dropped once used, to keep peak memory near one
+    # int64 per membership times a few.
+    by_point = np.argsort(points, kind="stable")
+    rank = np.empty_like(points)
+    rank[by_point] = np.arange(points.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    del by_point
+    keys = np.repeat(np.arange(sizes.size) * b, sizes) + points
+    del points
+    by_key = np.argsort(keys, kind="stable")
+    keys, rank = keys[by_key], rank[by_key]
+    del by_key
+    l_bound = int(_pair_multiplicities(keys, b).max(initial=0))
+    keep = rank < s
+    group, col = np.divmod(keys[keep], b)
+    group_sizes = np.bincount(group, minlength=sizes.size)
+    ints = np.arange(max(s, b)).astype(object)  # one int object per index value
+    cells = zip(ints[rank[keep]].tolist(), ints[col].tolist())
+    del keys, rank, keep, group, col
+    nonempty = tuple(tuple(islice(cells, n)) for n in group_sizes[group_sizes > 0].tolist())
 
-    groups: list[list[Cell]] = [[] for _ in sets]
-    for j in range(b):
-        chosen = membership[j][:s]
-        for i, k in enumerate(chosen):
-            groups[k].append((i, j))
-
-    r_bound = max((len(a) for a in sets), default=0)
-    pair_counts: Counter = Counter()
-    for a in sets:
-        for pair in combinations(sorted(set(a)), 2):
-            pair_counts[pair] += 1
-    l_bound = max(pair_counts.values(), default=0)
-
-    nonempty = tuple(tuple(g) for g in groups if g)
     return Partition(
-        shape=BlockShape(s, b),
+        shape=shape,
         groups=nonempty,
-        r=r_bound,
+        r=int(sizes.max(initial=0)),
         l=l_bound,
         dropped_empty=len(sets) - len(nonempty),
     )
@@ -188,19 +213,16 @@ def restrict(partition: Partition, s: int, b: int) -> Partition:
         )
     if s == partition.shape.s and b == partition.shape.b:
         return partition
-    groups = []
-    dropped = partition.dropped_empty
-    for g in partition.groups:
-        kept = tuple((i, j) for (i, j) in g if i < s and j < b)
-        if kept:
-            groups.append(kept)
-        else:
-            dropped += 1
+    sizes, rows, cols = _flatten_groups(partition)
+    keep = (rows < s) & (cols < b)
+    kept = np.bincount(np.repeat(np.arange(sizes.size), sizes)[keep], minlength=sizes.size)
+    cells = map(tuple, compress(chain.from_iterable(partition.groups), keep.tolist()))
+    groups = tuple(tuple(islice(cells, n)) for n in kept[kept > 0].tolist())
     return replace(
         partition,
         shape=BlockShape(s, b),
-        groups=tuple(groups),
-        dropped_empty=dropped,
+        groups=groups,
+        dropped_empty=partition.dropped_empty + partition.m - len(groups),
     )
 
 
@@ -223,34 +245,41 @@ class PartitionReport:
 def verify_partition(partition: Partition) -> PartitionReport:
     """Exhaustive check of the cover and all three structural bounds.
 
-    Intended for grids with at most 10^6 cells; the column-pair scan
-    costs one counter update per pair of columns inside each group.
+    The cells are flattened into arrays: the cover comes from one
+    bincount over the s*b cells, repeated columns from one sort of the
+    (group, column) keys, and column sharing from an entry per pair of
+    columns inside each group (a run of groups on the same columns
+    counted once), summed after one sort.  The cost is a few int64
+    arrays per cell plus one entry per column pair.
+
+    Grids above 10^6 cells are still refused.  The check itself would
+    manage them, but its input would not: groups held as tuples of cell
+    tuples cost about 100 bytes per cell in Python objects before the
+    check starts, so the bound stays until partitions are held as arrays.
     """
     s, b = partition.shape.s, partition.shape.b
     if s * b > 10**6:
         raise ValueError("grid too large for exhaustive verification")
 
-    violations = []
-    seen = np.zeros(s * b, dtype=np.int64)
-    r_observed = 0
-    pair_counts: Counter = Counter()
+    sizes, rows, cols = _flatten_groups(partition)
+    group = np.repeat(np.arange(sizes.size), sizes)
+    inside = (rows >= 0) & (rows < s) & (cols >= 0) & (cols < b)
 
-    for k, g in enumerate(partition.groups):
-        if not g:
-            violations.append(f"group {k} is empty")
-            continue
-        r_observed = max(r_observed, len(g))
-        cols = []
-        for (i, j) in g:
-            if not (0 <= i < s and 0 <= j < b):
-                violations.append(f"group {k} has cell ({i}, {j}) outside the grid")
-                continue
-            seen[j * s + i] += 1
-            cols.append(j)
-        if len(set(cols)) != len(cols):
-            violations.append(f"group {k} meets some column more than once")
-        for pair in combinations(sorted(set(cols)), 2):
-            pair_counts[pair] += 1
+    # (group, place in group, message), sorted into the order of a scan
+    # over the groups and their cells
+    found = [(int(k), -1, f"group {k} is empty") for k in np.flatnonzero(sizes == 0)]
+    found += [
+        (int(group[c]), int(c), f"group {group[c]} has cell ({rows[c]}, {cols[c]}) outside the grid")
+        for c in np.flatnonzero(~inside)
+    ]
+    rows, cols, group = rows[inside], cols[inside], group[inside]
+    seen = np.bincount(cols * s + rows, minlength=s * b)
+    keys = group * b + cols
+    del rows, cols, group
+    keys.sort()
+    repeated = set((keys[np.diff(keys, prepend=-1) == 0] // b).tolist())
+    found += [(k, inside.size, f"group {k} meets some column more than once") for k in repeated]
+    violations = [message for _, _, message in sorted(found)]
 
     cover_ok = bool((seen == 1).all())
     if not cover_ok:
@@ -258,7 +287,8 @@ def verify_partition(partition: Partition) -> PartitionReport:
         doubled = int((seen > 1).sum())
         violations.append(f"cover broken: {missing} cells missing, {doubled} duplicated")
 
-    l_observed = max(pair_counts.values(), default=0)
+    r_observed = int(sizes.max(initial=0))
+    l_observed = int(_pair_multiplicities(keys, b).max(initial=0))
     if r_observed > partition.r:
         violations.append(
             f"observed group size {r_observed} exceeds declared bound {partition.r}"

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .norms import (
     pos_part,
     recip_gap,
 )
-from .partitions import Partition, good_partition
+from .partitions import Partition, _flatten_groups, good_partition
 
 # Field order of every partition the pipeline builds: the least supported
 # order r with r^d >= b, so the design grid r^d overshoots b the least.
@@ -65,13 +64,7 @@ class SpreadOperator:
     def __init__(self, partition: Partition):
         self.partition = partition
         s, b, n = partition.shape.s, partition.shape.b, partition.shape.n
-        sizes = np.fromiter(map(len, partition.groups), dtype=np.int64, count=partition.m)
-        cells = np.fromiter(
-            chain.from_iterable(chain.from_iterable(partition.groups)),
-            dtype=np.int64,
-            count=2 * int(sizes.sum()),
-        ).reshape(-1, 2)
-        i, j = cells[:, 0], cells[:, 1]
+        sizes, i, j = _flatten_groups(partition)
         if ((i < 0) | (i >= s) | (j < 0) | (j >= b)).any():
             raise ValueError("partition has a cell outside the grid")
         flat = j * s + i

@@ -2,6 +2,7 @@ import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +68,29 @@ class TestDesignCommand:
     def test_oversized_ground_set_exits_2(self):
         rc, _, _ = run_cli(["design", "--r", "8", "--d", "5"])
         assert rc == 2
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_design_golden_stdout():
+    # bytes recorded before the design layers moved from loops to arrays
+    rc, out, err = run_cli(["design", "--r", "4", "--d", "3", "--verify"])
+    assert (rc, err) == (0, "")
+    assert out == (GOLDEN / "design_r4_d3_verify.txt").read_text()
+
+
+def test_partition_golden_fields():
+    # recorded before the partition layers moved from loops to arrays and
+    # before the partition line gained "dropped_empty"
+    rc, out, err = run_cli(["partition", "--s", "20", "--b", "13", "--d", "2", "--verify"])
+    assert (rc, err) == (0, "")
+    partition_line, verify_line = out.splitlines()
+    expected_partition, expected_verify = (GOLDEN / "partition_s20_b13_d2_verify.txt").read_text().splitlines()
+    data, expected = json.loads(partition_line), json.loads(expected_partition)
+    for key in ("groups", "r", "l", "m"):
+        assert data[key] == expected[key], key
+    assert verify_line == expected_verify
 
 
 class TestPartitionCommand:

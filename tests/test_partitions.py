@@ -186,3 +186,15 @@ class TestSerialization:
         again = Partition.from_json_dict(part.to_json_dict())
         assert again.shape == part.shape and again.groups == part.groups
         assert again.r == part.r and again.l == part.l
+
+    def test_dropped_empty_round_trip(self):
+        part = good_partition(8, 5, 2)
+        assert part.dropped_empty == 12
+        data = part.to_json_dict()
+        assert data["dropped_empty"] == 12
+        assert Partition.from_json_dict(data) == part
+
+    def test_dropped_empty_defaults_to_zero(self):
+        data = good_partition(8, 5, 2).to_json_dict()
+        del data["dropped_empty"]
+        assert Partition.from_json_dict(data).dropped_empty == 0
