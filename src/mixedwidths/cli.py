@@ -11,15 +11,10 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import partial
 
 from .designs import affine_line_design, is_supported_order, verify_design
-from .norms import (
-    BlockShape,
-    Exponent,
-    d0_mixed,
-    extreme_points_inf1,
-    sample_ball,
-)
+from .norms import BlockShape, Exponent, d0_mixed
 from .partitions import good_partition, verify_partition
 from .spread import (
     PIPELINE_FIELD_ORDER,
@@ -28,6 +23,8 @@ from .spread import (
     choose_pipeline_params,
     column_group_operators,
     grouped_subspace_approximate,
+    pipeline_points,
+    sampled_sup,
     transposition_partition,
 )
 from .widths import classify
@@ -81,31 +78,28 @@ def sweep_row(
         params = replace(params, k=k_override)
 
     shape = BlockShape(s, b)
-    base_seed = _derived_seed(seed, s, b)
-    points = list(sample_ball(shape, params.p1, params.p2, base_seed, samples))
-    if params.p1.is_inf and params.p2 == Exponent.ONE:
-        points += extreme_points_inf1(shape, base_seed + 1, samples)
+    points = pipeline_points(shape, params.p1, params.p2, _derived_seed(seed, s, b), samples)
 
     if partition_kind == "transposition":
         if s != b:
             raise ValueError("transposition partition needs s == b")
         partitions = [transposition_partition(s)]
         op = SpreadOperator(partitions[0])
-        results = [approximate(x, params, partitions[0], op=op) for x in points]
+        run = partial(approximate, params=params, partition=partitions[0], op=op)
     elif partition_kind == "good":
         if s >= b:
             partitions = [good_partition(s, b, params.d, field_order=PIPELINE_FIELD_ORDER)]
             op = SpreadOperator(partitions[0])
-            results = [approximate(x, params, partitions[0], op=op) for x in points]
+            run = partial(approximate, params=params, partition=partitions[0], op=op)
         else:
             ops = column_group_operators(s, b, params.d)
             partitions = [part for part, _ in ops.values()]
-            results = [grouped_subspace_approximate(x, params, ops) for x in points]
+            run = partial(grouped_subspace_approximate, params=params, ops=ops)
     else:
         raise ValueError(f"unknown partition kind {partition_kind!r}")
 
-    sup_error = max(r.measured_error for r in results)
-    sup_bound = max(r.certified_bound for r in results)
+    sup = sampled_sup(points, run)
+    sup_error = sup.sup_error
     d0 = d0_mixed(shape, params.p1, params.p2, params.q1, params.q2)
     return {
         "s": s,
@@ -114,11 +108,11 @@ def sweep_row(
         "k": params.k,
         "r": max(p.r for p in partitions),
         "l": max(p.l for p in partitions),
-        "dim": results[0].dim,
+        "dim": sup.dim,
         "d0": d0,
         "sup_sampled_error": sup_error,
         "ratio": sup_error / d0,
-        "certified_bound": sup_bound,
+        "certified_bound": sup.sup_bound,
     }
 
 

@@ -10,6 +10,7 @@ without floating-point cancellation; floats only enter in final powers.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,7 +20,6 @@ __all__ = [
     "Exponent",
     "BlockShape",
     "BlockMatrix",
-    "MixedNormParams",
     "pos_part",
     "recip_gap",
     "float_pow",
@@ -217,8 +217,7 @@ class BlockMatrix:
     def columns_kept(self, columns) -> "BlockMatrix":
         """Copy with every column outside the given set zeroed."""
         keep = np.zeros(self.shape.b, dtype=bool)
-        for j in columns:
-            keep[j] = True
+        keep[list(columns)] = True
         mask = np.repeat(keep, self.shape.s)
         return BlockMatrix(self.shape, np.where(mask, self.entries, 0.0))
 
@@ -247,21 +246,6 @@ class BlockMatrix:
     @classmethod
     def from_json_dict(cls, data: dict) -> "BlockMatrix":
         return cls(BlockShape(int(data["s"]), int(data["b"])), np.asarray(data["entries"], dtype=float))
-
-
-@dataclass(frozen=True)
-class MixedNormParams:
-    """Inner exponent q1 (within blocks) and outer exponent q2 (across blocks)."""
-
-    q1: Exponent
-    q2: Exponent
-
-    @classmethod
-    def of(cls, params) -> "MixedNormParams":
-        if isinstance(params, MixedNormParams):
-            return params
-        q1, q2 = params
-        return cls(Exponent.of(q1), Exponent.of(q2))
 
 
 def lq_norm(v, q: Exponent) -> float:
@@ -319,9 +303,10 @@ def _row_norms(rows: np.ndarray, p: Exponent) -> np.ndarray:
 
 
 def mixed_norm(x: BlockMatrix, params) -> float:
-    """Outer norm of the vector of inner block norms."""
-    params = MixedNormParams.of(params)
-    return lq_norm(block_norm_vector(x, params.q1), params.q2)
+    """Outer norm of the vector of inner block norms; params is the pair
+    (q1, q2) of inner and outer exponents."""
+    q1, q2 = (Exponent.of(e) for e in params)
+    return lq_norm(block_norm_vector(x, q1), q2)
 
 
 def d0_mixed(shape: BlockShape, p1, p2, q1, q2) -> float:
@@ -363,39 +348,57 @@ def sample_ball(shape: BlockShape, p1, p2, seed: int, count: int) -> list[BlockM
     are scaled into the interior.  Membership, not exact uniformity, is
     the contract.
     """
+    return list(_ball_points(shape, p1, p2, seed, count))
+
+
+def _ball_points(shape: BlockShape, p1, p2, seed: int, count: int) -> Iterator[BlockMatrix]:
+    """sample_ball's points drawn one at a time from the same random stream.
+
+    The arguments are checked here, before the first point is drawn.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     p1, p2 = Exponent.of(p1), Exponent.of(p2)
     rng = np.random.default_rng(seed)
-    out = []
-    for idx in range(count):
-        blocks = _symmetric_power_sample(rng, p1, (shape.b, shape.s))
+    return (_ball_point(rng, shape, p1, p2, interior=idx % 2 == 1) for idx in range(count))
+
+
+def _ball_point(
+    rng: np.random.Generator, shape: BlockShape, p1: Exponent, p2: Exponent, interior: bool
+) -> BlockMatrix:
+    blocks = _symmetric_power_sample(rng, p1, (shape.b, shape.s))
+    inner = _row_norms(blocks, p1)
+    if not (inner > 0).all():  # pragma: no cover - probability zero
+        blocks += 1e-9
         inner = _row_norms(blocks, p1)
-        if not (inner > 0).all():  # pragma: no cover - probability zero
-            blocks += 1e-9
-            inner = _row_norms(blocks, p1)
-        blocks = blocks / inner[:, None]
-        weights = np.abs(_symmetric_power_sample(rng, p2, shape.b))
+    blocks = blocks / inner[:, None]
+    weights = np.abs(_symmetric_power_sample(rng, p2, shape.b))
+    wnorm = lq_norm(weights, p2)
+    if wnorm == 0.0:  # pragma: no cover - probability zero
+        weights = np.ones(shape.b)
         wnorm = lq_norm(weights, p2)
-        if wnorm == 0.0:  # pragma: no cover - probability zero
-            weights = np.ones(shape.b)
-            wnorm = lq_norm(weights, p2)
-        weights = weights / wnorm
-        flat = (blocks * weights[:, None]).reshape(-1)
-        if idx % 2 == 1:
-            flat = flat * float(rng.uniform()) ** (1.0 / shape.n)
-        out.append(BlockMatrix(shape, flat))
-    return out
+    weights = weights / wnorm
+    flat = (blocks * weights[:, None]).reshape(-1)
+    if interior:
+        flat = flat * float(rng.uniform()) ** (1.0 / shape.n)
+    return BlockMatrix(shape, flat)
 
 
 def extreme_points_inf1(shape: BlockShape, seed: int, count: int) -> list[BlockMatrix]:
     """Extreme points of the (inf, 1) unit ball: one column of +-1 entries."""
+    return list(_extreme_points_inf1(shape, seed, count))
+
+
+def _extreme_points_inf1(shape: BlockShape, seed: int, count: int) -> Iterator[BlockMatrix]:
+    """extreme_points_inf1's points drawn one at a time from the same
+    random stream; count is checked before the first point is drawn."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        j = int(rng.integers(0, shape.b))
-        signs = rng.integers(0, 2, size=shape.s) * 2 - 1
-        out.append(BlockMatrix.one_column(shape, j, signs.astype(float)))
-    return out
+    return (_extreme_point_inf1(rng, shape) for _ in range(count))
+
+
+def _extreme_point_inf1(rng: np.random.Generator, shape: BlockShape) -> BlockMatrix:
+    j = int(rng.integers(0, shape.b))
+    signs = rng.integers(0, 2, size=shape.s) * 2 - 1
+    return BlockMatrix.one_column(shape, j, signs.astype(float))

@@ -14,8 +14,10 @@ unnamed constants.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -23,6 +25,8 @@ from .norms import (
     BlockMatrix,
     BlockShape,
     Exponent,
+    _ball_points,
+    _extreme_points_inf1,
     block_norm_vector,
     ceil_power,
     float_pow,
@@ -50,6 +54,9 @@ __all__ = [
     "approximate",
     "column_group_operators",
     "grouped_subspace_approximate",
+    "pipeline_points",
+    "SampledSup",
+    "sampled_sup",
     "transposition_partition",
 ]
 
@@ -58,7 +65,9 @@ class SpreadOperator:
     """Linear map sending each unit cell to the indicator of its group.
 
     Application is a single scatter-gather over a precomputed cell-to-group
-    index, so repeated use on one partition is cheap.
+    index, so repeated use on one partition is cheap.  The cells are also
+    kept group by group, so the pipeline can spread a few columns without
+    touching the rest of the grid.
     """
 
     def __init__(self, partition: Partition):
@@ -76,6 +85,10 @@ class SpreadOperator:
         index = np.empty(n, dtype=np.int64)
         index[flat] = np.repeat(np.arange(partition.m, dtype=np.int64), sizes)
         self._group_index = index
+        # cells of group g: _group_cells[_group_start[g] : _group_start[g] + _group_size[g]]
+        self._group_cells = flat
+        self._group_size = sizes
+        self._group_start = np.cumsum(sizes) - sizes
 
     @property
     def dim(self) -> int:
@@ -90,6 +103,25 @@ class SpreadOperator:
             )
         sums = np.bincount(self._group_index, weights=x.entries, minlength=self.dim)
         return BlockMatrix(x.shape, sums[self._group_index])
+
+    def _spread_columns(self, x: BlockMatrix, columns) -> tuple[np.ndarray, np.ndarray]:
+        """Cells where apply(x.columns_kept(columns)) can be nonzero, and its
+        values there: every cell of every group that meets the columns.
+
+        Each group sum adds that group's cells of the columns in flat order,
+        as apply does (its other terms are zeros), so the values are
+        bit-identical to apply's.
+        """
+        s = x.shape.s
+        kept = (np.sort(np.asarray(columns, dtype=np.int64))[:, None] * s + np.arange(s)).ravel()
+        touched, group_of_kept = np.unique(self._group_index[kept], return_inverse=True)
+        sums = np.bincount(group_of_kept, weights=x.entries[kept])
+        sizes = self._group_size[touched]
+        # where each touched group's cells sit in _group_cells: the group's
+        # start plus 0, 1, ..., size - 1
+        first = np.cumsum(sizes) - sizes
+        at = np.repeat(self._group_start[touched] - first, sizes) + np.arange(sizes.sum())
+        return self._group_cells[at], np.repeat(sums, sizes)
 
 
 def spread_error_coefficient(partition: Partition, p, q1, q2) -> float:
@@ -242,22 +274,26 @@ def approximate(
     x must lie in the (p1, p2) unit ball.  The selected columns are the
     best (k-1)-term support of the block norm vector; the approximant is
     the spread of x restricted to them, an element of the group-constant
-    subspace.
+    subspace.  Only the groups that meet the selected columns are
+    touched; everywhere else the approximant is 0 and the residual is x.
     """
     if partition.shape != x.shape:
         raise ValueError("partition shape does not match the input")
-    if mixed_norm(x, (params.p1, params.p2)) > 1 + 1e-9:
+    y = block_norm_vector(x, params.p1)
+    if lq_norm(y, params.p2) > 1 + 1e-9:
         raise ValueError("input lies outside the unit ball")
     op = op if op is not None else SpreadOperator(partition)
 
-    y = block_norm_vector(x, params.p1)
     budget = min(max(params.k - 1, 0), x.shape.b)
     kterm = best_k_term(y, budget, params.q2)
     selected = kterm.support
 
-    x_sel = x.columns_kept(selected)
-    approximant = op.apply(x_sel)
-    measured = mixed_norm(x - approximant, (params.q1, params.q2))
+    cells, values = op._spread_columns(x, selected)
+    approx_entries = np.zeros(x.shape.n)
+    approx_entries[cells] = values
+    residual = x.entries.copy()
+    residual[cells] -= values
+    measured = mixed_norm(BlockMatrix(x.shape, residual), (params.q1, params.q2))
 
     coeff = spread_error_coefficient(partition, params.p1, params.q1, params.q2)
     tail_factor = float_pow(x.shape.s, recip_gap(params.q1, params.p1))
@@ -265,7 +301,7 @@ def approximate(
 
     return ApproxResult(
         selected_columns=selected,
-        approximant=approximant,
+        approximant=BlockMatrix(x.shape, approx_entries),
         measured_error=measured,
         certified_bound=certified,
         dim=partition.m,
@@ -310,6 +346,9 @@ def grouped_subspace_approximate(
         raise ValueError("input lies outside the unit ball")
     if ops is None:
         ops = column_group_operators(s, b, params.d)
+    width_params = {
+        width: replace(params, k=max(1, ceil_power(width, params.alpha / 4))) for width in ops
+    }
 
     approx_entries = np.zeros(x.shape.n)
     selected: list[int] = []
@@ -322,8 +361,7 @@ def grouped_subspace_approximate(
         width = hi - lo
         sub = BlockMatrix(BlockShape(s, width), x.entries[lo * s : hi * s])
         part, op = ops[width]
-        sub_k = max(1, ceil_power(width, params.alpha / 4))
-        result = approximate(sub, replace(params, k=sub_k), part, op=op)
+        result = approximate(sub, width_params[width], part, op=op)
         approx_entries[lo * s : hi * s] = result.approximant.entries
         selected.extend(lo + j for j in result.selected_columns)
         dim += result.dim
@@ -342,6 +380,51 @@ def grouped_subspace_approximate(
         dim=dim,
         tail_error=tail,
     )
+
+
+def pipeline_points(shape: BlockShape, p1, p2, seed: int, count: int) -> Iterator[BlockMatrix]:
+    """The points sweep rows and witnesses sample, drawn one at a time: count
+    points of the (p1, p2) ball from seed (sample_ball's), then for the
+    (inf, 1) ball count extreme points from seed + 1 (extreme_points_inf1's).
+    """
+    p1, p2 = Exponent.of(p1), Exponent.of(p2)
+    points = _ball_points(shape, p1, p2, seed, count)
+    if p1.is_inf and p2 == Exponent.ONE:
+        points = chain(points, _extreme_points_inf1(shape, seed + 1, count))
+    return points
+
+
+@dataclass(frozen=True)
+class SampledSup:
+    """What a sweep row or witness keeps of a stream of points: the suprema of
+    the measured error and of the certified bound, the dimension of the
+    first point's subspace and the number of points."""
+
+    sup_error: float
+    sup_bound: float
+    dim: int
+    count: int
+
+
+def sampled_sup(
+    points: Iterable[BlockMatrix], run: Callable[[BlockMatrix], ApproxResult]
+) -> SampledSup:
+    """Run the pipeline on each point and keep only the running suprema,
+    so memory does not grow with the number of points."""
+    count = 0
+    for x in points:
+        result = run(x)
+        if count == 0:
+            sup_error, sup_bound, dim = result.measured_error, result.certified_bound, result.dim
+        else:
+            sup_error = max(sup_error, result.measured_error)
+            sup_bound = max(sup_bound, result.certified_bound)
+        count += 1
+        # drop this point and its approximant before the next one is drawn
+        del x, result
+    if count == 0:
+        raise ValueError("no points to evaluate")
+    return SampledSup(sup_error=sup_error, sup_bound=sup_bound, dim=dim, count=count)
 
 
 def transposition_partition(s: int) -> Partition:

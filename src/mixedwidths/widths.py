@@ -12,17 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 
-from .norms import (
-    BlockShape,
-    Exponent,
-    d0_mixed,
-    extreme_points_inf1,
-    float_pow,
-    recip_gap,
-    sample_ball,
-)
+from .norms import BlockShape, Exponent, d0_mixed, float_pow, recip_gap
 from .partitions import good_partition
 from .spread import (
     PIPELINE_FIELD_ORDER,
@@ -31,6 +24,8 @@ from .spread import (
     choose_pipeline_params,
     column_group_operators,
     grouped_subspace_approximate,
+    pipeline_points,
+    sampled_sup,
     transposition_partition,
 )
 
@@ -287,34 +282,31 @@ def nonrigidity_witness(
         )
 
     params = choose_pipeline_params(p1, p2, q1, q2, s, b)
-    points = list(sample_ball(shape, p1, p2, seed, samples))
-    if p1.is_inf and p2 == Exponent.ONE:
-        points += extreme_points_inf1(shape, seed + 1, samples)
+    points = pipeline_points(shape, p1, p2, seed, samples)
 
     if strategy == "transposition":
         if s != b:
             raise ValueError("transposition strategy needs a square grid")
         partition = transposition_partition(s)
         op = SpreadOperator(partition)
-        results = [approximate(x, params, partition, op=op) for x in points]
+        run = partial(approximate, params=params, partition=partition, op=op)
     elif strategy == "auto":
         if s >= b:
             partition = good_partition(s, b, params.d, field_order=PIPELINE_FIELD_ORDER)
             op = SpreadOperator(partition)
-            results = [approximate(x, params, partition, op=op) for x in points]
+            run = partial(approximate, params=params, partition=partition, op=op)
         else:
             ops = column_group_operators(s, b, params.d)
-            results = [grouped_subspace_approximate(x, params, ops) for x in points]
+            run = partial(grouped_subspace_approximate, params=params, ops=ops)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    sup_error = max(r.measured_error for r in results)
-    dim = results[0].dim
+    sup = sampled_sup(points, run)
     return WitnessRecord(
         kind="computed",
-        n=dim,
-        error_ratio=sup_error / d0,
-        sup_error=sup_error,
+        n=sup.dim,
+        error_ratio=sup.sup_error / d0,
+        sup_error=sup.sup_error,
         d0=d0,
-        detail=f"pipeline with d={params.d}, k={params.k} over {len(points)} sampled points",
+        detail=f"pipeline with d={params.d}, k={params.k} over {sup.count} sampled points",
     )

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -222,6 +223,26 @@ def test_sweep_golden_stdout(args, expected):
     assert out == expected
 
 
+# stdout recorded before sweep rows and witnesses streamed their points: wide
+# bound rows (the grouped pipeline) and a JSON sweep whose square rows keep
+# three columns, so each touched group sums values from several columns
+GOLDEN_PIPELINE_FILES = [
+    ("bound --p1 inf --p2 1 --q1 1 --q2 2 --s 24 --b 200", "bound_inf_1_1_2_s24_b200.txt"),
+    ("bound --p1 3/2 --p2 1 --q1 1 --q2 2 --s 24 --b 200 --seed 7", "bound_3-2_1_1_2_s24_b200_seed7.txt"),
+    (
+        "sweep --p1 2 --p2 1 --q1 1 --q2 2 --sizes 48x48 64x64 12x40 --k 4 --samples 8 --seed 5 --format json",
+        "sweep_2_1_1_2_k4.json",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, golden", GOLDEN_PIPELINE_FILES)
+def test_pipeline_golden_stdout(args, golden):
+    rc, out, err = run_cli(args.split())
+    assert (rc, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text()
+
+
 class TestExampleTranspose:
     def test_default_sizes(self):
         rc, out, _ = run_cli(["example-transpose", "--samples", "2"])
@@ -233,6 +254,26 @@ class TestExampleTranspose:
 
 
 class TestSweepRowFunction:
+    def test_memory_does_not_grow_with_samples(self):
+        # The row keeps only running suprema, so 64 samples need no more
+        # memory than 2: the peak is set by the partition and the operator.
+        # Holding every point or approximant would add 2 * 64 of them.
+        s = b = 128
+        point_bytes = s * b * 8
+        sweep_row("2", 1, 1, 2, s, b, samples=1)  # warm the partition cache
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                sweep_row("2", 1, 1, 2, s, b, samples=samples)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak(2), peak(64)
+        assert many <= few + point_bytes, (few / point_bytes, many / point_bytes)
+        assert many < 16 * point_bytes, many / point_bytes
+
     def test_wide_sizes_use_grouped_pipeline(self):
         row = sweep_row("inf", 1, 1, 2, 8, 32, samples=4, seed=0)
         assert row["s"] == 8 and row["b"] == 32 and row["dim"] > 0

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -125,6 +126,22 @@ class TestVerifyDesign:
         mislabeled = Design(b=design.b, r=design.r, l=5, sets=design.sets)
         report = verify_design(mislabeled)
         assert not report.ok and report.l_observed == 1
+
+    def test_memory_per_pair_of_an_affine_line_design(self):
+        # no two adjacent sets are equal, so the pair count needs neither a
+        # weight array nor a sort order: about 20 bytes per pair, where
+        # the weighted count held about 50
+        design = affine_line_design(32, 2)
+        verify_design(affine_line_design(4, 2))  # first-call imports
+        pairs = len(design.sets) * design.r * (design.r - 1) // 2
+        tracemalloc.start()
+        try:
+            report = verify_design(design)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.l_observed == 1
+        assert peak < 30 * pairs, peak / pairs
 
     def test_detects_wrong_set_size(self):
         design = Design(b=4, r=3, l=1, sets=((0, 1), (2, 3)))

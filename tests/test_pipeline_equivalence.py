@@ -1,0 +1,338 @@
+"""The streaming pipeline against the dense one it replaced.
+
+``_oracle_approximate`` and ``_oracle_grouped_subspace_approximate`` are
+the implementations the library used before ``approximate`` spread only
+the selected columns: zero the other columns, spread the whole grid,
+subtract.  ``_oracle_sample_ball`` and ``_oracle_extreme_points_inf1``
+are the list samplers the point iterators replaced.  Every float the
+pipeline reports must be bit-identical to theirs, as must every point the
+iterators draw.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mixedwidths import (
+    BlockMatrix,
+    BlockShape,
+    Exponent,
+    Partition,
+    SpreadOperator,
+    approximate,
+    block_norm_vector,
+    choose_pipeline_params,
+    column_group_operators,
+    extreme_points_inf1,
+    good_partition,
+    grouped_subspace_approximate,
+    lq_norm,
+    mixed_norm,
+    pipeline_points,
+    sample_ball,
+    sampled_sup,
+    transposition_partition,
+)
+from mixedwidths.norms import _ball_points, _extreme_points_inf1, _row_norms, _symmetric_power_sample
+from mixedwidths.spread import (
+    PIPELINE_FIELD_ORDER,
+    ApproxResult,
+    best_k_term,
+    ceil_power,
+    float_pow,
+    recip_gap,
+    spread_error_coefficient,
+)
+
+# Fixed example sequence, no example database: the suite stays deterministic.
+EXAMPLES = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+P1_VALUES = ("inf", "2", "3/2", "4")
+
+
+# ------------------------------------------------------------- oracles
+
+
+def _oracle_approximate(x, params, partition, op=None):
+    if partition.shape != x.shape:
+        raise ValueError("partition shape does not match the input")
+    if mixed_norm(x, (params.p1, params.p2)) > 1 + 1e-9:
+        raise ValueError("input lies outside the unit ball")
+    op = op if op is not None else SpreadOperator(partition)
+
+    y = block_norm_vector(x, params.p1)
+    budget = min(max(params.k - 1, 0), x.shape.b)
+    kterm = best_k_term(y, budget, params.q2)
+    selected = kterm.support
+
+    x_sel = x.columns_kept(selected)
+    approximant = op.apply(x_sel)
+    measured = mixed_norm(x - approximant, (params.q1, params.q2))
+
+    coeff = spread_error_coefficient(partition, params.p1, params.q1, params.q2)
+    tail_factor = float_pow(x.shape.s, recip_gap(params.q1, params.p1))
+    certified = kterm.error * tail_factor + coeff * float(sum(y[j] for j in selected))
+
+    return ApproxResult(
+        selected_columns=selected,
+        approximant=approximant,
+        measured_error=measured,
+        certified_bound=certified,
+        dim=partition.m,
+        tail_error=kterm.error,
+    )
+
+
+def _oracle_grouped_subspace_approximate(x, params, ops):
+    s, b = x.shape.s, x.shape.b
+    approx_entries = np.zeros(x.shape.n)
+    selected, dim, bounds, tails = [], 0, [], []
+    for g in range(-(-b // s)):
+        lo, hi = g * s, min((g + 1) * s, b)
+        width = hi - lo
+        sub = BlockMatrix(BlockShape(s, width), x.entries[lo * s : hi * s])
+        part, op = ops[width]
+        sub_k = max(1, ceil_power(width, params.alpha / 4))
+        result = _oracle_approximate(sub, replace(params, k=sub_k), part, op=op)
+        approx_entries[lo * s : hi * s] = result.approximant.entries
+        selected.extend(lo + j for j in result.selected_columns)
+        dim += result.dim
+        bounds.append(result.certified_bound)
+        tails.append(result.tail_error)
+    approximant = BlockMatrix(x.shape, approx_entries)
+    return ApproxResult(
+        selected_columns=tuple(selected),
+        approximant=approximant,
+        measured_error=mixed_norm(x - approximant, (params.q1, params.q2)),
+        certified_bound=lq_norm(np.asarray(bounds), params.q2),
+        dim=dim,
+        tail_error=lq_norm(np.asarray(tails), params.q2),
+    )
+
+
+def _oracle_sample_ball(shape, p1, p2, seed, count):
+    p1, p2 = Exponent.of(p1), Exponent.of(p2)
+    rng = np.random.default_rng(seed)
+    out = []
+    for idx in range(count):
+        blocks = _symmetric_power_sample(rng, p1, (shape.b, shape.s))
+        blocks = blocks / _row_norms(blocks, p1)[:, None]
+        weights = np.abs(_symmetric_power_sample(rng, p2, shape.b))
+        weights = weights / lq_norm(weights, p2)
+        flat = (blocks * weights[:, None]).reshape(-1)
+        if idx % 2 == 1:
+            flat = flat * float(rng.uniform()) ** (1.0 / shape.n)
+        out.append(BlockMatrix(shape, flat))
+    return out
+
+
+def _oracle_extreme_points_inf1(shape, seed, count):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        j = int(rng.integers(0, shape.b))
+        signs = rng.integers(0, 2, size=shape.s) * 2 - 1
+        out.append(BlockMatrix.one_column(shape, j, signs.astype(float)))
+    return out
+
+
+# ------------------------------------------------------------- helpers
+
+
+def _bits(value) -> bytes:
+    """The exact float64 bit patterns, so -0.0 and 0.0 differ."""
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def assert_same_result(got, expected):
+    assert got.selected_columns == expected.selected_columns
+    assert _bits(got.measured_error) == _bits(expected.measured_error)
+    assert _bits(got.certified_bound) == _bits(expected.certified_bound)
+    assert _bits(got.tail_error) == _bits(expected.tail_error)
+    assert got.dim == expected.dim
+    assert got.approximant.shape == expected.approximant.shape
+    assert _bits(got.approximant.entries) == _bits(expected.approximant.entries)
+
+
+def assert_same_points(got, expected):
+    got, expected = list(got), list(expected)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.shape == b.shape and _bits(a.entries) == _bits(b.entries)
+
+
+def _points(shape, p1, seed, count):
+    """Ball points, the zero matrix and, for (inf, 1), extreme points."""
+    points = _oracle_sample_ball(shape, p1, 1, seed, count) + [BlockMatrix.zeros(shape)]
+    if Exponent.of(p1).is_inf:
+        points += _oracle_extreme_points_inf1(shape, seed + 1, count)
+    return points
+
+
+def _params(p1, s, b, k):
+    params = choose_pipeline_params(p1, 1, 1, 2, s, b)
+    return params if k is None else replace(params, k=k)
+
+
+# budgets of 0-3 columns, and the tuple's own k
+K_VALUES = st.sampled_from((1, 2, 3, 4, None))
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+# ------------------------------------------------------------- approximate
+
+
+@EXAMPLES
+@given(
+    p1=st.sampled_from(P1_VALUES),
+    b=st.integers(1, 30),
+    extra_rows=st.integers(0, 12),
+    k=K_VALUES,
+    seed=SEEDS,
+)
+def test_approximate_matches_dense_on_good_partitions(p1, b, extra_rows, k, seed):
+    # square grids (extra_rows = 0) and tall ones, through the pipeline's partition
+    s = b + extra_rows
+    params = _params(p1, s, b, k)
+    partition = good_partition(s, b, params.d, field_order=PIPELINE_FIELD_ORDER)
+    op = SpreadOperator(partition)
+    for x in _points(BlockShape(s, b), p1, seed, 3):
+        assert_same_result(approximate(x, params, partition, op=op), _oracle_approximate(x, params, partition, op=op))
+
+
+@EXAMPLES
+@given(p1=st.sampled_from(P1_VALUES), s=st.integers(1, 24), k=K_VALUES, seed=SEEDS)
+def test_approximate_matches_dense_on_transposition_partitions(p1, s, k, seed):
+    params = _params(p1, s, s, k)
+    partition = transposition_partition(s)
+    op = SpreadOperator(partition)
+    for x in _points(BlockShape(s, s), p1, seed, 3):
+        assert_same_result(approximate(x, params, partition, op=op), _oracle_approximate(x, params, partition, op=op))
+    # without a prebuilt operator too
+    x = _points(BlockShape(s, s), p1, seed, 1)[0]
+    assert_same_result(approximate(x, params, partition), _oracle_approximate(x, params, partition))
+
+
+@EXAMPLES
+@given(p1=st.sampled_from(P1_VALUES), s=st.integers(1, 12), extra_cols=st.integers(1, 40), seed=SEEDS)
+def test_grouped_matches_dense_on_wide_grids(p1, s, extra_cols, seed):
+    b = s + extra_cols
+    params = _params(p1, s, b, None)
+    ops = column_group_operators(s, b, params.d)
+    for x in _points(BlockShape(s, b), p1, seed, 3):
+        assert_same_result(
+            grouped_subspace_approximate(x, params, ops),
+            _oracle_grouped_subspace_approximate(x, params, ops),
+        )
+
+
+def _band_partition(s, b, height):
+    """Groups of `height` consecutive rows across every column, so a group
+    meets every selected column: with three of them, each group sum adds
+    three or more values and its result depends on their order."""
+    groups = tuple(
+        tuple((i, j) for i in range(lo, min(lo + height, s)) for j in range(b))
+        for lo in range(0, s, height)
+    )
+    return Partition(BlockShape(s, b), groups, r=b * height, l=height * b)
+
+
+@EXAMPLES
+@given(
+    p1=st.sampled_from(P1_VALUES),
+    s=st.integers(1, 16),
+    b=st.integers(1, 16),
+    height=st.integers(1, 3),
+    k=K_VALUES,
+    seed=SEEDS,
+)
+def test_approximate_matches_dense_when_groups_meet_several_columns(p1, s, b, height, k, seed):
+    s = max(s, b)
+    params = _params(p1, s, b, k)
+    partition = _band_partition(s, b, height)
+    op = SpreadOperator(partition)
+    for x in _points(BlockShape(s, b), p1, seed, 3):
+        assert_same_result(approximate(x, params, partition, op=op), _oracle_approximate(x, params, partition, op=op))
+
+
+def test_group_sums_depend_on_column_order():
+    # the case the test above relies on: summing the kept columns of one
+    # band in another order changes the bits of some group sum
+    s, b, p1 = 12, 12, "2"
+    params = _params(p1, s, b, 4)
+    partition = _band_partition(s, b, 2)
+    x = _oracle_sample_ball(BlockShape(s, b), p1, 1, 5, 1)[0]
+    result = approximate(x, params, partition)
+    assert len(result.selected_columns) == 3
+    cols = np.array(result.selected_columns)
+    index = SpreadOperator(partition)._group_index
+    forward, backward = ((c[:, None] * s + np.arange(s)).ravel() for c in (cols, cols[::-1]))
+    sums = [np.bincount(index[kept], weights=x.entries[kept]) for kept in (forward, backward)]
+    assert _bits(sums[0]) != _bits(sums[1])
+    assert_same_result(result, _oracle_approximate(x, params, partition))
+
+
+# ------------------------------------------------------------- point streams
+
+
+@EXAMPLES
+@given(
+    p1=st.sampled_from(P1_VALUES + ("1",)),
+    p2=st.sampled_from(("1", "3/2", "2", "inf")),
+    s=st.integers(1, 9),
+    b=st.integers(1, 9),
+    count=st.integers(1, 6),
+    seed=SEEDS,
+)
+def test_point_iterators_draw_the_list_samplers_points(p1, p2, s, b, count, seed):
+    shape = BlockShape(s, b)
+    expected_ball = _oracle_sample_ball(shape, p1, p2, seed, count)
+    assert_same_points(_ball_points(shape, p1, p2, seed, count), expected_ball)
+    assert_same_points(sample_ball(shape, p1, p2, seed, count), expected_ball)
+    expected_extreme = _oracle_extreme_points_inf1(shape, seed, count)
+    assert_same_points(_extreme_points_inf1(shape, seed, count), expected_extreme)
+    assert_same_points(extreme_points_inf1(shape, seed, count), expected_extreme)
+
+    expected = list(expected_ball)
+    if Exponent.of(p1).is_inf and Exponent.of(p2) == Exponent.ONE:
+        expected += _oracle_extreme_points_inf1(shape, seed + 1, count)
+    assert_same_points(pipeline_points(shape, p1, p2, seed, count), expected)
+
+
+def test_point_iterators_check_count_before_drawing():
+    with pytest.raises(ValueError, match="count"):
+        _ball_points(BlockShape(2, 2), 2, 1, 0, 0)
+    with pytest.raises(ValueError, match="count"):
+        _extreme_points_inf1(BlockShape(2, 2), 0, 0)
+    with pytest.raises(ValueError, match="count"):
+        pipeline_points(BlockShape(2, 2), "inf", 1, 0, 0)
+
+
+# ------------------------------------------------------------- reduction
+
+
+@EXAMPLES
+@given(p1=st.sampled_from(P1_VALUES), n=st.integers(2, 20), k=K_VALUES, count=st.integers(1, 5), seed=SEEDS)
+def test_sampled_sup_matches_max_over_the_list(p1, n, k, count, seed):
+    shape = BlockShape(n, n)
+    params = _params(p1, n, n, k)
+    partition = good_partition(n, n, params.d, field_order=PIPELINE_FIELD_ORDER)
+    op = SpreadOperator(partition)
+    points = _oracle_sample_ball(shape, p1, 1, seed, count)
+    if Exponent.of(p1).is_inf:
+        points += _oracle_extreme_points_inf1(shape, seed + 1, count)
+    results = [_oracle_approximate(x, params, partition, op=op) for x in points]
+
+    sup = sampled_sup(pipeline_points(shape, p1, 1, seed, count), lambda x: approximate(x, params, partition, op=op))
+    assert _bits(sup.sup_error) == _bits(max(r.measured_error for r in results))
+    assert _bits(sup.sup_bound) == _bits(max(r.certified_bound for r in results))
+    assert sup.dim == results[0].dim
+    assert sup.count == len(points)
+
+
+def test_sampled_sup_rejects_an_empty_stream():
+    with pytest.raises(ValueError):
+        sampled_sup(iter(()), approximate)

@@ -1,6 +1,8 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
+from functools import partial
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +25,9 @@ from mixedwidths import (
     lq_norm,
     mixed_norm,
     partition_from_sets,
+    pipeline_points,
     sample_ball,
+    sampled_sup,
     singleton_partition,
     spread_error_coefficient,
     transposition_partition,
@@ -328,6 +332,26 @@ class TestApproximate:
         assert set(payload) == {
             "selected_columns", "measured_error", "certified_bound", "dim", "tail_error",
         }
+
+
+class TestSampledSup:
+    def test_memory_stays_within_a_few_points(self):
+        # 64 ball points through a prebuilt operator: each point and its
+        # approximant are dropped before the next point is drawn
+        s = b = 128
+        params = choose_pipeline_params("2", 1, 1, 2, s, b)
+        part = good_partition(s, b, params.d, field_order="smallest")
+        run = partial(approximate, params=params, partition=part, op=SpreadOperator(part))
+        sampled_sup(pipeline_points(BlockShape(s, b), "2", 1, 0, 1), run)  # first-call imports
+        tracemalloc.start()
+        try:
+            sup = sampled_sup(pipeline_points(BlockShape(s, b), "2", 1, 0, 64), run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sup.count == 64 and sup.dim == part.m
+        assert sup.sup_error <= sup.sup_bound + 1e-9
+        assert peak < 8 * s * b * 8, peak / (s * b * 8)
 
 
 class TestGroupedApproximate:

@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +188,12 @@ class TestWitness:
             sup_error = max(sup_error, fresh.measured_error)
         record = nonrigidity_witness("inf", 1, 1, 2, s, b, samples=4)
         assert record.sup_error == sup_error and record.n == fresh.dim
+
+    def test_wide_witness_golden(self):
+        # recorded before the witness streamed its points
+        record = nonrigidity_witness("inf", 1, 1, 2, 29, 641, samples=6)
+        golden = Path(__file__).parent / "golden" / "witness_inf_1_1_2_s29_b641.json"
+        assert json.dumps(record.to_json_dict()) + "\n" == golden.read_text()
 
     def test_square_witness_uses_smallest_order(self):
         record = nonrigidity_witness("inf", 1, 1, 2, 64, 64, samples=2)
