@@ -15,7 +15,7 @@ unnamed constants.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
@@ -104,24 +104,33 @@ class SpreadOperator:
         sums = np.bincount(self._group_index, weights=x.entries, minlength=self.dim)
         return BlockMatrix(x.shape, sums[self._group_index])
 
-    def _spread_columns(self, x: BlockMatrix, columns) -> tuple[np.ndarray, np.ndarray]:
-        """Cells where apply(x.columns_kept(columns)) can be nonzero, and its
-        values there: every cell of every group that meets the columns.
-
-        Each group sum adds that group's cells of the columns in flat order,
-        as apply does (its other terms are zeros), so the values are
-        bit-identical to apply's.
-        """
-        s = x.shape.s
+    def _spread_columns(self, entries: np.ndarray, columns) -> tuple[np.ndarray, np.ndarray]:
+        """Cells where the spread of entries kept on columns can be nonzero,
+        and its values there: every cell of every group that meets the
+        columns.  entries are flat, of the partition's shape; a view of a
+        wider matrix's entries is read in place.  Each group sum adds its
+        cells of the columns in flat order, as apply does (its other terms
+        are zeros), so the values are bit-identical to apply's."""
+        s = self.partition.shape.s
         kept = (np.sort(np.asarray(columns, dtype=np.int64))[:, None] * s + np.arange(s)).ravel()
         touched, group_of_kept = np.unique(self._group_index[kept], return_inverse=True)
-        sums = np.bincount(group_of_kept, weights=x.entries[kept])
+        sums = np.bincount(group_of_kept, weights=entries[kept])
         sizes = self._group_size[touched]
         # where each touched group's cells sit in _group_cells: the group's
         # start plus 0, 1, ..., size - 1
         first = np.cumsum(sizes) - sizes
         at = np.repeat(self._group_start[touched] - first, sizes) + np.arange(sizes.sum())
         return self._group_cells[at], np.repeat(sums, sizes)
+
+
+def _operator_for(partition: Partition, op: SpreadOperator | None) -> SpreadOperator:
+    """op, or a new operator over partition; an operator built for another
+    partition spans another subspace, so it is rejected."""
+    if op is None:
+        return SpreadOperator(partition)
+    if op.partition is not partition and op.partition != partition:
+        raise ValueError("operator was built for another partition")
+    return op
 
 
 def spread_error_coefficient(partition: Partition, p, q1, q2) -> float:
@@ -150,13 +159,16 @@ def check_one_column_bound(
     partition: Partition, p, q1, q2, x: BlockMatrix, op: SpreadOperator | None = None
 ) -> OneColumnCheck:
     """Evaluate both sides of the one-column error bound on a concrete x."""
+    if x.shape != partition.shape:
+        raise ValueError(f"matrix shape {x.shape} does not match partition shape {partition.shape}")
     per_block = np.abs(x.entries.reshape(x.shape.b, x.shape.s)).sum(axis=1)
     nonzero_cols = np.flatnonzero(per_block)
     if nonzero_cols.size > 1:
         raise ValueError(f"support spans columns {nonzero_cols.tolist()}; need one")
-    op = op if op is not None else SpreadOperator(partition)
-    residual = x - op.apply(x)
-    lhs = mixed_norm(residual, (q1, q2))
+    cells, values = _operator_for(partition, op)._spread_columns(x.entries, nonzero_cols)
+    residual = x.entries.copy()
+    residual[cells] -= values
+    lhs = mixed_norm(BlockMatrix(x.shape, residual), (q1, q2))
     rhs = spread_error_coefficient(partition, p, q1, q2) * lq_norm(x.entries, p)
     return OneColumnCheck(lhs=lhs, rhs=rhs, ok=lhs <= rhs + 1e-9)
 
@@ -218,8 +230,10 @@ def choose_pipeline_params(p1, p2, q1, q2, s: int, b: int) -> PipelineParams:
 
     d is the least integer >= 2 with (1/d)*(1/q1) <= alpha/2, the weakest
     choice that lets the block-size contribution r^(1/q1) be absorbed at
-    the alpha/2 decay rate.  k = max(1, ceil(b^(alpha/4))), with the
-    ceiling decided in exact integer arithmetic.
+    the alpha/2 decay rate.  k = max(1, ceil(min(s, b)^(alpha/4))), with
+    the ceiling decided in exact integer arithmetic, is the budget of
+    every column group as wide as min(s, b): the one group of a square
+    grid, each full group of s columns of a wide one.
     """
     p1, p2, q1, q2 = (Exponent.of(e) for e in (p1, p2, q1, q2))
     failure = _exceptional_failure(p1, p2, q1, q2)
@@ -232,7 +246,7 @@ def choose_pipeline_params(p1, p2, q1, q2, s: int, b: int) -> PipelineParams:
     # least d with (1/d) * q1.recip <= alpha / 2
     ratio = 2 * q1.recip / alpha
     d = max(2, -(-ratio.numerator // ratio.denominator))
-    k = max(1, ceil_power(b, alpha / 4))
+    k = max(1, ceil_power(min(s, b), alpha / 4))
     return PipelineParams(p1=p1, p2=p2, q1=q1, q2=q2, d=d, k=k, alpha=alpha)
 
 
@@ -242,8 +256,9 @@ class ApproxResult:
 
     certified_bound is the triangle-inequality bound evaluated with the
     partition's actual (r, l): tail_error * s^(1/q1-1/p1)_+ plus the
-    one-column coefficient times the kept block norms.  measured_error
-    never exceeds it (up to float roundoff).
+    one-column coefficient times the kept block norms, per column group
+    and aggregated by the q2-norm.  measured_error never exceeds it (up to
+    float roundoff).
     """
 
     selected_columns: tuple[int, ...]
@@ -263,50 +278,68 @@ class ApproxResult:
         }
 
 
-def approximate(
-    x: BlockMatrix,
-    params: PipelineParams,
-    partition: Partition,
-    op: SpreadOperator | None = None,
-) -> ApproxResult:
-    """Spread the heaviest k-1 blocks of x through the partition.
+def _pipeline(x: BlockMatrix, params: PipelineParams, groups) -> ApproxResult:
+    """The pipeline over contiguous column groups (lo, hi, op) tiling the
+    columns of x, each op over an s x (hi - lo) partition.
 
-    x must lie in the (p1, p2) unit ball.  The selected columns are the
-    best (k-1)-term support of the block norm vector; the approximant is
-    the spread of x restricted to them, an element of the group-constant
-    subspace.  Only the groups that meet the selected columns are
-    touched; everywhere else the approximant is 0 and the residual is x.
+    Each group spreads the best (k-1)-term support of its slice of the
+    block norms, with k = params.k for a group as wide as min(s, b) and
+    max(1, ceil(width^(alpha/4))) for a narrower last one.  The certified
+    bound and the tail error are the q2-norms of the per-group values, so
+    one group reports its own exactly.
     """
-    if partition.shape != x.shape:
-        raise ValueError("partition shape does not match the input")
+    s, b = x.shape.s, x.shape.b
+    for lo, hi, op in groups:
+        if op.partition.shape != BlockShape(s, hi - lo):
+            raise ValueError("partition shape does not match the input")
     y = block_norm_vector(x, params.p1)
     if lq_norm(y, params.p2) > 1 + 1e-9:
         raise ValueError("input lies outside the unit ball")
-    op = op if op is not None else SpreadOperator(partition)
 
-    budget = min(max(params.k - 1, 0), x.shape.b)
-    kterm = best_k_term(y, budget, params.q2)
-    selected = kterm.support
-
-    cells, values = op._spread_columns(x, selected)
+    tail_factor = float_pow(s, recip_gap(params.q1, params.p1))
     approx_entries = np.zeros(x.shape.n)
-    approx_entries[cells] = values
     residual = x.entries.copy()
-    residual[cells] -= values
+    selected, bounds, tails = [], [], []
+    for lo, hi, op in groups:
+        width = hi - lo
+        k = params.k if width >= min(s, b) else max(1, ceil_power(width, params.alpha / 4))
+        y_group = y[lo:hi]
+        kterm = best_k_term(y_group, min(max(k - 1, 0), width), params.q2)
+        cells, values = op._spread_columns(x.entries[lo * s : hi * s], kterm.support)
+        cells += lo * s
+        approx_entries[cells] = values
+        residual[cells] -= values
+        coeff = spread_error_coefficient(op.partition, params.p1, params.q1, params.q2)
+        spread_sum = float(sum(y_group[j] for j in kterm.support))
+        bounds.append(kterm.error * tail_factor + coeff * spread_sum)
+        tails.append(kterm.error)
+        selected.extend(lo + j for j in kterm.support)
+
+    # measured before the approximant is copied, so fewer grid-sized arrays are alive at once
     measured = mixed_norm(BlockMatrix(x.shape, residual), (params.q1, params.q2))
-
-    coeff = spread_error_coefficient(partition, params.p1, params.q1, params.q2)
-    tail_factor = float_pow(x.shape.s, recip_gap(params.q1, params.p1))
-    certified = kterm.error * tail_factor + coeff * float(sum(y[j] for j in selected))
-
     return ApproxResult(
-        selected_columns=selected,
+        selected_columns=tuple(selected),
         approximant=BlockMatrix(x.shape, approx_entries),
         measured_error=measured,
-        certified_bound=certified,
-        dim=partition.m,
-        tail_error=kterm.error,
+        certified_bound=lq_norm(bounds, params.q2),
+        dim=sum(op.dim for _, _, op in groups),
+        tail_error=lq_norm(tails, params.q2),
     )
+
+
+def approximate(
+    x: BlockMatrix, params: PipelineParams, partition: Partition, op: SpreadOperator | None = None
+) -> ApproxResult:
+    """Spread the heaviest k-1 blocks of x through the partition.
+
+    x must lie in the (p1, p2) unit ball.  This is the column-group
+    pipeline with one group of all b columns and budget params.k: the
+    approximant is the spread of x restricted to the best (k-1)-term
+    support of its block norms, an element of the group-constant
+    subspace, and only the groups that meet those columns are touched.
+    op, when given, must be built for this partition.
+    """
+    return _pipeline(x, params, [(0, x.shape.b, _operator_for(partition, op))])
 
 
 def column_group_operators(s: int, b: int, d: int) -> dict[int, tuple[Partition, SpreadOperator]]:
@@ -330,56 +363,21 @@ def grouped_subspace_approximate(
     params: PipelineParams,
     ops: dict[int, tuple[Partition, SpreadOperator]] | None = None,
 ) -> ApproxResult:
-    """Pipeline for wide grids (s < b): columns are split into ceil(b/s)
-    contiguous groups of at most s columns, each approximated with its own
-    partition and budget, and the per-group approximants concatenated.
-
-    ops is column_group_operators(s, b, params.d); it is built here when
-    not given.  The certified bound aggregates the per-group bounds with
-    the outer norm, which dominates the mixed norm of the concatenated
-    residual.
+    """Pipeline for wide grids (s < b): the column-group pipeline over
+    ceil(b/s) contiguous groups of at most s columns, each with its own
+    operator from ops (column_group_operators(s, b, params.d), built here
+    when not given).  Every full group has budget params.k; a narrower
+    last group takes max(1, ceil(width^(alpha/4))).  The certified bound
+    aggregates the per-group bounds with the outer norm, which dominates
+    the mixed norm of the residual.
     """
     s, b = x.shape.s, x.shape.b
     if s >= b:
         raise ValueError(f"s={s} >= b={b}: use approximate directly")
-    if mixed_norm(x, (params.p1, params.p2)) > 1 + 1e-9:
-        raise ValueError("input lies outside the unit ball")
     if ops is None:
         ops = column_group_operators(s, b, params.d)
-    width_params = {
-        width: replace(params, k=max(1, ceil_power(width, params.alpha / 4))) for width in ops
-    }
-
-    approx_entries = np.zeros(x.shape.n)
-    selected: list[int] = []
-    dim = 0
-    bounds = []
-    tails = []
-    n_groups = -(-b // s)
-    for g in range(n_groups):
-        lo, hi = g * s, min((g + 1) * s, b)
-        width = hi - lo
-        sub = BlockMatrix(BlockShape(s, width), x.entries[lo * s : hi * s])
-        part, op = ops[width]
-        result = approximate(sub, width_params[width], part, op=op)
-        approx_entries[lo * s : hi * s] = result.approximant.entries
-        selected.extend(lo + j for j in result.selected_columns)
-        dim += result.dim
-        bounds.append(result.certified_bound)
-        tails.append(result.tail_error)
-
-    approximant = BlockMatrix(x.shape, approx_entries)
-    measured = mixed_norm(x - approximant, (params.q1, params.q2))
-    certified = lq_norm(np.asarray(bounds), params.q2)
-    tail = lq_norm(np.asarray(tails), params.q2)
-    return ApproxResult(
-        selected_columns=tuple(selected),
-        approximant=approximant,
-        measured_error=measured,
-        certified_bound=certified,
-        dim=dim,
-        tail_error=tail,
-    )
+    groups = [(lo, min(lo + s, b), ops[min(s, b - lo)][1]) for lo in range(0, b, s)]
+    return _pipeline(x, params, groups)
 
 
 def pipeline_points(shape: BlockShape, p1, p2, seed: int, count: int) -> Iterator[BlockMatrix]:

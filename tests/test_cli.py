@@ -282,6 +282,14 @@ class TestSweepRowFunction:
         row = sweep_row("inf", 1, 1, 2, 16, 16, samples=2, seed=0, d_override=2, k_override=3)
         assert row["d"] == 2 and row["k"] == 3
 
+    def test_k_override_reaches_wide_grids(self):
+        # --k is the budget of every full column group, and a wide row's
+        # k is the budget its full groups ran with
+        rows = [sweep_row("2", 1, 1, 2, 12, 40, samples=8, seed=5, k_override=k) for k in (1, 4)]
+        assert [row["k"] for row in rows] == [1, 4]
+        assert rows[0]["sup_sampled_error"] != rows[1]["sup_sampled_error"]
+        assert sweep_row("inf", 1, 1, 2, 29, 641, samples=1, seed=0)["k"] == 2
+
     def test_square_row_reports_smallest_order_partition(self):
         row = sweep_row("inf", 1, 1, 2, 64, 64, samples=2, seed=0)
         part = good_partition(64, 64, 4, field_order="smallest")

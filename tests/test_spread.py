@@ -176,6 +176,31 @@ class TestOneColumnBound:
         with pytest.raises(ValueError):
             check_one_column_bound(part, 1, 1, 2, x)
 
+    def test_lhs_matches_full_grid_spread(self):
+        # spreading the one column alone gives the same bits as spreading
+        # the whole grid and subtracting
+        rng = np.random.default_rng(32)
+        partitions = (good_partition(12, 12, 2), transposition_partition(10), singleton_partition(6, 9))
+        for part in partitions:
+            op = SpreadOperator(part)
+            for _ in range(50):
+                j = int(rng.integers(0, part.shape.b))
+                x = BlockMatrix.one_column(part.shape, j, rng.standard_normal(part.shape.s))
+                for q1, q2 in ((1, 2), (2, "inf")):
+                    lhs = check_one_column_bound(part, 2, q1, q2, x, op=op).lhs
+                    assert lhs == mixed_norm(x - op.apply(x), (q1, q2))
+
+    def test_shape_mismatch_rejected(self):
+        x = BlockMatrix.one_column(BlockShape(3, 3), 0, np.ones(3))
+        with pytest.raises(ValueError):
+            check_one_column_bound(transposition_partition(4), 1, 1, 2, x)
+
+    def test_operator_of_another_partition_rejected(self):
+        part = singleton_partition(4, 4)
+        x = BlockMatrix.one_column(BlockShape(4, 4), 1, np.ones(4))
+        with pytest.raises(ValueError, match="another partition"):
+            check_one_column_bound(part, 1, 1, 2, x, op=SpreadOperator(transposition_partition(4)))
+
 
 class TestBestKTerm:
     def test_keep_largest(self):
@@ -316,6 +341,23 @@ class TestApproximate:
         params = choose_pipeline_params("inf", 1, 1, 2, 4, 4)
         with pytest.raises(ValueError):
             approximate(BlockMatrix.zeros(BlockShape(4, 4)), params, transposition_partition(5))
+
+    def test_operator_of_another_partition_rejected(self):
+        # the transposition operator spans 136 dimensions, not the 256 of
+        # the singleton partition, and its error breaks the singleton bound
+        s = 16
+        params = replace(choose_pipeline_params("inf", 1, 1, 2, s, s), k=6)
+        x = sample_ball(BlockShape(s, s), "inf", 1, seed=0, count=1)[0]
+        op = SpreadOperator(transposition_partition(s))
+        with pytest.raises(ValueError, match="another partition"):
+            approximate(x, params, singleton_partition(s, s), op=op)
+
+    def test_operator_of_an_equal_partition_accepted(self):
+        params = choose_pipeline_params("inf", 1, 1, 2, 8, 8)
+        x = sample_ball(BlockShape(8, 8), "inf", 1, seed=1, count=1)[0]
+        op = SpreadOperator(transposition_partition(8))
+        res = approximate(x, params, transposition_partition(8), op=op)
+        assert res.dim == 36 and res.measured_error <= res.certified_bound + 1e-9
 
     def test_oversized_budget_clamped(self):
         params = replace(choose_pipeline_params("inf", 1, 1, 2, 4, 4), k=100)
