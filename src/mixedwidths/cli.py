@@ -50,6 +50,14 @@ def _size_arg(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"size {text!r} must look like 16x16") from exc
 
 
+def _square_size_arg(text: str) -> tuple[int, int]:
+    try:
+        n = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"size {text!r} must be an integer") from exc
+    return n, n
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
@@ -238,18 +246,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_example_transpose(args) -> int:
-    rows = []
-    for s in args.sizes_flat:
-        row = sweep_row(
-            "inf", 1, 1, 2, s, s,
-            samples=args.samples, seed=args.seed, partition_kind="transposition",
-        )
-        rows.append(row)
-    _emit(json.dumps(rows, indent=2) + "\n", args.out)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixedwidths",
@@ -310,10 +306,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_common_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
+    # a preset of sweep: the (inf,1) -> (1,2) tuple on square grids, as JSON
     p = sub.add_parser("example-transpose", help="square (inf,1) -> (1,2) example")
-    p.add_argument("--sizes", dest="sizes_flat", type=int, nargs="+", default=[4, 8, 16])
+    p.add_argument(
+        "--sizes", type=_square_size_arg, nargs="+", default=[(4, 4), (8, 8), (16, 16)], metavar="N"
+    )
     add_common_flags(p)
-    p.set_defaults(func=_cmd_example_transpose)
+    p.set_defaults(
+        func=_cmd_sweep,
+        p1=Exponent.INF, p2=Exponent.ONE, q1=Exponent.ONE, q2=Exponent.TWO,
+        partition="transposition", format="json", d=None, k=None,
+    )
 
     return parser
 

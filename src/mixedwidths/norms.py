@@ -250,56 +250,35 @@ class BlockMatrix:
 
 def lq_norm(v, q: Exponent) -> float:
     """(sum |v_k|^q)^(1/q); max |v_k| for q = inf; 0 for the zero vector."""
-    q = Exponent.of(q)
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("vector must be finite")
-    a = np.abs(v).ravel()
-    if a.size == 0:
+    if v.size == 0:
         return 0.0
-    m = float(a.max())
-    if m == 0.0:
-        return 0.0
-    if q.is_inf:
-        return m
-    qf = float(q.value)
-    if qf == 1.0:
-        return float(a.sum())
-    # scale by the max so large exponents cannot overflow
-    return m * float(((a / m) ** qf).sum()) ** (1.0 / qf)
+    return float(_row_norms(v.reshape(1, -1), Exponent.of(q))[0])
 
 
 def block_norm_vector(x: BlockMatrix, q1: Exponent) -> np.ndarray:
     """Vector of per-block inner norms, length b."""
-    q1 = Exponent.of(q1)
-    a = np.abs(x.entries.reshape(x.shape.b, x.shape.s))
-    if q1.is_inf:
-        return a.max(axis=1)
-    qf = float(q1.value)
-    if qf == 1.0:
-        return a.sum(axis=1)
-    m = a.max(axis=1)
-    out = np.zeros_like(m)
-    nz = m > 0
-    if nz.any():
-        scaled = a[nz] / m[nz, None]
-        out[nz] = m[nz] * ((scaled**qf).sum(axis=1)) ** (1.0 / qf)
-    return out
+    return _row_norms(x.entries.reshape(x.shape.b, x.shape.s), Exponent.of(q1))
 
 
 def _row_norms(rows: np.ndarray, p: Exponent) -> np.ndarray:
-    """lq_norm of every row of a 2-d array, bit-identical to calling it per row."""
+    """The l_p norm of every row of a 2-d array: the one kernel behind
+    lq_norm, block_norm_vector and sample_ball, so all three agree bit for bit."""
     a = np.abs(rows)
-    m = a.max(axis=1)
     if p.is_inf:
-        return m
+        return a.max(axis=1)
     pf = float(p.value)
     if pf == 1.0:
         return a.sum(axis=1)
+    # scale by the row max so large exponents cannot overflow
+    m = a.max(axis=1)
     sums = ((a / np.where(m > 0, m, 1.0)[:, None]) ** pf).sum(axis=1)
     # The root stays a Python float power per row: numpy's vectorised **
     # differs from it in the last ulp on some rows.
-    return m * np.array([float(t) ** (1.0 / pf) for t in sums])
+    root = 1.0 / pf
+    return m * np.array([t**root for t in sums.tolist()])
 
 
 def mixed_norm(x: BlockMatrix, params) -> float:

@@ -197,8 +197,7 @@ def good_partition(s: int, b: int, d: int, *, field_order: str = "power_of_two")
     if field_order not in _FIELD_ORDERS:
         raise ValueError(f"unknown field order {field_order!r}; choose from {_FIELD_ORDERS}")
     if b == 1:
-        groups = tuple(((i, 0),) for i in range(s))
-        return Partition(BlockShape(s, 1), groups, r=1, l=0)
+        return singleton_partition(s, 1)
 
     full = _good_partition_full(s, d, _field_order(b, d, field_order))
     return restrict(full, s, b)

@@ -161,8 +161,7 @@ def check_one_column_bound(
     """Evaluate both sides of the one-column error bound on a concrete x."""
     if x.shape != partition.shape:
         raise ValueError(f"matrix shape {x.shape} does not match partition shape {partition.shape}")
-    per_block = np.abs(x.entries.reshape(x.shape.b, x.shape.s)).sum(axis=1)
-    nonzero_cols = np.flatnonzero(per_block)
+    nonzero_cols = np.flatnonzero(block_norm_vector(x, Exponent.ONE))
     if nonzero_cols.size > 1:
         raise ValueError(f"support spans columns {nonzero_cols.tolist()}; need one")
     cells, values = _operator_for(partition, op)._spread_columns(x.entries, nonzero_cols)

@@ -20,6 +20,7 @@ from .partitions import good_partition
 from .spread import (
     PIPELINE_FIELD_ORDER,
     SpreadOperator,
+    _exceptional_failure,
     approximate,
     choose_pipeline_params,
     column_group_operators,
@@ -86,11 +87,6 @@ def _outer_ok(p2: Exponent, q2: Exponent) -> bool:
     return q2 <= p2 or q2 <= Exponent.TWO
 
 
-def _exceptional(p1: Exponent, p2: Exponent, q1: Exponent, q2: Exponent) -> bool:
-    """q1 < min(p1, q2) and p2 < q2 <= 2."""
-    return q1 < p1 and q1 < q2 and p2 < q2 <= Exponent.TWO
-
-
 def _rigid_case(p1: Exponent, p2: Exponent, q1: Exponent, q2: Exponent) -> str:
     two = Exponent.TWO
     if p1 >= q1 and p2 >= q2:
@@ -118,7 +114,7 @@ def classify(p1, p2, q1, q2) -> RegimeReport:
         verdict, label = "NonRigid", "inner-fail"
     elif not _outer_ok(p2, q2):
         verdict, label = "NonRigid", "outer-fail"
-    elif _exceptional(p1, p2, q1, q2):
+    elif _exceptional_failure(p1, p2, q1, q2) is None:
         verdict, label = "NonRigid", "exceptional"
     else:
         verdict, label = "Rigid", _rigid_case(p1, p2, q1, q2)

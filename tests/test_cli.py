@@ -111,6 +111,12 @@ class TestPartitionCommand:
         rc, _, _ = run_cli(["partition", "--s", "4", "--b", "5", "--transpose"])
         assert rc == 3
 
+    def test_transposition_golden_stdout(self):
+        # pins the within-group cell order: (i, j) before (j, i) for i < j
+        rc, out, err = run_cli(["partition", "--s", "4", "--b", "4", "--transpose", "--verify"])
+        assert (rc, err) == (0, "")
+        assert out == (GOLDEN / "partition_s4_b4_transpose_verify.txt").read_text()
+
 
 class TestBoundCommand:
     def test_single_point_row(self):
@@ -211,7 +217,7 @@ GOLDEN_SWEEPS = [
         "--p1 3/2 --p2 1 --q1 1 --q2 2 --sizes 20x20 8x40 --samples 6 --seed 3",
         HEADER
         + "20,20,6,2,2,1,254,2.7144176165949063,0.6287508746124133,0.2316338026869823,0.9359399227559682\n"
-        + "8,40,6,2,2,1,180,2.0,0.36178066786102936,0.18089033393051468,0.47214695812085333\n",
+        + "8,40,6,2,2,1,180,2.0,0.36178066786102936,0.18089033393051468,0.4721469581208534\n",
     ),
 ]
 
@@ -251,6 +257,15 @@ class TestExampleTranspose:
         assert [row["s"] for row in rows] == [4, 8, 16]
         for row in rows:
             assert row["dim"] == row["s"] * (row["s"] + 1) // 2
+
+    def test_bad_size_exits_3(self):
+        rc, out, err = run_cli(["example-transpose", "--sizes", "0"])
+        assert (rc, out) == (3, "")
+        assert err.startswith("error at size 0x0:")
+
+    def test_non_integer_size_exits_2(self):
+        rc, _, _ = run_cli(["example-transpose", "--sizes", "4x4"])
+        assert rc == 2
 
 
 class TestSweepRowFunction:

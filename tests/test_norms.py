@@ -150,6 +150,24 @@ class TestBlockNormVector:
         assert np.allclose(block_norm_vector(x, Exponent.ONE), [2, 3])
         assert np.allclose(block_norm_vector(x, Exponent.INF), [1, 3])
 
+    @pytest.mark.parametrize("p", [1, "3/2", 2, 3, 4, "inf"])
+    @pytest.mark.parametrize("source", ["ball", "zero_columns"])
+    def test_bit_identical_to_per_block_lq_norm(self, p, source):
+        if source == "ball":
+            points = [
+                x for seed in range(5) for x in sample_ball(BlockShape(7, 150), p, 2, seed=seed, count=2)
+            ]
+        else:
+            rng = np.random.default_rng(11)
+            mat = rng.standard_normal((9, 40)) * 10.0 ** rng.integers(-3, 4, size=40)
+            mat[:, rng.choice(40, size=15, replace=False)] = 0.0
+            points = [BlockMatrix.from_matrix(mat), BlockMatrix.zeros(BlockShape(9, 40))]
+        for x in points:
+            per_block = np.array([lq_norm(x.block(j), p) for j in range(x.shape.b)])
+            assert np.array_equal(block_norm_vector(x, p), per_block)
+            for q2 in (1, "3/2", 2, "inf"):
+                assert mixed_norm(x, (p, q2)) == lq_norm(per_block, q2)
+
 
 class TestD0:
     def test_square_inf1_to_12(self):

@@ -69,6 +69,9 @@ class TestClassify:
                         if report.case_label == "exceptional":
                             params = choose_pipeline_params(p1, p2, q1, q2, 8, 8)
                             assert params.alpha > 0
+                        else:
+                            with pytest.raises(ValueError, match="is not exceptional"):
+                                choose_pipeline_params(p1, p2, q1, q2, 8, 8)
 
     def test_json_field_order(self):
         keys = list(classify(2, 2, 1, 1).to_json_dict().keys())
