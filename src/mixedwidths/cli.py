@@ -79,6 +79,10 @@ def sweep_row(
     seeded samples (ball points, plus extreme points for the (inf, 1)
     ball), and record the sampled supremum of the error and of the
     certified bound."""
+    if d_override is not None and d_override < 2:
+        raise ValueError(f"d={d_override} must be at least 2")
+    if k_override is not None and k_override < 1:
+        raise ValueError(f"k={k_override} must be at least 1")
     params = choose_pipeline_params(p1, p2, q1, q2, s, b)
     if d_override is not None:
         params = replace(params, d=d_override)
@@ -91,17 +95,14 @@ def sweep_row(
     if partition_kind == "transposition":
         if s != b:
             raise ValueError("transposition partition needs s == b")
-        partitions = [transposition_partition(s)]
-        op = SpreadOperator(partitions[0])
-        run = partial(approximate, params=params, partition=partitions[0], op=op)
+        ops = {b: SpreadOperator(transposition_partition(s))}
+        run = partial(approximate, params=params, op=ops[b])
     elif partition_kind == "good":
         if s >= b:
-            partitions = [good_partition(s, b, params.d, field_order=PIPELINE_FIELD_ORDER)]
-            op = SpreadOperator(partitions[0])
-            run = partial(approximate, params=params, partition=partitions[0], op=op)
+            ops = {b: SpreadOperator(good_partition(s, b, params.d, field_order=PIPELINE_FIELD_ORDER))}
+            run = partial(approximate, params=params, op=ops[b])
         else:
             ops = column_group_operators(s, b, params.d)
-            partitions = [part for part, _ in ops.values()]
             run = partial(grouped_subspace_approximate, params=params, ops=ops)
     else:
         raise ValueError(f"unknown partition kind {partition_kind!r}")
@@ -114,8 +115,8 @@ def sweep_row(
         "b": b,
         "d": params.d,
         "k": params.k,
-        "r": max(p.r for p in partitions),
-        "l": max(p.l for p in partitions),
+        "r": max(op.partition.r for op in ops.values()),
+        "l": max(op.partition.l for op in ops.values()),
         "dim": sup.dim,
         "d0": d0,
         "sup_sampled_error": sup_error,
@@ -141,8 +142,12 @@ def _cmd_design(args) -> int:
     if not is_supported_order(args.r) or args.r > 64:
         print(f"error: r={args.r} is not a supported prime power <= 64", file=sys.stderr)
         return 2
-    if args.r**args.d > 4096:
-        print(f"error: r^d = {args.r ** args.d} exceeds 4096", file=sys.stderr)
+    if args.d < 2:
+        print(f"error: d={args.d} must be at least 2", file=sys.stderr)
+        return 2
+    # r >= 2, so d > 12 exceeds 4096 without computing the power
+    if args.d > 12 or args.r**args.d > 4096:
+        print(f"error: r^d = {args.r}^{args.d} exceeds 4096", file=sys.stderr)
         return 2
     design = affine_line_design(args.r, args.d)
     _emit(json.dumps(design.to_json_dict()) + "\n", args.out)
@@ -172,12 +177,12 @@ def _cmd_partition(args) -> int:
             partition = transposition_partition(args.s)
         else:
             partition = good_partition(args.s, args.b, args.d)
+        report = verify_partition(partition) if args.verify else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     _emit(json.dumps(partition.to_json_dict()) + "\n", args.out)
-    if args.verify:
-        report = verify_partition(partition)
+    if report is not None:
         print(
             json.dumps(
                 {

@@ -214,27 +214,10 @@ class BlockMatrix:
     def as_matrix(self) -> np.ndarray:
         return self.entries.reshape(self.shape.b, self.shape.s).T
 
-    def columns_kept(self, columns) -> "BlockMatrix":
-        """Copy with every column outside the given set zeroed."""
-        keep = np.zeros(self.shape.b, dtype=bool)
-        keep[list(columns)] = True
-        mask = np.repeat(keep, self.shape.s)
-        return BlockMatrix(self.shape, np.where(mask, self.entries, 0.0))
-
-    def __add__(self, other: "BlockMatrix") -> "BlockMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return BlockMatrix(self.shape, self.entries + other.entries)
-
     def __sub__(self, other: "BlockMatrix") -> "BlockMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
         return BlockMatrix(self.shape, self.entries - other.entries)
-
-    def __mul__(self, c: float) -> "BlockMatrix":
-        return BlockMatrix(self.shape, self.entries * float(c))
-
-    __rmul__ = __mul__
 
     def to_json_dict(self) -> dict:
         return {

@@ -123,16 +123,6 @@ class SpreadOperator:
         return self._group_cells[at], np.repeat(sums, sizes)
 
 
-def _operator_for(partition: Partition, op: SpreadOperator | None) -> SpreadOperator:
-    """op, or a new operator over partition; an operator built for another
-    partition spans another subspace, so it is rejected."""
-    if op is None:
-        return SpreadOperator(partition)
-    if op.partition is not partition and op.partition != partition:
-        raise ValueError("operator was built for another partition")
-    return op
-
-
 def spread_error_coefficient(partition: Partition, p, q1, q2) -> float:
     """Factor c with ||x - Dx||_{q1,q2} <= c * ||x||_p for one-column x.
 
@@ -155,20 +145,19 @@ class OneColumnCheck:
     ok: bool
 
 
-def check_one_column_bound(
-    partition: Partition, p, q1, q2, x: BlockMatrix, op: SpreadOperator | None = None
-) -> OneColumnCheck:
-    """Evaluate both sides of the one-column error bound on a concrete x."""
-    if x.shape != partition.shape:
-        raise ValueError(f"matrix shape {x.shape} does not match partition shape {partition.shape}")
+def check_one_column_bound(op: SpreadOperator, p, q1, q2, x: BlockMatrix) -> OneColumnCheck:
+    """Evaluate both sides of the one-column error bound of op's partition
+    on a concrete x."""
+    if x.shape != op.partition.shape:
+        raise ValueError(f"matrix shape {x.shape} does not match partition shape {op.partition.shape}")
     nonzero_cols = np.flatnonzero(block_norm_vector(x, Exponent.ONE))
     if nonzero_cols.size > 1:
         raise ValueError(f"support spans columns {nonzero_cols.tolist()}; need one")
-    cells, values = _operator_for(partition, op)._spread_columns(x.entries, nonzero_cols)
+    cells, values = op._spread_columns(x.entries, nonzero_cols)
     residual = x.entries.copy()
     residual[cells] -= values
     lhs = mixed_norm(BlockMatrix(x.shape, residual), (q1, q2))
-    rhs = spread_error_coefficient(partition, p, q1, q2) * lq_norm(x.entries, p)
+    rhs = spread_error_coefficient(op.partition, p, q1, q2) * lq_norm(x.entries, p)
     return OneColumnCheck(lhs=lhs, rhs=rhs, ok=lhs <= rhs + 1e-9)
 
 
@@ -224,15 +213,21 @@ def _exceptional_failure(p1: Exponent, p2: Exponent, q1: Exponent, q2: Exponent)
     return None
 
 
+def _group_budget(width: int, alpha: Fraction) -> int:
+    """Block budget ceil(width^(alpha/4)) of a column group of the given
+    width, decided in exact integer arithmetic; at least 1."""
+    return ceil_power(width, alpha / 4)
+
+
 def choose_pipeline_params(p1, p2, q1, q2, s: int, b: int) -> PipelineParams:
     """Pipeline parameters for an exceptional tuple.
 
     d is the least integer >= 2 with (1/d)*(1/q1) <= alpha/2, the weakest
     choice that lets the block-size contribution r^(1/q1) be absorbed at
-    the alpha/2 decay rate.  k = max(1, ceil(min(s, b)^(alpha/4))), with
-    the ceiling decided in exact integer arithmetic, is the budget of
-    every column group as wide as min(s, b): the one group of a square
-    grid, each full group of s columns of a wide one.
+    the alpha/2 decay rate.  k = ceil(min(s, b)^(alpha/4)), with the
+    ceiling decided in exact integer arithmetic, is the budget of every
+    column group as wide as min(s, b): the one group of a square grid,
+    each full group of s columns of a wide one.
     """
     p1, p2, q1, q2 = (Exponent.of(e) for e in (p1, p2, q1, q2))
     failure = _exceptional_failure(p1, p2, q1, q2)
@@ -245,7 +240,7 @@ def choose_pipeline_params(p1, p2, q1, q2, s: int, b: int) -> PipelineParams:
     # least d with (1/d) * q1.recip <= alpha / 2
     ratio = 2 * q1.recip / alpha
     d = max(2, -(-ratio.numerator // ratio.denominator))
-    k = max(1, ceil_power(min(s, b), alpha / 4))
+    k = _group_budget(min(s, b), alpha)
     return PipelineParams(p1=p1, p2=p2, q1=q1, q2=q2, d=d, k=k, alpha=alpha)
 
 
@@ -283,7 +278,7 @@ def _pipeline(x: BlockMatrix, params: PipelineParams, groups) -> ApproxResult:
 
     Each group spreads the best (k-1)-term support of its slice of the
     block norms, with k = params.k for a group as wide as min(s, b) and
-    max(1, ceil(width^(alpha/4))) for a narrower last one.  The certified
+    _group_budget(width, alpha) for a narrower last one.  The certified
     bound and the tail error are the q2-norms of the per-group values, so
     one group reports its own exactly.
     """
@@ -301,7 +296,7 @@ def _pipeline(x: BlockMatrix, params: PipelineParams, groups) -> ApproxResult:
     selected, bounds, tails = [], [], []
     for lo, hi, op in groups:
         width = hi - lo
-        k = params.k if width >= min(s, b) else max(1, ceil_power(width, params.alpha / 4))
+        k = params.k if width >= min(s, b) else _group_budget(width, params.alpha)
         y_group = y[lo:hi]
         kterm = best_k_term(y_group, min(max(k - 1, 0), width), params.q2)
         cells, values = op._spread_columns(x.entries[lo * s : hi * s], kterm.support)
@@ -326,47 +321,43 @@ def _pipeline(x: BlockMatrix, params: PipelineParams, groups) -> ApproxResult:
     )
 
 
-def approximate(
-    x: BlockMatrix, params: PipelineParams, partition: Partition, op: SpreadOperator | None = None
-) -> ApproxResult:
-    """Spread the heaviest k-1 blocks of x through the partition.
+def approximate(x: BlockMatrix, params: PipelineParams, op: SpreadOperator) -> ApproxResult:
+    """Spread the heaviest k-1 blocks of x through op's partition.
 
     x must lie in the (p1, p2) unit ball.  This is the column-group
     pipeline with one group of all b columns and budget params.k: the
     approximant is the spread of x restricted to the best (k-1)-term
     support of its block norms, an element of the group-constant
     subspace, and only the groups that meet those columns are touched.
-    op, when given, must be built for this partition.
     """
-    return _pipeline(x, params, [(0, x.shape.b, _operator_for(partition, op))])
+    return _pipeline(x, params, [(0, x.shape.b, op)])
 
 
-def column_group_operators(s: int, b: int, d: int) -> dict[int, tuple[Partition, SpreadOperator]]:
-    """Partition and spreading operator of every distinct column-group
-    width of a wide s x b grid, keyed by width.
+def column_group_operators(s: int, b: int, d: int) -> dict[int, SpreadOperator]:
+    """Spreading operator of every distinct column-group width of a wide
+    s x b grid, keyed by width, each over that width's good partition.
 
     The grouped pipeline splits the b columns into contiguous groups of
     at most s, so at most two widths occur: s and the remainder.  Build
     this once and pass it to grouped_subspace_approximate for every point
     of the grid.
     """
-    ops = {}
-    for width in sorted({min(s, b - lo) for lo in range(0, b, s)}):
-        part = good_partition(s, width, d, field_order=PIPELINE_FIELD_ORDER)
-        ops[width] = (part, SpreadOperator(part))
-    return ops
+    return {
+        width: SpreadOperator(good_partition(s, width, d, field_order=PIPELINE_FIELD_ORDER))
+        for width in sorted({min(s, b - lo) for lo in range(0, b, s)})
+    }
 
 
 def grouped_subspace_approximate(
     x: BlockMatrix,
     params: PipelineParams,
-    ops: dict[int, tuple[Partition, SpreadOperator]] | None = None,
+    ops: dict[int, SpreadOperator] | None = None,
 ) -> ApproxResult:
     """Pipeline for wide grids (s < b): the column-group pipeline over
     ceil(b/s) contiguous groups of at most s columns, each with its own
     operator from ops (column_group_operators(s, b, params.d), built here
     when not given).  Every full group has budget params.k; a narrower
-    last group takes max(1, ceil(width^(alpha/4))).  The certified bound
+    last group takes _group_budget(width, alpha).  The certified bound
     aggregates the per-group bounds with the outer norm, which dominates
     the mixed norm of the residual.
     """
@@ -375,7 +366,7 @@ def grouped_subspace_approximate(
         raise ValueError(f"s={s} >= b={b}: use approximate directly")
     if ops is None:
         ops = column_group_operators(s, b, params.d)
-    groups = [(lo, min(lo + s, b), ops[min(s, b - lo)][1]) for lo in range(0, b, s)]
+    groups = [(lo, min(lo + s, b), ops[min(s, b - lo)]) for lo in range(0, b, s)]
     return _pipeline(x, params, groups)
 
 

@@ -283,14 +283,11 @@ def nonrigidity_witness(
     if strategy == "transposition":
         if s != b:
             raise ValueError("transposition strategy needs a square grid")
-        partition = transposition_partition(s)
-        op = SpreadOperator(partition)
-        run = partial(approximate, params=params, partition=partition, op=op)
+        run = partial(approximate, params=params, op=SpreadOperator(transposition_partition(s)))
     elif strategy == "auto":
         if s >= b:
-            partition = good_partition(s, b, params.d, field_order=PIPELINE_FIELD_ORDER)
-            op = SpreadOperator(partition)
-            run = partial(approximate, params=params, partition=partition, op=op)
+            op = SpreadOperator(good_partition(s, b, params.d, field_order=PIPELINE_FIELD_ORDER))
+            run = partial(approximate, params=params, op=op)
         else:
             ops = column_group_operators(s, b, params.d)
             run = partial(grouped_subspace_approximate, params=params, ops=ops)

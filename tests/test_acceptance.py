@@ -124,7 +124,7 @@ def test_criterion_3_one_column_certification():
             values = rng.standard_normal((1000, s))
             for j, column in zip(cols, values):
                 x = BlockMatrix.one_column(part.shape, int(j), column)
-                check = check_one_column_bound(part, p, q1, q2, x, op=op)
+                check = check_one_column_bound(op, p, q1, q2, x)
                 checked += 1
                 if not check.ok:
                     violations += 1
@@ -153,7 +153,7 @@ def test_criterion_4_square_example_exact():
         op = SpreadOperator(part)
         d0 = d0_mixed(BlockShape(s, s), "inf", 1, 1, 2)
         for x in extreme_points_inf1(BlockShape(s, s), seed=40 + s, count=5):
-            res = approximate(x, params, part, op=op)
+            res = approximate(x, params, op)
             if abs(res.certified_bound - math.sqrt(s)) > 1e-12:
                 failures.append(f"s={s}: certified {res.certified_bound}")
             if abs(res.measured_error - math.sqrt(s - 1)) > 1e-12:
@@ -355,7 +355,7 @@ def test_criterion_9_grouped_pipeline():
         single = approximate(
             sub,
             replace(params, k=max(1, ceil_power(s, params.alpha / 4))),
-            good_partition(s, s, params.d),
+            SpreadOperator(good_partition(s, s, params.d)),
         )
         if grouped.measured_error != single.measured_error:
             failures.append(f"({s},{b}): grouped != single on supported group")

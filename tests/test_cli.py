@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -70,6 +71,19 @@ class TestDesignCommand:
         rc, _, _ = run_cli(["design", "--r", "8", "--d", "5"])
         assert rc == 2
 
+    @pytest.mark.parametrize("r, d", [(2, 1), (2, 0), (3, -2)])
+    def test_dimension_below_2_exits_2(self, r, d):
+        rc, out, err = run_cli(["design", "--r", str(r), "--d", str(d)])
+        assert (rc, out) == (2, "") and err.startswith("error: ")
+
+    @pytest.mark.parametrize("r, d", [(2, 20_000), (3, 100_000_000)])
+    def test_huge_dimension_exits_2_without_the_power(self, r, d):
+        # r^d would take seconds to compute and has too many digits to print
+        start = time.perf_counter()
+        rc, out, err = run_cli(["design", "--r", str(r), "--d", str(d)])
+        assert (rc, out) == (2, "") and err.startswith("error: ") and "4096" in err
+        assert time.perf_counter() - start < 1.0
+
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -111,6 +125,13 @@ class TestPartitionCommand:
         rc, _, _ = run_cli(["partition", "--s", "4", "--b", "5", "--transpose"])
         assert rc == 3
 
+    def test_verify_of_oversized_grid_exits_3(self, tmp_path):
+        target = tmp_path / "partition.json"
+        rc, out, err = run_cli(
+            ["partition", "--s", "1001", "--b", "1001", "--transpose", "--verify", "--out", str(target)]
+        )
+        assert (rc, out) == (3, "") and err.startswith("error: ") and "too large" in err
+
     def test_transposition_golden_stdout(self):
         # pins the within-group cell order: (i, j) before (j, i) for i < j
         rc, out, err = run_cli(["partition", "--s", "4", "--b", "4", "--transpose", "--verify"])
@@ -135,6 +156,16 @@ class TestBoundCommand:
         )
         assert rc == 3
         assert json.loads(out.splitlines()[0])["verdict"] == "Rigid"
+
+    @pytest.mark.parametrize("transpose", [[], ["--transpose"]])
+    @pytest.mark.parametrize("flag, value", [("--k", "0"), ("--d", "-3")])
+    def test_override_out_of_range_exits_3(self, transpose, flag, value):
+        rc, out, err = run_cli(
+            ["bound", "--p1", "inf", "--p2", "1", "--q1", "1", "--q2", "2",
+             "--s", "8", "--b", "8", "--samples", "2", flag, value, *transpose]
+        )
+        assert (rc, out) == (3, "")
+        assert err.startswith("error: ") and f"{flag[2:]}={value} " in err
 
 
 class TestSweepCommand:
@@ -195,6 +226,24 @@ class TestSweepCommand:
             ["sweep", "--p1", "inf", "--p2", "1", "--q1", "1", "--q2", "2", "--sizes", "16"]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("partition", ["good", "transposition"])
+    @pytest.mark.parametrize("flag, value", [("--k", "0"), ("--k", "-1"), ("--d", "1"), ("--d", "-3")])
+    def test_override_out_of_range_exits_3(self, partition, flag, value):
+        rc, out, err = run_cli(
+            ["sweep", "--p1", "inf", "--p2", "1", "--q1", "1", "--q2", "2", "--sizes", "8x8",
+             "--samples", "2", "--partition", partition, flag, value]
+        )
+        assert (rc, out) == (3, "")
+        assert err.startswith("error at size 8x8: ") and f"{flag[2:]}={value} " in err
+
+    @pytest.mark.parametrize("partition", ["good", "transposition"])
+    def test_budget_of_one_runs(self, partition):
+        rc, out, _ = run_cli(
+            ["sweep", "--p1", "inf", "--p2", "1", "--q1", "1", "--q2", "2", "--sizes", "8x8",
+             "--samples", "2", "--partition", partition, "--k", "1", "--format", "json"]
+        )
+        assert rc == 0 and json.loads(out)[0]["k"] == 1
 
 
 HEADER = "s,b,d,k,r,l,dim,d0,sup_sampled_error,ratio,certified_bound\n"

@@ -124,7 +124,7 @@ class TestMixedNorm:
         for _ in range(200):
             x = BlockMatrix(BlockShape(4, 3), rng.standard_normal(12))
             c = float(rng.standard_normal())
-            got = mixed_norm(c * x, (2, 1))
+            got = mixed_norm(BlockMatrix(x.shape, c * x.entries), (2, 1))
             want = abs(c) * mixed_norm(x, (2, 1))
             assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
@@ -135,7 +135,7 @@ class TestMixedNorm:
             q1, q2 = pairs[trial % len(pairs)]
             x = BlockMatrix(BlockShape(3, 3), rng.standard_normal(9))
             y = BlockMatrix(BlockShape(3, 3), rng.standard_normal(9))
-            assert mixed_norm(x + y, (q1, q2)) <= (
+            assert mixed_norm(BlockMatrix(x.shape, x.entries + y.entries), (q1, q2)) <= (
                 mixed_norm(x, (q1, q2)) + mixed_norm(y, (q1, q2)) + 1e-9
             )
 
@@ -217,11 +217,6 @@ class TestBlockMatrix:
             BlockMatrix(BlockShape(2, 2), np.ones(3))
         with pytest.raises(ValueError):
             BlockMatrix(BlockShape(2, 2), np.array([1.0, 2.0, 3.0, math.inf]))
-
-    def test_columns_kept(self):
-        x = BlockMatrix.from_matrix([[1, 2, 3], [4, 5, 6]])
-        kept = x.columns_kept([1])
-        assert np.array_equal(kept.as_matrix(), [[0, 2, 0], [0, 5, 0]])
 
 
 class TestSampleBall:

@@ -56,19 +56,21 @@ P1_VALUES = ("inf", "2", "3/2", "4")
 # ------------------------------------------------------------- oracles
 
 
-def _oracle_approximate(x, params, partition, op=None):
+def _oracle_approximate(x, params, op):
+    partition = op.partition
     if partition.shape != x.shape:
         raise ValueError("partition shape does not match the input")
     if mixed_norm(x, (params.p1, params.p2)) > 1 + 1e-9:
         raise ValueError("input lies outside the unit ball")
-    op = op if op is not None else SpreadOperator(partition)
 
     y = block_norm_vector(x, params.p1)
     budget = min(max(params.k - 1, 0), x.shape.b)
     kterm = best_k_term(y, budget, params.q2)
     selected = kterm.support
 
-    x_sel = x.columns_kept(selected)
+    keep = np.zeros(x.shape.b, dtype=bool)
+    keep[list(selected)] = True
+    x_sel = BlockMatrix(x.shape, np.where(np.repeat(keep, x.shape.s), x.entries, 0.0))
     approximant = op.apply(x_sel)
     measured = mixed_norm(x - approximant, (params.q1, params.q2))
 
@@ -94,9 +96,8 @@ def _oracle_grouped_subspace_approximate(x, params, ops):
         lo, hi = g * s, min((g + 1) * s, b)
         width = hi - lo
         sub = BlockMatrix(BlockShape(s, width), x.entries[lo * s : hi * s])
-        part, op = ops[width]
         sub_k = max(1, ceil_power(width, params.alpha / 4))
-        result = _oracle_approximate(sub, replace(params, k=sub_k), part, op=op)
+        result = _oracle_approximate(sub, replace(params, k=sub_k), ops[width])
         approx_entries[lo * s : hi * s] = result.approximant.entries
         selected.extend(lo + j for j in result.selected_columns)
         dim += result.dim
@@ -200,7 +201,7 @@ def test_approximate_matches_dense_on_good_partitions(p1, b, extra_rows, k, seed
     partition = good_partition(s, b, params.d, field_order=PIPELINE_FIELD_ORDER)
     op = SpreadOperator(partition)
     for x in _points(BlockShape(s, b), p1, seed, 3):
-        assert_same_result(approximate(x, params, partition, op=op), _oracle_approximate(x, params, partition, op=op))
+        assert_same_result(approximate(x, params, op), _oracle_approximate(x, params, op))
 
 
 @EXAMPLES
@@ -210,10 +211,7 @@ def test_approximate_matches_dense_on_transposition_partitions(p1, s, k, seed):
     partition = transposition_partition(s)
     op = SpreadOperator(partition)
     for x in _points(BlockShape(s, s), p1, seed, 3):
-        assert_same_result(approximate(x, params, partition, op=op), _oracle_approximate(x, params, partition, op=op))
-    # without a prebuilt operator too
-    x = _points(BlockShape(s, s), p1, seed, 1)[0]
-    assert_same_result(approximate(x, params, partition), _oracle_approximate(x, params, partition))
+        assert_same_result(approximate(x, params, op), _oracle_approximate(x, params, op))
 
 
 @EXAMPLES
@@ -255,7 +253,7 @@ def test_approximate_matches_dense_when_groups_meet_several_columns(p1, s, b, he
     partition = _band_partition(s, b, height)
     op = SpreadOperator(partition)
     for x in _points(BlockShape(s, b), p1, seed, 3):
-        assert_same_result(approximate(x, params, partition, op=op), _oracle_approximate(x, params, partition, op=op))
+        assert_same_result(approximate(x, params, op), _oracle_approximate(x, params, op))
 
 
 def test_group_sums_depend_on_column_order():
@@ -265,14 +263,15 @@ def test_group_sums_depend_on_column_order():
     params = _params(p1, s, b, 4)
     partition = _band_partition(s, b, 2)
     x = _oracle_sample_ball(BlockShape(s, b), p1, 1, 5, 1)[0]
-    result = approximate(x, params, partition)
+    op = SpreadOperator(partition)
+    result = approximate(x, params, op)
     assert len(result.selected_columns) == 3
     cols = np.array(result.selected_columns)
-    index = SpreadOperator(partition)._group_index
+    index = op._group_index
     forward, backward = ((c[:, None] * s + np.arange(s)).ravel() for c in (cols, cols[::-1]))
     sums = [np.bincount(index[kept], weights=x.entries[kept]) for kept in (forward, backward)]
     assert _bits(sums[0]) != _bits(sums[1])
-    assert_same_result(result, _oracle_approximate(x, params, partition))
+    assert_same_result(result, _oracle_approximate(x, params, op))
 
 
 # ------------------------------------------------------------- point streams
@@ -324,9 +323,9 @@ def test_sampled_sup_matches_max_over_the_list(p1, n, k, count, seed):
     points = _oracle_sample_ball(shape, p1, 1, seed, count)
     if Exponent.of(p1).is_inf:
         points += _oracle_extreme_points_inf1(shape, seed + 1, count)
-    results = [_oracle_approximate(x, params, partition, op=op) for x in points]
+    results = [_oracle_approximate(x, params, op) for x in points]
 
-    sup = sampled_sup(pipeline_points(shape, p1, 1, seed, count), lambda x: approximate(x, params, partition, op=op))
+    sup = sampled_sup(pipeline_points(shape, p1, 1, seed, count), lambda x: approximate(x, params, op))
     assert _bits(sup.sup_error) == _bits(max(r.measured_error for r in results))
     assert _bits(sup.sup_bound) == _bits(max(r.certified_bound for r in results))
     assert sup.dim == results[0].dim

@@ -71,7 +71,7 @@ class TestSpreadOperator:
             x = BlockMatrix(BlockShape(8, 8), rng.standard_normal(64))
             y = BlockMatrix(BlockShape(8, 8), rng.standard_normal(64))
             a, b = rng.standard_normal(2)
-            lhs = op.apply(a * x + b * y).entries
+            lhs = op.apply(BlockMatrix(x.shape, a * x.entries + b * y.entries)).entries
             rhs = a * op.apply(x).entries + b * op.apply(y).entries
             assert np.allclose(lhs, rhs, atol=1e-12)
 
@@ -137,14 +137,14 @@ class TestOneColumnBound:
     def test_zero_vector(self):
         part = transposition_partition(3)
         x = BlockMatrix.zeros(BlockShape(3, 3))
-        check = check_one_column_bound(part, 1, 1, 2, x)
+        check = check_one_column_bound(SpreadOperator(part), 1, 1, 2, x)
         assert check.ok and check.lhs == 0.0 and check.rhs == 0.0
 
     def test_extreme_column_near_tight(self):
         s = 8
         part = transposition_partition(s)
         x = BlockMatrix.one_column(BlockShape(s, s), 2, np.ones(s))
-        check = check_one_column_bound(part, "inf", 1, 2, x)
+        check = check_one_column_bound(SpreadOperator(part), "inf", 1, 2, x)
         assert check.lhs == pytest.approx(math.sqrt(s - 1), abs=1e-12)
         assert check.rhs == pytest.approx(math.sqrt(s), abs=1e-12)
         assert check.ok
@@ -168,13 +168,13 @@ class TestOneColumnBound:
                 for _ in range(100):
                     j = int(rng.integers(0, b))
                     x = BlockMatrix.one_column(part.shape, j, rng.standard_normal(s))
-                    assert check_one_column_bound(part, p, q1, q2, x, op=op).ok
+                    assert check_one_column_bound(op, p, q1, q2, x).ok
 
     def test_multi_column_support_rejected(self):
         part = transposition_partition(3)
         x = BlockMatrix.from_matrix(np.ones((3, 3)))
         with pytest.raises(ValueError):
-            check_one_column_bound(part, 1, 1, 2, x)
+            check_one_column_bound(SpreadOperator(part), 1, 1, 2, x)
 
     def test_lhs_matches_full_grid_spread(self):
         # spreading the one column alone gives the same bits as spreading
@@ -187,20 +187,13 @@ class TestOneColumnBound:
                 j = int(rng.integers(0, part.shape.b))
                 x = BlockMatrix.one_column(part.shape, j, rng.standard_normal(part.shape.s))
                 for q1, q2 in ((1, 2), (2, "inf")):
-                    lhs = check_one_column_bound(part, 2, q1, q2, x, op=op).lhs
+                    lhs = check_one_column_bound(op, 2, q1, q2, x).lhs
                     assert lhs == mixed_norm(x - op.apply(x), (q1, q2))
 
     def test_shape_mismatch_rejected(self):
         x = BlockMatrix.one_column(BlockShape(3, 3), 0, np.ones(3))
         with pytest.raises(ValueError):
-            check_one_column_bound(transposition_partition(4), 1, 1, 2, x)
-
-    def test_operator_of_another_partition_rejected(self):
-        part = singleton_partition(4, 4)
-        x = BlockMatrix.one_column(BlockShape(4, 4), 1, np.ones(4))
-        with pytest.raises(ValueError, match="another partition"):
-            check_one_column_bound(part, 1, 1, 2, x, op=SpreadOperator(transposition_partition(4)))
-
+            check_one_column_bound(SpreadOperator(transposition_partition(4)), 1, 1, 2, x)
 
 class TestBestKTerm:
     def test_keep_largest(self):
@@ -276,14 +269,14 @@ class TestApproximate:
     def test_zero_input(self):
         params = choose_pipeline_params("inf", 1, 1, 2, 4, 4)
         part = transposition_partition(4)
-        res = approximate(BlockMatrix.zeros(BlockShape(4, 4)), params, part)
+        res = approximate(BlockMatrix.zeros(BlockShape(4, 4)), params, SpreadOperator(part))
         assert res.measured_error == 0.0 and res.certified_bound == 0.0
 
     def test_single_column_within_budget(self):
         params = choose_pipeline_params("inf", 1, 1, 2, 8, 8)
         part = good_partition(8, 8, params.d)
         x = BlockMatrix.one_column(BlockShape(8, 8), 5, np.ones(8))
-        res = approximate(x, params, part)
+        res = approximate(x, params, SpreadOperator(part))
         assert res.tail_error == 0.0
         assert res.selected_columns == (5,)
         direct = mixed_norm(x - SpreadOperator(part).apply(x), (1, 2))
@@ -294,7 +287,7 @@ class TestApproximate:
         params = choose_pipeline_params("inf", 1, 1, 2, s, s)
         part = transposition_partition(s)
         x = extreme_points_inf1(BlockShape(s, s), seed=5, count=1)[0]
-        res = approximate(x, params, part)
+        res = approximate(x, params, SpreadOperator(part))
         assert res.measured_error == pytest.approx(math.sqrt(s - 1), abs=1e-12)
         assert res.certified_bound == pytest.approx(math.sqrt(s), abs=1e-12)
         d0 = d0_mixed(BlockShape(s, s), "inf", 1, 1, 2)
@@ -308,7 +301,7 @@ class TestApproximate:
         points = sample_ball(BlockShape(16, 16), "inf", 1, seed=6, count=20)
         points += extreme_points_inf1(BlockShape(16, 16), seed=7, count=20)
         for x in points:
-            res = approximate(x, params, part, op=op)
+            res = approximate(x, params, op)
             assert res.measured_error <= res.certified_bound + 1e-9
 
     def test_residual_structure_for_one_column(self):
@@ -335,42 +328,26 @@ class TestApproximate:
         part = transposition_partition(4)
         x = BlockMatrix(BlockShape(4, 4), 2 * np.ones(16))
         with pytest.raises(ValueError):
-            approximate(x, params, part)
+            approximate(x, params, SpreadOperator(part))
 
     def test_shape_mismatch_rejected(self):
         params = choose_pipeline_params("inf", 1, 1, 2, 4, 4)
+        op = SpreadOperator(transposition_partition(5))
         with pytest.raises(ValueError):
-            approximate(BlockMatrix.zeros(BlockShape(4, 4)), params, transposition_partition(5))
-
-    def test_operator_of_another_partition_rejected(self):
-        # the transposition operator spans 136 dimensions, not the 256 of
-        # the singleton partition, and its error breaks the singleton bound
-        s = 16
-        params = replace(choose_pipeline_params("inf", 1, 1, 2, s, s), k=6)
-        x = sample_ball(BlockShape(s, s), "inf", 1, seed=0, count=1)[0]
-        op = SpreadOperator(transposition_partition(s))
-        with pytest.raises(ValueError, match="another partition"):
-            approximate(x, params, singleton_partition(s, s), op=op)
-
-    def test_operator_of_an_equal_partition_accepted(self):
-        params = choose_pipeline_params("inf", 1, 1, 2, 8, 8)
-        x = sample_ball(BlockShape(8, 8), "inf", 1, seed=1, count=1)[0]
-        op = SpreadOperator(transposition_partition(8))
-        res = approximate(x, params, transposition_partition(8), op=op)
-        assert res.dim == 36 and res.measured_error <= res.certified_bound + 1e-9
+            approximate(BlockMatrix.zeros(BlockShape(4, 4)), params, op)
 
     def test_oversized_budget_clamped(self):
         params = replace(choose_pipeline_params("inf", 1, 1, 2, 4, 4), k=100)
         part = transposition_partition(4)
         x = extreme_points_inf1(BlockShape(4, 4), seed=11, count=1)[0]
-        res = approximate(x, params, part)
+        res = approximate(x, params, SpreadOperator(part))
         assert res.tail_error == 0.0 and len(res.selected_columns) <= 4
 
     def test_json_payload(self):
         params = choose_pipeline_params("inf", 1, 1, 2, 4, 4)
         part = transposition_partition(4)
         x = extreme_points_inf1(BlockShape(4, 4), seed=12, count=1)[0]
-        payload = approximate(x, params, part).to_json_dict()
+        payload = approximate(x, params, SpreadOperator(part)).to_json_dict()
         assert set(payload) == {
             "selected_columns", "measured_error", "certified_bound", "dim", "tail_error",
         }
@@ -383,7 +360,7 @@ class TestSampledSup:
         s = b = 128
         params = choose_pipeline_params("2", 1, 1, 2, s, b)
         part = good_partition(s, b, params.d, field_order="smallest")
-        run = partial(approximate, params=params, partition=part, op=SpreadOperator(part))
+        run = partial(approximate, params=params, op=SpreadOperator(part))
         sampled_sup(pipeline_points(BlockShape(s, b), "2", 1, 0, 1), run)  # first-call imports
         tracemalloc.start()
         try:
@@ -418,7 +395,7 @@ class TestGroupedApproximate:
         assert np.all(res.approximant.entries[s * s :] == 0)
         sub = BlockMatrix(BlockShape(s, s), x.entries[: s * s])
         sub_params = replace(params, k=max(1, ceil_power(s, params.alpha / 4)))
-        single = approximate(sub, sub_params, good_partition(s, s, params.d))
+        single = approximate(sub, sub_params, SpreadOperator(good_partition(s, s, params.d)))
         assert res.measured_error == single.measured_error
         assert np.array_equal(res.approximant.entries[: s * s], single.approximant.entries)
 
@@ -431,7 +408,7 @@ class TestGroupedApproximate:
         single = approximate(
             BlockMatrix.zeros(BlockShape(s, s)),
             sub_params,
-            good_partition(s, s, params.d),
+            SpreadOperator(good_partition(s, s, params.d)),
         )
         assert res.dim == 4 * single.dim
 
@@ -466,7 +443,7 @@ class TestGroupedApproximate:
         part = good_partition(s, b, params.d)
         op = SpreadOperator(part)
         for x in sample_ball(BlockShape(s, b), 4, 1, seed=12, count=8):
-            res = approximate(x, params, part, op=op)
+            res = approximate(x, params, op)
             assert res.measured_error <= res.certified_bound + 1e-9
 
 
