@@ -13,7 +13,13 @@ import sys
 from dataclasses import replace
 from functools import partial
 
-from .designs import affine_line_design, is_supported_order, verify_design
+from .designs import (
+    MAX_DESIGN_POINTS,
+    affine_line_design,
+    design_too_large,
+    is_supported_order,
+    verify_design,
+)
 from .norms import BlockShape, Exponent, d0_mixed
 from .partitions import good_partition, verify_partition
 from .spread import (
@@ -145,9 +151,8 @@ def _cmd_design(args) -> int:
     if args.d < 2:
         print(f"error: d={args.d} must be at least 2", file=sys.stderr)
         return 2
-    # r >= 2, so d > 12 exceeds 4096 without computing the power
-    if args.d > 12 or args.r**args.d > 4096:
-        print(f"error: r^d = {args.r}^{args.d} exceeds 4096", file=sys.stderr)
+    if design_too_large(args.r, args.d):
+        print(f"error: r^d = {args.r}^{args.d} exceeds {MAX_DESIGN_POINTS}", file=sys.stderr)
         return 2
     design = affine_line_design(args.r, args.d)
     _emit(json.dumps(design.to_json_dict()) + "\n", args.out)

@@ -24,6 +24,17 @@ __all__ = [
     "verify_design",
 ]
 
+# Largest ground set r^d the toolkit builds a design on: verify_design
+# peaks at about 150 MiB there (r = 64, d = 2).
+MAX_DESIGN_POINTS = 4096
+
+
+def design_too_large(r: int, d: int) -> bool:
+    """True when r^d exceeds MAX_DESIGN_POINTS, for r >= 2.  Once d reaches
+    the cap's bit length 2^d alone exceeds it, so a huge d is decided
+    without computing the power."""
+    return d >= MAX_DESIGN_POINTS.bit_length() or r**d > MAX_DESIGN_POINTS
+
 # Smallest irreducible polynomial over GF(2) per extension degree,
 # bit-encoded with the x^u term as the top bit; fixed so that field
 # arithmetic (and everything built on it) is reproducible bit-exactly.
@@ -259,7 +270,8 @@ def verify_design(design: Design) -> DesignReport:
     (a run of equal sets counted once), summed after one sort.  Time and
     memory grow with m*r^2, about 19 bytes per pair for an affine-line
     design.  Intended for b <= 4096, where an affine-line design has 8.4
-    million pairs (r = 64, d = 2: a peak of about 150 MiB).
+    million pairs (r = 64, d = 2: a peak of about 150 MiB); b <= 4096 is
+    MAX_DESIGN_POINTS, the cap the CLI and good_partition enforce.
     """
     sizes = np.fromiter(map(len, design.sets), dtype=np.int64, count=len(design.sets))
     points = np.fromiter(chain.from_iterable(design.sets), dtype=np.int64, count=int(sizes.sum()))

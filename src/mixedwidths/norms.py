@@ -172,16 +172,29 @@ class BlockMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
+        object.__setattr__(self, "entries", np.array(self.entries, dtype=float))
+        self._seal()
+
+    @classmethod
+    def _adopt(cls, shape: BlockShape, entries: np.ndarray) -> "BlockMatrix":
+        """A BlockMatrix over the float array entries itself, not a copy:
+        for an array the caller has just built and hands over.  The shape
+        and finiteness checks still run, and entries become read-only."""
+        x = cls.__new__(cls)
+        object.__setattr__(x, "shape", shape)
+        object.__setattr__(x, "entries", entries)
+        x._seal()
+        return x
+
+    def _seal(self) -> None:
+        arr = self.entries
         if arr.ndim != 1 or arr.size != self.shape.n:
             raise ValueError(
                 f"expected {self.shape.n} entries, got array of shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("entries must be finite")
-        arr = arr.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
 
     @classmethod
     def zeros(cls, shape: BlockShape) -> "BlockMatrix":
@@ -206,7 +219,7 @@ class BlockMatrix:
             raise ValueError(f"column {j} outside [0, {shape.b})")
         flat = np.zeros(shape.n)
         flat[j * shape.s : (j + 1) * shape.s] = values
-        return cls(shape, flat)
+        return cls._adopt(shape, flat)
 
     def block(self, j: int) -> np.ndarray:
         return self.entries[j * self.shape.s : (j + 1) * self.shape.s]
@@ -234,7 +247,7 @@ class BlockMatrix:
 def lq_norm(v, q: Exponent) -> float:
     """(sum |v_k|^q)^(1/q); max |v_k| for q = inf; 0 for the zero vector."""
     v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector must be finite")
     if v.size == 0:
         return 0.0
@@ -246,22 +259,35 @@ def block_norm_vector(x: BlockMatrix, q1: Exponent) -> np.ndarray:
     return _row_norms(x.entries.reshape(x.shape.b, x.shape.s), Exponent.of(q1))
 
 
+_LEAST_POSITIVE = float(np.finfo(float).smallest_subnormal)
+
+
 def _row_norms(rows: np.ndarray, p: Exponent) -> np.ndarray:
     """The l_p norm of every row of a 2-d array: the one kernel behind
     lq_norm, block_norm_vector and sample_ball, so all three agree bit for bit."""
-    a = np.abs(rows)
+    if p.is_inf:
+        # max |x| without an |x| array; + 0.0 turns a -0.0 maximum into 0.0
+        return np.maximum(rows.max(axis=1), -rows.min(axis=1)) + 0.0
+    return _abs_row_norms(np.abs(rows), p)
+
+
+def _abs_row_norms(a: np.ndarray, p: Exponent) -> np.ndarray:
+    """_row_norms for rows whose absolute values a already holds; a is
+    overwritten, so no grid-sized temporary is made."""
     if p.is_inf:
         return a.max(axis=1)
     pf = float(p.value)
     if pf == 1.0:
         return a.sum(axis=1)
-    # scale by the row max so large exponents cannot overflow
-    m = a.max(axis=1)
-    sums = ((a / np.where(m > 0, m, 1.0)[:, None]) ** pf).sum(axis=1)
+    # Scale by the row max so large exponents cannot overflow.  An all-zero
+    # row's max becomes the least positive float, which leaves the row 0.
+    m = np.maximum(a.max(axis=1, keepdims=True), _LEAST_POSITIVE)
+    a /= m
+    a **= pf
     # The root stays a Python float power per row: numpy's vectorised **
     # differs from it in the last ulp on some rows.
     root = 1.0 / pf
-    return m * np.array([t**root for t in sums.tolist()])
+    return m[:, 0] * np.array([t**root for t in a.sum(axis=1).tolist()])
 
 
 def mixed_norm(x: BlockMatrix, params) -> float:
@@ -294,13 +320,16 @@ def _symmetric_power_sample(rng: np.random.Generator, p: Exponent, size) -> np.n
     For p = inf this degenerates to the uniform distribution on [-1, 1].
     Normalizing such a vector gives a uniform point on the p-sphere.
     """
-    signs = rng.integers(0, 2, size=size) * 2 - 1
+    # rng.random and rng.standard_gamma draw what rng.uniform(0, 1) and
+    # rng.gamma(a, 1) would; the power and the signs are applied in place
+    negative = rng.integers(0, 2, size=size) == 0
     if p.is_inf:
-        mag = rng.uniform(0.0, 1.0, size=size)
+        mag = rng.random(size)
     else:
         pf = float(p.value)
-        mag = rng.gamma(1.0 / pf, 1.0, size=size) ** (1.0 / pf)
-    return signs * mag
+        mag = rng.standard_gamma(1.0 / pf, size)
+        mag **= 1.0 / pf
+    return np.negative(mag, out=mag, where=negative)
 
 
 def sample_ball(shape: BlockShape, p1, p2, seed: int, count: int) -> list[BlockMatrix]:
@@ -333,17 +362,18 @@ def _ball_point(
     if not (inner > 0).all():  # pragma: no cover - probability zero
         blocks += 1e-9
         inner = _row_norms(blocks, p1)
-    blocks = blocks / inner[:, None]
+    blocks /= inner[:, None]
     weights = np.abs(_symmetric_power_sample(rng, p2, shape.b))
     wnorm = lq_norm(weights, p2)
     if wnorm == 0.0:  # pragma: no cover - probability zero
         weights = np.ones(shape.b)
         wnorm = lq_norm(weights, p2)
-    weights = weights / wnorm
-    flat = (blocks * weights[:, None]).reshape(-1)
+    weights /= wnorm
+    blocks *= weights[:, None]
+    flat = blocks.reshape(-1)
     if interior:
-        flat = flat * float(rng.uniform()) ** (1.0 / shape.n)
-    return BlockMatrix(shape, flat)
+        flat *= float(rng.uniform()) ** (1.0 / shape.n)
+    return BlockMatrix._adopt(shape, flat)
 
 
 def extreme_points_inf1(shape: BlockShape, seed: int, count: int) -> list[BlockMatrix]:

@@ -10,17 +10,25 @@ affine-line design enough times that every point is covered s-fold.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain, compress, islice
-from typing import Sequence
+from itertools import chain, islice
 
 import numpy as np
 
-from .designs import _pair_multiplicities, affine_line_design, is_supported_order, repeat_design
+from .designs import (
+    MAX_DESIGN_POINTS,
+    _pair_multiplicities,
+    affine_line_design,
+    design_too_large,
+    is_supported_order,
+    repeat_design,
+)
 from .norms import BlockShape
 
 __all__ = [
+    "CellGroups",
     "Partition",
     "PartitionReport",
     "partition_from_sets",
@@ -33,6 +41,81 @@ __all__ = [
 Cell = tuple[int, int]
 
 
+class CellGroups(Sequence):
+    """The cell groups of a partition, held as three read-only int64
+    arrays: ``sizes``, the size of each group, then ``rows`` and ``cols``,
+    the row and column of every cell, group by group.
+
+    It reads, iterates, compares and hashes as the tuple of groups of
+    (row, col) int tuples it stands for, so it can be built from such a
+    tuple (or lists, as JSON gives them) and compares equal to it either
+    way round.  Cells may lie outside any grid and groups may be empty or
+    overlap: verify_partition reports such defects, it does not rule them
+    out.
+    """
+
+    __slots__ = ("sizes", "rows", "cols", "_ends")
+
+    def __init__(self, groups: Sequence[Sequence[Cell]]):
+        sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+        cells = list(chain.from_iterable(groups))
+        flat = np.array(cells, dtype=np.int64) if cells else np.empty((0, 2), dtype=np.int64)
+        if flat.shape != (len(cells), 2):
+            raise ValueError("every cell must be a (row, col) pair")
+        self._set(sizes, flat[:, 0].copy(), flat[:, 1].copy())
+
+    @classmethod
+    def _of(cls, sizes: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> "CellGroups":
+        """Groups over int64 arrays the caller has just built and hands over."""
+        groups = cls.__new__(cls)
+        groups._set(sizes, rows, cols)
+        return groups
+
+    def _set(self, sizes, rows, cols) -> None:
+        for a in (sizes, rows, cols):
+            a.setflags(write=False)
+        self.sizes, self.rows, self.cols = sizes, rows, cols
+        self._ends = None
+
+    def __reduce__(self):
+        # copies and unpickled copies come back read-only too
+        return CellGroups._of, (self.sizes, self.rows, self.cols)
+
+    def __len__(self) -> int:
+        return self.sizes.size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        k = range(len(self))[k]  # negative indices, and IndexError out of range
+        if self._ends is None:
+            self._ends = np.cumsum(self.sizes)
+        end = int(self._ends[k])
+        start = end - int(self.sizes[k])
+        return tuple(zip(self.rows[start:end].tolist(), self.cols[start:end].tolist()))
+
+    def __iter__(self):
+        cells = zip(self.rows.tolist(), self.cols.tolist())
+        return (tuple(islice(cells, n)) for n in self.sizes.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, CellGroups):
+            return (
+                np.array_equal(self.sizes, other.sizes)
+                and np.array_equal(self.rows, other.rows)
+                and np.array_equal(self.cols, other.cols)
+            )
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"CellGroups({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class Partition:
     """Disjoint cover of the grid [s] x [b] by nonempty cell groups.
@@ -43,13 +126,21 @@ class Partition:
     groups are dropped from ``groups`` but counted in ``dropped_empty``
     since the dimension of the induced subspace counts nonempty groups
     only.
+
+    ``groups`` is a CellGroups: the constructor takes a tuple of groups of
+    (row, col) tuples and converts it, and the constructions build the
+    arrays directly, at 16 bytes per cell and 8 per group.
     """
 
     shape: BlockShape
-    groups: tuple[tuple[Cell, ...], ...]
+    groups: CellGroups
     r: int
     l: int
     dropped_empty: int = 0
+
+    def __post_init__(self):
+        if not isinstance(self.groups, CellGroups):
+            object.__setattr__(self, "groups", CellGroups(self.groups))
 
     @property
     def m(self) -> int:
@@ -68,25 +159,13 @@ class Partition:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Partition":
-        groups = tuple(tuple((int(i), int(j)) for i, j in g) for g in data["groups"])
         return cls(
             shape=BlockShape(int(data["s"]), int(data["b"])),
-            groups=groups,
+            groups=CellGroups(data["groups"]),
             r=int(data["r"]),
             l=int(data["l"]),
             dropped_empty=int(data.get("dropped_empty", 0)),
         )
-
-
-def _flatten_groups(partition: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sizes, rows, cols) of partition.groups as int64 arrays: the size
-    of each group, then the row and column of every cell, group by group."""
-    groups = partition.groups
-    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
-    cells = np.fromiter(
-        chain.from_iterable(chain.from_iterable(groups)), dtype=np.int64, count=2 * int(sizes.sum())
-    )
-    return sizes, cells[0::2], cells[1::2]
 
 
 def partition_from_sets(sets: Sequence[Sequence[int]], s: int, b: int) -> Partition:
@@ -132,11 +211,10 @@ def partition_from_sets(sets: Sequence[Sequence[int]], s: int, b: int) -> Partit
     l_bound = int(_pair_multiplicities(keys, b).max(initial=0))
     keep = rank < s
     group, col = np.divmod(keys[keep], b)
+    row = rank[keep]
+    del keys, rank, keep
     group_sizes = np.bincount(group, minlength=sizes.size)
-    ints = np.arange(max(s, b)).astype(object)  # one int object per index value
-    cells = zip(ints[rank[keep]].tolist(), ints[col].tolist())
-    del keys, rank, keep, group, col
-    nonempty = tuple(tuple(islice(cells, n)) for n in group_sizes[group_sizes > 0].tolist())
+    nonempty = CellGroups._of(group_sizes[group_sizes > 0], row, col)
 
     return Partition(
         shape=shape,
@@ -198,8 +276,13 @@ def good_partition(s: int, b: int, d: int, *, field_order: str = "power_of_two")
         raise ValueError(f"unknown field order {field_order!r}; choose from {_FIELD_ORDERS}")
     if b == 1:
         return singleton_partition(s, 1)
+    # r = 2 stands in for the order when even 2^d is over the cap, so a
+    # huge d is refused without searching powers
+    r = 2 if design_too_large(2, d) else _field_order(b, d, field_order)
+    if design_too_large(r, d):
+        raise ValueError(f"design grid r^d = {r}^{d} exceeds {MAX_DESIGN_POINTS} points")
 
-    full = _good_partition_full(s, d, _field_order(b, d, field_order))
+    full = _good_partition_full(s, d, r)
     return restrict(full, s, b)
 
 
@@ -212,11 +295,10 @@ def restrict(partition: Partition, s: int, b: int) -> Partition:
         )
     if s == partition.shape.s and b == partition.shape.b:
         return partition
-    sizes, rows, cols = _flatten_groups(partition)
-    keep = (rows < s) & (cols < b)
-    kept = np.bincount(np.repeat(np.arange(sizes.size), sizes)[keep], minlength=sizes.size)
-    cells = map(tuple, compress(chain.from_iterable(partition.groups), keep.tolist()))
-    groups = tuple(tuple(islice(cells, n)) for n in kept[kept > 0].tolist())
+    old = partition.groups
+    keep = (old.rows < s) & (old.cols < b)
+    kept = np.bincount(np.repeat(np.arange(old.sizes.size), old.sizes)[keep], minlength=old.sizes.size)
+    groups = CellGroups._of(kept[kept > 0], old.rows[keep], old.cols[keep])
     return replace(
         partition,
         shape=BlockShape(s, b),
@@ -228,7 +310,9 @@ def restrict(partition: Partition, s: int, b: int) -> Partition:
 def singleton_partition(s: int, b: int) -> Partition:
     """Every cell its own group: r = 1, l = 0; the induced map is the identity."""
     shape = BlockShape(s, b)
-    groups = tuple(((i, j),) for j in range(b) for i in range(s))
+    groups = CellGroups._of(
+        np.ones(shape.n, dtype=np.int64), np.tile(np.arange(s), b), np.repeat(np.arange(b), s)
+    )
     return Partition(shape, groups, r=1, l=0)
 
 
@@ -244,23 +328,22 @@ class PartitionReport:
 def verify_partition(partition: Partition) -> PartitionReport:
     """Exhaustive check of the cover and all three structural bounds.
 
-    The cells are flattened into arrays: the cover comes from one
-    bincount over the s*b cells, repeated columns from one sort of the
-    (group, column) keys, and column sharing from an entry per pair of
-    columns inside each group (a run of groups on the same columns
+    The check reads the partition's cell arrays: the cover comes from
+    one bincount over the s*b cells, repeated columns from one sort of
+    the (group, column) keys, and column sharing from an entry per pair
+    of columns inside each group (a run of groups on the same columns
     counted once), summed after one sort.  The cost is a few int64
     arrays per cell plus one entry per column pair.
 
-    Grids above 10^6 cells are still refused.  The check itself would
-    manage them, but its input would not: groups held as tuples of cell
-    tuples cost about 100 bytes per cell in Python objects before the
-    check starts, so the bound stays until partitions are held as arrays.
+    Grids above 10^6 cells are still refused.  Nothing in the check needs
+    the bound, but its peak memory above that size has not been measured.
     """
     s, b = partition.shape.s, partition.shape.b
     if s * b > 10**6:
         raise ValueError("grid too large for exhaustive verification")
 
-    sizes, rows, cols = _flatten_groups(partition)
+    groups = partition.groups
+    sizes, rows, cols = groups.sizes, groups.rows, groups.cols
     group = np.repeat(np.arange(sizes.size), sizes)
     inside = (rows >= 0) & (rows < s) & (cols >= 0) & (cols < b)
 

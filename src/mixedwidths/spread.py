@@ -25,6 +25,7 @@ from .norms import (
     BlockMatrix,
     BlockShape,
     Exponent,
+    _abs_row_norms,
     _ball_points,
     _extreme_points_inf1,
     block_norm_vector,
@@ -35,7 +36,7 @@ from .norms import (
     pos_part,
     recip_gap,
 )
-from .partitions import Partition, _flatten_groups, good_partition
+from .partitions import CellGroups, Partition, good_partition
 
 # Field order of every partition the pipeline builds: the least supported
 # order r with r^d >= b, so the design grid r^d overshoots b the least.
@@ -73,7 +74,8 @@ class SpreadOperator:
     def __init__(self, partition: Partition):
         self.partition = partition
         s, b, n = partition.shape.s, partition.shape.b, partition.shape.n
-        sizes, i, j = _flatten_groups(partition)
+        groups = partition.groups
+        sizes, i, j = groups.sizes, groups.rows, groups.cols
         if ((i < 0) | (i >= s) | (j < 0) | (j >= b)).any():
             raise ValueError("partition has a cell outside the grid")
         flat = j * s + i
@@ -113,8 +115,14 @@ class SpreadOperator:
         are zeros), so the values are bit-identical to apply's."""
         s = self.partition.shape.s
         kept = (np.sort(np.asarray(columns, dtype=np.int64))[:, None] * s + np.arange(s)).ravel()
-        touched, group_of_kept = np.unique(self._group_index[kept], return_inverse=True)
-        sums = np.bincount(group_of_kept, weights=entries[kept])
+        group = self._group_index[kept]
+        # the distinct groups in increasing order, as np.unique gives them
+        ordered = np.sort(group)
+        first = np.empty(ordered.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        touched = ordered[first]
+        sums = np.bincount(np.searchsorted(touched, group), weights=entries[kept])
         sizes = self._group_size[touched]
         # where each touched group's cells sit in _group_cells: the group's
         # start plus 0, 1, ..., size - 1
@@ -156,7 +164,7 @@ def check_one_column_bound(op: SpreadOperator, p, q1, q2, x: BlockMatrix) -> One
     cells, values = op._spread_columns(x.entries, nonzero_cols)
     residual = x.entries.copy()
     residual[cells] -= values
-    lhs = mixed_norm(BlockMatrix(x.shape, residual), (q1, q2))
+    lhs = mixed_norm(BlockMatrix._adopt(x.shape, residual), (q1, q2))
     rhs = spread_error_coefficient(op.partition, p, q1, q2) * lq_norm(x.entries, p)
     return OneColumnCheck(lhs=lhs, rhs=rhs, ok=lhs <= rhs + 1e-9)
 
@@ -272,7 +280,7 @@ class ApproxResult:
         }
 
 
-def _pipeline(x: BlockMatrix, params: PipelineParams, groups) -> ApproxResult:
+def _pipeline(x: BlockMatrix, params: PipelineParams, groups, work: dict | None) -> ApproxResult:
     """The pipeline over contiguous column groups (lo, hi, op) tiling the
     columns of x, each op over an s x (hi - lo) partition.
 
@@ -291,8 +299,7 @@ def _pipeline(x: BlockMatrix, params: PipelineParams, groups) -> ApproxResult:
         raise ValueError("input lies outside the unit ball")
 
     tail_factor = float_pow(s, recip_gap(params.q1, params.p1))
-    approx_entries = np.zeros(x.shape.n)
-    residual = x.entries.copy()
+    residual, approx_entries = _grid_arrays(x, work)
     selected, bounds, tails = [], [], []
     for lo, hi, op in groups:
         width = hi - lo
@@ -309,19 +316,36 @@ def _pipeline(x: BlockMatrix, params: PipelineParams, groups) -> ApproxResult:
         tails.append(kterm.error)
         selected.extend(lo + j for j in kterm.support)
 
-    # measured before the approximant is copied, so fewer grid-sized arrays are alive at once
-    measured = mixed_norm(BlockMatrix(x.shape, residual), (params.q1, params.q2))
+    # mixed_norm of the residual, with |residual| taken in place
+    block_norms = _abs_row_norms(np.abs(residual, out=residual).reshape(b, s), params.q1)
     return ApproxResult(
         selected_columns=tuple(selected),
-        approximant=BlockMatrix(x.shape, approx_entries),
-        measured_error=measured,
+        approximant=BlockMatrix._adopt(x.shape, approx_entries),
+        measured_error=lq_norm(block_norms, params.q2),
         certified_bound=lq_norm(bounds, params.q2),
         dim=sum(op.dim for _, _, op in groups),
         tail_error=lq_norm(tails, params.q2),
     )
 
 
-def approximate(x: BlockMatrix, params: PipelineParams, op: SpreadOperator) -> ApproxResult:
+def _grid_arrays(x: BlockMatrix, work: dict | None) -> tuple[np.ndarray, np.ndarray]:
+    """The pipeline's residual and approximant arrays, set to x's entries
+    and to zeros: new arrays without work, else the pair that work keeps
+    for x's size, made on first use and overwritten on every later one."""
+    n = x.shape.n
+    if work is None:
+        return x.entries.copy(), np.zeros(n)
+    if n not in work:
+        work[n] = np.empty((2, n))
+    residual, approx_entries = work[n]
+    np.copyto(residual, x.entries)
+    approx_entries.fill(0.0)
+    return residual, approx_entries
+
+
+def approximate(
+    x: BlockMatrix, params: PipelineParams, op: SpreadOperator, work: dict | None = None
+) -> ApproxResult:
     """Spread the heaviest k-1 blocks of x through op's partition.
 
     x must lie in the (p1, p2) unit ball.  This is the column-group
@@ -329,8 +353,13 @@ def approximate(x: BlockMatrix, params: PipelineParams, op: SpreadOperator) -> A
     approximant is the spread of x restricted to the best (k-1)-term
     support of its block norms, an element of the group-constant
     subspace, and only the groups that meet those columns are touched.
+
+    work, a dict that sampled_sup passes to every run of a stream, keeps
+    the grid-sized arrays of one run for the next, so a stream of points
+    allocates them once.  The approximant is then a view of those arrays
+    and holds only until the next run with the same work.
     """
-    return _pipeline(x, params, [(0, x.shape.b, op)])
+    return _pipeline(x, params, [(0, x.shape.b, op)], work)
 
 
 def column_group_operators(s: int, b: int, d: int) -> dict[int, SpreadOperator]:
@@ -352,6 +381,7 @@ def grouped_subspace_approximate(
     x: BlockMatrix,
     params: PipelineParams,
     ops: dict[int, SpreadOperator] | None = None,
+    work: dict | None = None,
 ) -> ApproxResult:
     """Pipeline for wide grids (s < b): the column-group pipeline over
     ceil(b/s) contiguous groups of at most s columns, each with its own
@@ -359,7 +389,7 @@ def grouped_subspace_approximate(
     when not given).  Every full group has budget params.k; a narrower
     last group takes _group_budget(width, alpha).  The certified bound
     aggregates the per-group bounds with the outer norm, which dominates
-    the mixed norm of the residual.
+    the mixed norm of the residual.  work is approximate's.
     """
     s, b = x.shape.s, x.shape.b
     if s >= b:
@@ -367,7 +397,7 @@ def grouped_subspace_approximate(
     if ops is None:
         ops = column_group_operators(s, b, params.d)
     groups = [(lo, min(lo + s, b), ops[min(s, b - lo)]) for lo in range(0, b, s)]
-    return _pipeline(x, params, groups)
+    return _pipeline(x, params, groups, work)
 
 
 def pipeline_points(shape: BlockShape, p1, p2, seed: int, count: int) -> Iterator[BlockMatrix]:
@@ -395,13 +425,17 @@ class SampledSup:
 
 
 def sampled_sup(
-    points: Iterable[BlockMatrix], run: Callable[[BlockMatrix], ApproxResult]
+    points: Iterable[BlockMatrix], run: Callable[..., ApproxResult]
 ) -> SampledSup:
     """Run the pipeline on each point and keep only the running suprema,
-    so memory does not grow with the number of points."""
+    so memory does not grow with the number of points.  run is called as
+    run(x, work=work) with one work dict for the whole stream, as
+    approximate and grouped_subspace_approximate take it, so the points
+    reuse one set of grid-sized arrays."""
+    work: dict = {}
     count = 0
     for x in points:
-        result = run(x)
+        result = run(x, work=work)
         if count == 0:
             sup_error, sup_bound, dim = result.measured_error, result.certified_bound, result.dim
         else:
@@ -421,10 +455,9 @@ def transposition_partition(s: int) -> Partition:
     share exactly one group (their transposition pair)."""
     if s < 1:
         raise ValueError("s must be positive")
-    groups: list[tuple[tuple[int, int], ...]] = []
-    for i in range(s):
-        for j in range(i + 1, s):
-            groups.append(((i, j), (j, i)))
-    for i in range(s):
-        groups.append(((i, i),))
-    return Partition(BlockShape(s, s), tuple(groups), r=2, l=1)
+    i, j = np.triu_indices(s, 1)  # the pairs i < j, by i then j
+    diagonal = np.arange(s)
+    sizes = np.repeat([2, 1], [i.size, s])
+    rows = np.concatenate([np.column_stack([i, j]).ravel(), diagonal])
+    cols = np.concatenate([np.column_stack([j, i]).ravel(), diagonal])
+    return Partition(BlockShape(s, s), CellGroups._of(sizes, rows, cols), r=2, l=1)

@@ -132,6 +132,19 @@ class TestPartitionCommand:
         )
         assert (rc, out) == (3, "") and err.startswith("error: ") and "too large" in err
 
+    @pytest.mark.parametrize("command", [
+        ["partition", "--s", "8", "--b", "8"],
+        ["bound", "--p1", "inf", "--p2", "1", "--q1", "1", "--q2", "2", "--s", "8", "--b", "8"],
+        ["sweep", "--p1", "inf", "--p2", "1", "--q1", "1", "--q2", "2", "--sizes", "8x8"],
+    ])
+    @pytest.mark.parametrize("d", ["13", "40", "100000000"])
+    def test_design_grid_over_the_cap_exits_3(self, command, d):
+        # 2^d design points: refused before anything is built
+        start = time.perf_counter()
+        rc, out, err = run_cli([*command, "--d", d])
+        assert (rc, out) == (3, "") and err.startswith("error") and "4096" in err
+        assert time.perf_counter() - start < 1.0
+
     def test_transposition_golden_stdout(self):
         # pins the within-group cell order: (i, j) before (j, i) for i < j
         rc, out, err = run_cli(["partition", "--s", "4", "--b", "4", "--transpose", "--verify"])

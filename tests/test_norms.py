@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -256,6 +257,47 @@ class TestSampleBall:
     def test_count_validated(self):
         with pytest.raises(ValueError):
             sample_ball(BlockShape(2, 2), 1, 1, seed=0, count=0)
+
+
+def _stream_digest(make) -> str:
+    """sha256 of the little-endian float64 entries of make(shape)'s points,
+    over a small grid and one wider than a SIMD register."""
+    h = hashlib.sha256()
+    for shape in (BlockShape(5, 7), BlockShape(33, 40)):
+        for x in make(shape):
+            h.update(np.ascontiguousarray(x.entries, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+class TestSamplerStreamPin:
+    """The sampled points, bit for bit, as recorded before the samplers drew
+    and scaled in place: the sweep and witness outputs depend on them."""
+
+    BALL = {
+        ("1", "1"): "4daea550fc42c8bd65bb10227cffc384885f9e083b4b0bdded9db2ac45b09151",
+        ("1", "2"): "edbfa7d8918fae7837e9fc1aff5391f14b7b58dbf29016201864884660d69c26",
+        ("1", "inf"): "e68426dd8010021030ecc0924c138f9fc5c314280d8ead9e48ab1dbde209bfd5",
+        ("3/2", "1"): "c64ed8f5826e4e2004fac5e86e14e7acf4fbe56d83ee7529c7ebf95ac332f8a3",
+        ("3/2", "2"): "b56d348ffcc951a10513b5df360991f827eea6ff9218cc2cb228e22c9c7d292a",
+        ("3/2", "inf"): "9077a8e039830f3bc388a65ba6733275403b12812fd601fff77b6e807a687810",
+        ("2", "1"): "b0764c5ce806a4192b2e0bb4b1f5d92d4ab0d4ad55a5386836ebc62999015fc8",
+        ("2", "2"): "cdb7bb1883dcfdd435f14fcdb1f4f2283ba18e5d173064ce57bd7e5b78c2fdba",
+        ("2", "inf"): "02826a0af7476f9fcf4840fc9e5298835f3eae23c4e8d1b7fcc53c7074563b6c",
+        ("3", "1"): "bbc3c77e162ea878eb80a9fa80f4f806087b9f861c1770245039c45103188a5a",
+        ("3", "2"): "026a45cad805c0093fbdbefde7f6801444f64966f780eb88f1b00e065ca00e7f",
+        ("3", "inf"): "93fef08f8f2e740bae5ce61d1049e373d8a471cf75800b1c3b3d876787405984",
+        ("inf", "1"): "0883015754ec3ac0f08201e3aacabfc69d855ddf268983a5319e848549b79c1d",
+        ("inf", "2"): "d3887e6ac2fea5655adf3273d6b5f1e3d6dbec2f725146c088e48074400ede08",
+        ("inf", "inf"): "4cbd4e940033f2c4264382e0f58fc27e5677639c05490d6bc04c4c1315baac6c",
+    }
+    EXTREME = "d5648a9b6131afa058628ad87893702dce4d0e4a3eec8e43b61b439047186251"
+
+    @pytest.mark.parametrize("p1, p2", sorted(BALL))
+    def test_sample_ball(self, p1, p2):
+        assert _stream_digest(lambda shape: sample_ball(shape, p1, p2, 11, 4)) == self.BALL[p1, p2]
+
+    def test_extreme_points_inf1(self):
+        assert _stream_digest(lambda shape: extreme_points_inf1(shape, 12, 4)) == self.EXTREME
 
 
 class TestExtremePoints:

@@ -1,6 +1,13 @@
+import copy
+import json
+import pickle
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from mixedwidths import (
+    BlockShape,
     Partition,
     affine_line_design,
     good_partition,
@@ -173,8 +180,6 @@ class TestVerifyPartition:
         assert report.ok and report.r_observed == 1 and report.l_observed == 0
 
     def test_grid_size_guard(self):
-        from mixedwidths import BlockShape
-
         huge = Partition(shape=BlockShape(1001, 1001), groups=(((0, 0),),), r=1, l=0)
         with pytest.raises(ValueError):
             verify_partition(huge)
@@ -198,3 +203,91 @@ class TestSerialization:
         data = good_partition(8, 5, 2).to_json_dict()
         del data["dropped_empty"]
         assert Partition.from_json_dict(data).dropped_empty == 0
+
+
+def _as_tuples(part):
+    """The same partition built through the constructor from a tuple of
+    (row, col) tuples."""
+    groups = tuple(tuple((int(i), int(j)) for i, j in g) for g in part.groups)
+    return Partition(part.shape, groups, part.r, part.l, part.dropped_empty)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: good_partition(12, 9, 2),
+    lambda: restrict(good_partition(16, 16, 2), 11, 7),
+    lambda: partition_from_sets([list(range(4))] * 3, 3, 4),
+    lambda: singleton_partition(3, 4),
+])
+class TestCellGroups:
+    def test_tuple_and_array_built_compare_and_hash_equal(self, make):
+        part = make()
+        again = _as_tuples(part)
+        as_tuple = tuple(part.groups)
+        assert part == again and again == part
+        assert hash(part) == hash(again)
+        assert part.groups == as_tuple and as_tuple == part.groups
+        assert hash(part.groups) == hash(as_tuple)
+        assert part.groups != as_tuple[:-1] and as_tuple[:-1] != part.groups
+
+    def test_json_bytes_identical(self, make):
+        part = make()
+        assert json.dumps(part.to_json_dict()) == json.dumps(_as_tuples(part).to_json_dict())
+        assert Partition.from_json_dict(part.to_json_dict()) == part
+
+    def test_replace_keeps_the_arrays(self, make):
+        part = make()
+        other = replace(part, r=part.r + 1)
+        assert other.groups is part.groups and other.r == part.r + 1
+
+    def test_arrays_are_read_only(self, make):
+        groups = make().groups
+        for held in (groups, copy.deepcopy(groups), pickle.loads(pickle.dumps(groups))):
+            assert held == groups
+            for a in (held.sizes, held.rows, held.cols):
+                assert a.dtype == np.int64
+                with pytest.raises(ValueError):
+                    a[0] = 7
+
+    def test_reads_as_tuples_of_int_pairs(self, make):
+        groups = make().groups
+        as_tuple = tuple(groups)
+        assert all(type(g) is tuple for g in as_tuple)
+        assert all(type(c) is tuple and tuple(map(type, c)) == (int, int) for g in as_tuple for c in g)
+        assert len(groups) == len(as_tuple)
+        assert [groups[k] for k in range(len(groups))] == list(as_tuple)
+        assert groups[-1] == as_tuple[-1] and groups[1:3] == as_tuple[1:3]
+        with pytest.raises(IndexError):
+            groups[len(groups)]
+
+
+def test_cells_must_be_pairs():
+    with pytest.raises(ValueError, match="pair"):
+        Partition(BlockShape(1, 1), (((0, 0, 0),),), r=1, l=0)
+    with pytest.raises(ValueError, match="pair"):
+        Partition(BlockShape(1, 1), ((0,),), r=1, l=0)
+
+
+def test_empty_groups_and_outside_cells_are_held():
+    # malformed partitions stay representable, for verify_partition to report
+    part = Partition(BlockShape(2, 2), ((), ((0, 0), (5, -1))), r=2, l=1)
+    assert part.groups.sizes.tolist() == [0, 2] and part.groups == ((), ((0, 0), (5, -1)))
+    assert verify_partition(part).violations[:2] == (
+        "group 0 is empty",
+        "group 1 has cell (5, -1) outside the grid",
+    )
+
+
+@pytest.mark.parametrize("field_order", ["power_of_two", "smallest"])
+def test_design_grids_up_to_4096_columns_stay_within_the_cap(field_order):
+    from mixedwidths.designs import MAX_DESIGN_POINTS
+    from mixedwidths.partitions import _field_order
+
+    for d in (2, 3, 4):
+        assert max(_field_order(b, d, field_order) ** d for b in range(2, 4097)) == MAX_DESIGN_POINTS
+
+
+def test_design_grid_over_the_cap_refused():
+    with pytest.raises(ValueError, match="4096"):
+        good_partition(8, 8, 13)
+    with pytest.raises(ValueError, match="4096"):
+        good_partition(3200, 3200, 5, field_order="smallest")  # 7^5 points

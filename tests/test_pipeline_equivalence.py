@@ -10,6 +10,7 @@ iterators draw.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -325,7 +326,7 @@ def test_sampled_sup_matches_max_over_the_list(p1, n, k, count, seed):
         points += _oracle_extreme_points_inf1(shape, seed + 1, count)
     results = [_oracle_approximate(x, params, op) for x in points]
 
-    sup = sampled_sup(pipeline_points(shape, p1, 1, seed, count), lambda x: approximate(x, params, op))
+    sup = sampled_sup(pipeline_points(shape, p1, 1, seed, count), partial(approximate, params=params, op=op))
     assert _bits(sup.sup_error) == _bits(max(r.measured_error for r in results))
     assert _bits(sup.sup_bound) == _bits(max(r.certified_bound for r in results))
     assert sup.dim == results[0].dim
