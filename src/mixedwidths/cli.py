@@ -13,6 +13,8 @@ import sys
 from dataclasses import replace
 from functools import partial
 
+import numpy as np
+
 from .designs import (
     MAX_DESIGN_POINTS,
     affine_line_design,
@@ -73,7 +75,10 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _derived_seed(seed: int, s: int, b: int) -> int:
-    return (seed * 1_000_003 + s * 1_009 + b) % (2**63)
+    """The sampling seed of one sweep row: distinct (seed, s, b) triples get
+    independent streams, and the result stays below 2^63 so that seed + 1
+    (the extreme points' stream) is a valid seed too."""
+    return int(np.random.SeedSequence([seed, s, b]).generate_state(1, np.uint64)[0]) >> 1
 
 
 def sweep_row(
@@ -89,6 +94,8 @@ def sweep_row(
         raise ValueError(f"d={d_override} must be at least 2")
     if k_override is not None and k_override < 1:
         raise ValueError(f"k={k_override} must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed={seed} must be non-negative")
     params = choose_pipeline_params(p1, p2, q1, q2, s, b)
     if d_override is not None:
         params = replace(params, d=d_override)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -39,16 +39,25 @@ class Exponent:
     """A norm exponent p in [1, inf], stored as the exact reciprocal 1/p.
 
     recip = 0 encodes p = inf and recip = 1 encodes p = 1.  Instances
-    compare by the value of p, so inf is the largest exponent.
+    compare and hash by the exact recip, so inf is the largest exponent.
+    is_inf and float_value (float(p), math.inf for p = inf) are set once
+    here, so the norm kernels do not divide Fractions on every call.
     """
 
     recip: Fraction
+    is_inf: bool = field(init=False, repr=False, compare=False)
+    float_value: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.recip, Fraction):
             object.__setattr__(self, "recip", Fraction(self.recip))
-        if not (0 <= self.recip <= 1):
+        # integer comparisons and one int division: a Fraction's
+        # denominator is positive, and den / num is float(1 / recip)
+        num, den = self.recip.numerator, self.recip.denominator
+        if not (0 <= num <= den):
             raise ValueError(f"reciprocal exponent {self.recip} outside [0, 1]")
+        object.__setattr__(self, "is_inf", num == 0)
+        object.__setattr__(self, "float_value", math.inf if num == 0 else den / num)
 
     @classmethod
     def of(cls, value) -> "Exponent":
@@ -72,10 +81,6 @@ class Exponent:
         if value < 1:
             raise ValueError(f"exponent {value} must be >= 1")
         return cls(1 / value)
-
-    @property
-    def is_inf(self) -> bool:
-        return self.recip == 0
 
     @property
     def value(self):
@@ -276,7 +281,7 @@ def _abs_row_norms(a: np.ndarray, p: Exponent) -> np.ndarray:
     overwritten, so no grid-sized temporary is made."""
     if p.is_inf:
         return a.max(axis=1)
-    pf = float(p.value)
+    pf = p.float_value
     if pf == 1.0:
         return a.sum(axis=1)
     # Scale by the row max so large exponents cannot overflow.  An all-zero
@@ -315,29 +320,42 @@ def normalized(x: BlockMatrix, p1, p2) -> BlockMatrix:
 
 
 def _symmetric_power_sample(rng: np.random.Generator, p: Exponent, size) -> np.ndarray:
-    """Draw from the symmetric density proportional to exp(-|t|^p).
+    """I.i.d. draws whose density is proportional to exp(-|t/c|^p) for
+    some scale c > 0, one pass per coordinate:
 
-    For p = inf this degenerates to the uniform distribution on [-1, 1].
-    Normalizing such a vector gives a uniform point on the p-sphere.
+    - p = inf: uniform on [-1, 1] (the limit of exp(-|t|^p));
+    - p = 2: standard normal, exp(-t^2/2), which is c = sqrt(2);
+    - other p: V * G^(1/p), with V uniform on [-1, 1] and G a
+      Gamma(1 + 1/p) variate, so |V| * G^(1/p) has density
+      exp(-x^p) / Gamma(1 + 1/p) on x >= 0 (c = 1).
+
+    The density is right up to scale only; both callers in _ball_point
+    divide by the l_p norm, which removes the scale.  A vector of such
+    draws divided by its l_p norm is uniform on the l_p sphere.
     """
-    # rng.random and rng.standard_gamma draw what rng.uniform(0, 1) and
-    # rng.gamma(a, 1) would; the power and the signs are applied in place
-    negative = rng.integers(0, 2, size=size) == 0
     if p.is_inf:
-        mag = rng.random(size)
-    else:
-        pf = float(p.value)
-        mag = rng.standard_gamma(1.0 / pf, size)
-        mag **= 1.0 / pf
-    return np.negative(mag, out=mag, where=negative)
+        return rng.uniform(-1.0, 1.0, size)
+    if p == Exponent.TWO:
+        return rng.standard_normal(size)
+    # A Gamma shape >= 1 takes numpy's Marsaglia-Tsang path, which accepts
+    # nearly every try; Gamma(1/p) with 1/p < 1 took a slower rejection
+    # loop.  The power and the product are taken in place.
+    signed = rng.uniform(-1.0, 1.0, size)
+    mag = rng.standard_gamma(1.0 + 1.0 / p.float_value, size)
+    mag **= 1.0 / p.float_value
+    mag *= signed
+    return mag
 
 
 def sample_ball(shape: BlockShape, p1, p2, seed: int, count: int) -> list[BlockMatrix]:
     """Deterministic points of the unit ball of the (p1, p2) mixed norm.
 
-    Every second sample (even indices) sits on the unit sphere; the rest
-    are scaled into the interior.  Membership, not exact uniformity, is
-    the contract.
+    Each block is a vector of i.i.d. draws from exp(-|t|^p1), up to
+    scale, divided by its p1-norm (uniform, normal or uniform times a
+    Gamma(1 + 1/p1) power, see _symmetric_power_sample); the block
+    weights are absolute p2 draws divided by their p2-norm.  Every second
+    sample (even indices) sits on the unit sphere; the rest are scaled
+    into the interior.  Membership, not exact uniformity, is the contract.
     """
     return list(_ball_points(shape, p1, p2, seed, count))
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from mixedwidths import good_partition
-from mixedwidths.cli import SWEEP_COLUMNS, main, sweep_row
+from mixedwidths.cli import SWEEP_COLUMNS, _derived_seed, main, sweep_row
 
 
 def run_cli(argv):
@@ -241,7 +241,9 @@ class TestSweepCommand:
         assert rc == 2
 
     @pytest.mark.parametrize("partition", ["good", "transposition"])
-    @pytest.mark.parametrize("flag, value", [("--k", "0"), ("--k", "-1"), ("--d", "1"), ("--d", "-3")])
+    @pytest.mark.parametrize(
+        "flag, value", [("--k", "0"), ("--k", "-1"), ("--d", "1"), ("--d", "-3"), ("--seed", "-1")]
+    )
     def test_override_out_of_range_exits_3(self, partition, flag, value):
         rc, out, err = run_cli(
             ["sweep", "--p1", "inf", "--p2", "1", "--q1", "1", "--q2", "2", "--sizes", "8x8",
@@ -262,24 +264,25 @@ class TestSweepCommand:
 HEADER = "s,b,d,k,r,l,dim,d0,sup_sampled_error,ratio,certified_bound\n"
 
 # stdout of seeded sweeps, pinned byte for byte: the square (2,1) row, the
-# wide grouped rows and a non-integer p1 drawn through the gamma sampler
+# wide grouped rows and a non-integer p1 drawn through the uniform-times-gamma
+# sampler
 GOLDEN_SWEEPS = [
     (
         "--p1 2 --p2 1 --q1 1 --q2 2 --sizes 64x64 --samples 8 --seed 0",
         HEADER
-        + "64,64,4,2,3,2,1688,8.0,1.1929720470755512,0.1491215058844439,1.547871474081036\n",
+        + "64,64,4,2,3,2,1688,8.0,1.12994500890619,0.14124312611327375,1.4665501930351064\n",
     ),
     (
         "--p1 inf --p2 1 --q1 1 --q2 2 --sizes 16x64 32x100 --samples 8 --seed 0",
         HEADER
         + "16,64,4,2,2,2,512,16.0,5.656854249492381,0.3535533905932738,8.0\n"
-        + "32,100,4,2,3,3,2168,32.0,5.5677643628300215,0.17399263633843817,5.656854249492381\n",
+        + "32,100,4,2,3,3,2168,32.0,5.5677643628300215,0.17399263633843817,6.0\n",
     ),
     (
         "--p1 3/2 --p2 1 --q1 1 --q2 2 --sizes 20x20 8x40 --samples 6 --seed 3",
         HEADER
-        + "20,20,6,2,2,1,254,2.7144176165949063,0.6287508746124133,0.2316338026869823,0.9359399227559682\n"
-        + "8,40,6,2,2,1,180,2.0,0.36178066786102936,0.18089033393051468,0.4721469581208534\n",
+        + "20,20,6,2,2,1,254,2.7144176165949063,0.663111776818343,0.244292467291817,0.9065348583939873\n"
+        + "8,40,6,2,2,1,180,2.0,0.33801224052458934,0.16900612026229467,0.4770503023676154\n",
     ),
 ]
 
@@ -382,3 +385,24 @@ class TestSweepRowFunction:
         assert row["dim"] == 2 * part.m
         assert good_partition(32, 32, 4).r == 4
         assert row["sup_sampled_error"] <= row["certified_bound"] + 1e-9
+
+    # README: with seed 0 and 8 samples the (inf, 1) -> (1, 2) ratio is not
+    # monotone in b; the extreme points attain every one of these
+    @pytest.mark.parametrize(
+        "b, ratio", [(72, 0.2274), (81, 0.2722), (128, 0.1609), (200, 0.1909), (256, 0.2165)]
+    )
+    def test_readme_ratios(self, b, ratio):
+        assert round(sweep_row("inf", 1, 1, 2, b, b, samples=8, seed=0)["ratio"], 4) == ratio
+
+
+class TestDerivedSeed:
+    def test_formerly_colliding_rows_differ(self):
+        # a linear mix of (seed, s, b) gave 2019 for both
+        assert _derived_seed(0, 1, 1010) != _derived_seed(0, 2, 1)
+
+    def test_no_collisions_on_a_grid(self):
+        triples = [(seed, s, b) for seed in range(3) for s in range(1, 9) for b in range(1, 1101)]
+        seeds = {_derived_seed(*t) for t in triples}
+        assert len(seeds) == len(triples)
+        # seed + 1 seeds the extreme points, so it must be a valid seed too
+        assert max(seeds) + 1 < 2**63 and min(seeds) >= 0

@@ -1,9 +1,13 @@
+import copy
 import hashlib
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mixedwidths import (
     BlockMatrix,
@@ -20,7 +24,27 @@ from mixedwidths import (
     recip_gap,
     sample_ball,
 )
-from mixedwidths.norms import _symmetric_power_sample
+from mixedwidths.norms import _row_norms, _symmetric_power_sample
+
+
+def _oracle_symmetric_power_sample(rng, p, size):
+    """A reference draw from exp(-|t|^p): a fair sign times a Gamma(1/p)
+    variate to the power 1/p (uniform on [0, 1) for p = inf)."""
+    negative = rng.integers(0, 2, size=size) == 0
+    if p.is_inf:
+        mag = rng.random(size)
+    else:
+        mag = rng.standard_gamma(1.0 / p.float_value, size) ** (1.0 / p.float_value)
+    return np.where(negative, -mag, mag)
+
+
+def _ks_statistic(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between
+    the empirical distribution functions of a and b."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    gap = np.searchsorted(a, grid, side="right") / a.size - np.searchsorted(b, grid, side="right") / b.size
+    return float(np.abs(gap).max())
 
 
 def _per_row_sample_ball(shape, p1, p2, seed, count):
@@ -67,6 +91,23 @@ class TestExponent:
     def test_recip_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
             Exponent(Fraction(3, 2))
+
+    @given(st.one_of(st.just("inf"), st.fractions(min_value=1, max_value=10**6, max_denominator=10**6)))
+    def test_str_round_trip_and_cached_floats(self, value):
+        e = Exponent.of(value)
+        back = Exponent.of(str(e))
+        assert back == e and hash(back) == hash(e) and str(back) == str(e)
+        assert e.is_inf == (e.recip == 0)
+        assert e.float_value == (math.inf if e.is_inf else float(e.value))
+        for twin in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert twin == e and (twin.is_inf, twin.float_value) == (e.is_inf, e.float_value)
+
+    def test_equality_stays_exact(self):
+        # p and p' round to one float, yet the exponents differ
+        a, b = Exponent.of(Fraction(10**17)), Exponent.of(Fraction(10**17 + 1))
+        assert a.float_value == b.float_value
+        assert a != b and a < b and len({a, b}) == 2
+        assert repr(Exponent.TWO) == "Exponent(recip=Fraction(1, 2))"
 
 
 class TestLqNorm:
@@ -259,6 +300,46 @@ class TestSampleBall:
             sample_ball(BlockShape(2, 2), 1, 1, seed=0, count=0)
 
 
+class TestSamplerDistribution:
+    """The one-pass draws against the reference gamma-plus-sign draws: same
+    law after normalising each block, and the right moments before."""
+
+    ROWS, S = 20_000, 8
+    # KS critical value for two samples of ROWS each at level 1e-4,
+    # sqrt(-log(1e-4 / 2) / 2) * sqrt(2 / ROWS)
+    KS_LIMIT = math.sqrt(-math.log(1e-4 / 2) / 2) * math.sqrt(2 / ROWS)
+
+    def _normalised_blocks(self, draw, p, seed):
+        p = Exponent.of(p)
+        rows = draw(np.random.default_rng(seed), p, (self.ROWS, self.S))
+        return rows / _row_norms(rows, p)[:, None]
+
+    @pytest.mark.parametrize("p", [1, "3/2", 2, 3, "inf"])
+    def test_normalised_blocks_match_the_oracle(self, p):
+        new = self._normalised_blocks(_symmetric_power_sample, p, seed=21)
+        old = self._normalised_blocks(_oracle_symmetric_power_sample, p, seed=22)
+        # one coordinate per block, and the block's largest |entry|:
+        # both are independent across blocks
+        assert _ks_statistic(new[:, 0], old[:, 0]) < self.KS_LIMIT
+        assert _ks_statistic(np.abs(new).max(axis=1), np.abs(old).max(axis=1)) < self.KS_LIMIT
+
+    def test_statistic_separates_other_exponents(self):
+        new = self._normalised_blocks(_symmetric_power_sample, "3/2", seed=21)
+        old = self._normalised_blocks(_oracle_symmetric_power_sample, 3, seed=22)
+        assert _ks_statistic(np.abs(new).max(axis=1), np.abs(old).max(axis=1)) > 4 * self.KS_LIMIT
+
+    @pytest.mark.parametrize("p", [1, "3/2", 3, 5])
+    def test_moments_of_uniform_times_gamma_power(self, p):
+        # density exp(-|t|^p) / (2 Gamma(1 + 1/p)): E|t|^p = 1/p and
+        # E|t|^(2p) = (1/p)(1/p + 1)
+        e = Exponent.of(p)
+        t = np.abs(_symmetric_power_sample(np.random.default_rng(23), e, 200_000)) ** e.float_value
+        inv = 1 / e.float_value
+        for values, want in ((t, inv), (t * t, inv * (inv + 1))):
+            stderr = values.std() / math.sqrt(values.size)
+            assert abs(values.mean() - want) < 6 * stderr
+
+
 def _stream_digest(make) -> str:
     """sha256 of the little-endian float64 entries of make(shape)'s points,
     over a small grid and one wider than a SIMD register."""
@@ -270,25 +351,26 @@ def _stream_digest(make) -> str:
 
 
 class TestSamplerStreamPin:
-    """The sampled points, bit for bit, as recorded before the samplers drew
-    and scaled in place: the sweep and witness outputs depend on them."""
+    """The sampled points, bit for bit: the sweep and witness outputs depend
+    on them.  EXTREME was recorded before the samplers drew and scaled in
+    place; BALL when the ball draws became one pass per coordinate."""
 
     BALL = {
-        ("1", "1"): "4daea550fc42c8bd65bb10227cffc384885f9e083b4b0bdded9db2ac45b09151",
-        ("1", "2"): "edbfa7d8918fae7837e9fc1aff5391f14b7b58dbf29016201864884660d69c26",
-        ("1", "inf"): "e68426dd8010021030ecc0924c138f9fc5c314280d8ead9e48ab1dbde209bfd5",
-        ("3/2", "1"): "c64ed8f5826e4e2004fac5e86e14e7acf4fbe56d83ee7529c7ebf95ac332f8a3",
-        ("3/2", "2"): "b56d348ffcc951a10513b5df360991f827eea6ff9218cc2cb228e22c9c7d292a",
-        ("3/2", "inf"): "9077a8e039830f3bc388a65ba6733275403b12812fd601fff77b6e807a687810",
-        ("2", "1"): "b0764c5ce806a4192b2e0bb4b1f5d92d4ab0d4ad55a5386836ebc62999015fc8",
-        ("2", "2"): "cdb7bb1883dcfdd435f14fcdb1f4f2283ba18e5d173064ce57bd7e5b78c2fdba",
-        ("2", "inf"): "02826a0af7476f9fcf4840fc9e5298835f3eae23c4e8d1b7fcc53c7074563b6c",
-        ("3", "1"): "bbc3c77e162ea878eb80a9fa80f4f806087b9f861c1770245039c45103188a5a",
-        ("3", "2"): "026a45cad805c0093fbdbefde7f6801444f64966f780eb88f1b00e065ca00e7f",
-        ("3", "inf"): "93fef08f8f2e740bae5ce61d1049e373d8a471cf75800b1c3b3d876787405984",
-        ("inf", "1"): "0883015754ec3ac0f08201e3aacabfc69d855ddf268983a5319e848549b79c1d",
-        ("inf", "2"): "d3887e6ac2fea5655adf3273d6b5f1e3d6dbec2f725146c088e48074400ede08",
-        ("inf", "inf"): "4cbd4e940033f2c4264382e0f58fc27e5677639c05490d6bc04c4c1315baac6c",
+        ("1", "1"): "5ed7ddd5df6b32f1469ed65a0164fa2700331ff0fb8e842649352c575dac046c",
+        ("1", "2"): "c7f0e3c3bf576b5f5ec82ec4aeca4cc05b60b1e65cf268f9ae688e0314703536",
+        ("1", "inf"): "7fa404142a996c72397c7947f594f95f3df59132ba86c3ecf0307498866e1fed",
+        ("3/2", "1"): "f75eff1097599815d5de03003adedc9b8eb7ee8e7c6b88e45f4d4c7a6fa46f1e",
+        ("3/2", "2"): "3552ec8bd4cab9ffb3c531b87a6336dd5f3f9eedfb04f38b4e595ecfcfa09c38",
+        ("3/2", "inf"): "46e198b17f3dfd0f75b6e8e900bbac5e960722e0417c94a1c892da4f680b3e2a",
+        ("2", "1"): "da295970cca928b27d96702da598330d0ca6271ceddd4297a5a8158426bab512",
+        ("2", "2"): "d3c8349fa0a209b642cd3505b81fd0fa738af446cbdb97ac2ded23cfe4070b02",
+        ("2", "inf"): "1f0cabc8e7ceebd16ecd0f6d716c428a3f35364791ef43b5b2ae5ecd3b022d4e",
+        ("3", "1"): "dc4d1ce804ad7019816540b65fd6d3668cb6bd979e12ae88cf25419a59f9e844",
+        ("3", "2"): "4a8db31169f8d2818c85c3e1eaf6d5b86af07b7b1911b81d93540e6569dbb2e6",
+        ("3", "inf"): "97b4cd1008d95db43a7ecf6e00494a23877e7ef3e54dea14d2cdd09560f7bb83",
+        ("inf", "1"): "1f279e08102025d48f818422538cfcecd45c7f39da3560bcefaee334785be196",
+        ("inf", "2"): "f837488f21ba2a777c26c939fd0d56f2460267dd36d5a0a0bb7d4986c6aa9c8c",
+        ("inf", "inf"): "3e55f30d0cc44c04d09fa16f6b588a69ad6be50a7eeca0ca003f9af334078b1c",
     }
     EXTREME = "d5648a9b6131afa058628ad87893702dce4d0e4a3eec8e43b61b439047186251"
 
