@@ -35,6 +35,22 @@ def design_too_large(r: int, d: int) -> bool:
     without computing the power."""
     return d >= MAX_DESIGN_POINTS.bit_length() or r**d > MAX_DESIGN_POINTS
 
+
+# Largest number of (line, point) memberships m*r of a design the toolkit
+# builds, each held in a Python tuple: the 8^4, 3^7 and 5^5 designs (about
+# 2.4 million each) fit, 2^11, 4^6 and 2^12 (4.2, 5.6 and 16.8 million)
+# do not.  The output of `mixedwidths design` grows with it.
+MAX_DESIGN_MEMBERSHIPS = 2_500_000
+
+
+def design_memberships(r: int, d: int) -> int:
+    """m*r for the affine-line design on F_r^d, whose r^d points each lie
+    on (r^d - 1)/(r - 1) lines.  Ask design_too_large first: a huge d
+    makes r^d too costly to compute."""
+    n = r**d
+    return n * (n - 1) // (r - 1)
+
+
 # Smallest irreducible polynomial over GF(2) per extension degree,
 # bit-encoded with the x^u term as the top bit; fixed so that field
 # arithmetic (and everything built on it) is reproducible bit-exactly.
@@ -170,10 +186,13 @@ def affine_line_design(r: int, d: int) -> Design:
     Points are indexed by their position in lexicographic coordinate
     order.  Lines are emitted grouped by canonical direction (first
     nonzero coordinate scaled to 1), each direction's lines ordered by
-    smallest base point, so the output is deterministic.
+    smallest point, so the output is deterministic.
 
-    For each direction, a + t*v is looked up in the field tables for
-    every point a at once; a line is kept at its smallest point.
+    A line of direction v, whose leading coordinate is v_i = 1, meets the
+    hyperplane x_i = 0 exactly once.  So v's lines are a + t*v for the
+    r^(d-1) points a of that hyperplane, looked up in the field tables
+    for all of them at once; each line is then sorted, and the lines
+    ordered by their smallest point.
     """
     if d < 2:
         raise ValueError(f"dimension {d} must be at least 2")
@@ -183,13 +202,15 @@ def affine_line_design(r: int, d: int) -> Design:
     n = r**d
     weights = r ** np.arange(d - 1, -1, -1, dtype=np.int64)
     coords = np.arange(n, dtype=np.int64)[:, None] // weights % r
-    lead = coords[np.arange(n), (coords != 0).argmax(axis=1)]
+    lead_at = (coords != 0).argmax(axis=1)
+    canonical = coords[np.arange(n), lead_at] == 1
+    planes = [coords[coords[:, i] == 0] for i in range(d)]
     ints = np.arange(n).astype(object)  # one int object per point
     sets: list[tuple[int, ...]] = []
-    for v in coords[lead == 1]:  # canonical directions, in sorted order
-        lines = (add[coords[:, None, :], mul[:, v]] * weights).sum(axis=2)
+    for v, i in zip(coords[canonical], lead_at[canonical].tolist()):  # in sorted order
+        lines = (add[planes[i][:, None, :], mul[:, v]] * weights).sum(axis=2)
         lines.sort(axis=1)
-        sets += map(tuple, ints[lines[lines[:, 0] == np.arange(n)]].tolist())
+        sets += map(tuple, ints[lines[np.argsort(lines[:, 0])]].tolist())
     return Design(b=n, r=r, l=1, sets=tuple(sets))
 
 

@@ -4,8 +4,10 @@ how many groups may meet any two columns simultaneously.
 
 The workhorse constructor assigns, for every column j, its s cells to the
 s lowest-indexed input sets containing j; all three guarantees are then
-inherited from the set system.  Good parameters come from repeating an
-affine-line design enough times that every point is covered s-fold.
+inherited from the set system.  Good parameters come from an affine-line
+design with every line taken l times, enough that every point is covered
+s-fold; good_partition builds that partition from the memberships of the
+base design, without materialising the repeated sets.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ from itertools import chain, islice
 import numpy as np
 
 from .designs import (
+    MAX_DESIGN_MEMBERSHIPS,
     MAX_DESIGN_POINTS,
     _pair_multiplicities,
     affine_line_design,
+    design_memberships,
     design_too_large,
     is_supported_order,
-    repeat_design,
 )
 from .norms import BlockShape
 
@@ -227,10 +230,53 @@ def partition_from_sets(sets: Sequence[Sequence[int]], s: int, b: int) -> Partit
 
 @lru_cache(maxsize=None)
 def _good_partition_full(s: int, d: int, r: int) -> Partition:
-    b_full = r**d
+    """The partition of [s] x [r^d] that partition_from_sets makes from
+    the affine-line design on F_r^d with each line repeated
+    l = ceil(s*(r-1)/(r^d - 1)) times, built without the repeat.
+
+    Copy c of base line t is set t*l + c of the repeated family, so point
+    j's sets there are its base lines in order, each l times over: in
+    copy c of line t, j takes row l*rank(t, j) + c, where rank(t, j) is
+    t's place among j's lines.  One stable argsort of the m*r base
+    memberships gives the ranks; the cells with row < s, read off an
+    (m, l, r) array in (line, copy, point) order, are the groups in the
+    order partition_from_sets gives them.  The certified l is l times the
+    largest pair multiplicity of the base design, counted from its pairs.
+    """
+    design = affine_line_design(r, d)
+    b_full, m = design.b, design.m
     l = -(-(s * (r - 1)) // (b_full - 1))  # ceil
-    rep = repeat_design(affine_line_design(r, d), l)
-    return partition_from_sets(rep.sets, s, b_full)
+    lines = np.fromiter(chain.from_iterable(design.sets), dtype=np.int64, count=m * r).reshape(m, r)
+    points = lines.ravel()
+    counts = np.bincount(points, minlength=b_full)
+    short = np.flatnonzero(l * counts < s)
+    if short.size:
+        j = short[0]
+        raise ValueError(
+            f"point {j} lies in {l * counts[j]} sets, but every point needs at least {s}"
+        )
+
+    # lines are sorted, so these (line, point) keys are too
+    keys = (np.arange(m).reshape(m, 1) * b_full + lines).ravel()
+    base_l = int(_pair_multiplicities(keys, b_full).max(initial=0))
+    del keys
+    rank = np.empty_like(points)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    rank[np.argsort(points, kind="stable")] = np.arange(points.size) - starts
+    rows = l * rank.reshape(m, 1, r) + np.arange(l).reshape(l, 1)
+    del rank
+    keep = rows < s
+    sizes = keep.sum(axis=2, dtype=np.int64).ravel()
+    groups = CellGroups._of(
+        sizes[sizes > 0], rows[keep], np.broadcast_to(lines[:, None, :], rows.shape)[keep]
+    )
+    return Partition(
+        shape=BlockShape(s, b_full),
+        groups=groups,
+        r=r,
+        l=l * base_l,
+        dropped_empty=m * l - len(groups),
+    )
 
 
 _FIELD_ORDERS = ("power_of_two", "smallest")
@@ -254,9 +300,12 @@ def good_partition(s: int, b: int, d: int, *, field_order: str = "power_of_two")
     """Partition of [s] x [b] (s >= b) with r between b^(1/d) and 2*b^(1/d).
 
     Routes through a design grid b' = r^d >= b: builds the affine-line
-    design on b' points with block size r, repeats each set
-    l = ceil(s*(r-1)/(b'-1)) times so every point is covered s-fold,
-    partitions [s] x [b'], and restricts to the first b columns.
+    design on b' points with block size r, partitions [s] x [b'] as
+    partition_from_sets does with each line taken l = ceil(s*(r-1)/(b'-1))
+    times, so every point is covered s-fold (the repeated sets are never
+    built), and restricts to the first b columns.  A design grid over
+    MAX_DESIGN_POINTS points or MAX_DESIGN_MEMBERSHIPS line memberships is
+    refused before anything is built.
 
     field_order picks r: "power_of_two" (the default) takes the least
     r = 2^u with r^d >= b; "smallest" takes the least supported order,
@@ -281,6 +330,12 @@ def good_partition(s: int, b: int, d: int, *, field_order: str = "power_of_two")
     r = 2 if design_too_large(2, d) else _field_order(b, d, field_order)
     if design_too_large(r, d):
         raise ValueError(f"design grid r^d = {r}^{d} exceeds {MAX_DESIGN_POINTS} points")
+    memberships = design_memberships(r, d)
+    if memberships > MAX_DESIGN_MEMBERSHIPS:
+        raise ValueError(
+            f"design grid r^d = {r}^{d} has {memberships} line memberships,"
+            f" over {MAX_DESIGN_MEMBERSHIPS}"
+        )
 
     full = _good_partition_full(s, d, r)
     return restrict(full, s, b)

@@ -9,6 +9,7 @@ points, ragged sets) must give equal reports or the same ValueError
 message.
 """
 
+import hashlib
 import itertools
 from collections import Counter
 from dataclasses import replace
@@ -35,6 +36,7 @@ from mixedwidths import (
     verify_design,
     verify_partition,
 )
+from mixedwidths.partitions import _good_partition_full
 
 # Fixed example sequence, no example database: the suite stays deterministic.
 EXAMPLES = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -337,6 +339,45 @@ def test_affine_line_design_matches_loops(r, d):
     assert_same(design, _oracle_affine_line_design(r, d))
     assert all(type(p) is int for a in design.sets for p in a)
     assert_same(verify_design(design), _oracle_verify_design(design))
+
+
+# sha256 of the int64 bytes of affine_line_design(r, d).sets, recorded
+# from the implementation that computed every line from each of its points
+DESIGN_DIGESTS = {
+    (32, 2): "11e7aadbbe0aea3ddde0a3d6da55b059e16a8efe1011c167824f87ba78030e28",
+    (64, 2): "437fafbc6ba8090e70824c8acb0d9e22c8ddb1bfc269eb1842158fecc7ce9e6f",
+    (16, 3): "92f8bbb53bb25bb7ab30c3ade44349de1d44e5e81d39dc90affef06ba94be79e",
+    (4, 5): "46f90f6e6189e3ac39ecdb354fd5024fa05a05674cdb855f204addc326ab43ea",
+}
+
+
+@pytest.mark.parametrize("r,d", list(DESIGN_DIGESTS))
+def test_affine_line_design_digests_on_grids_too_large_for_loops(r, d):
+    sets = np.array(affine_line_design(r, d).sets, dtype=np.int64)
+    assert hashlib.sha256(sets.tobytes()).hexdigest() == DESIGN_DIGESTS[r, d]
+
+
+def _full_partition_cases():
+    """(s, d, r) for every design grid: s = r^d, the largest s with the
+    same repetition count l = r (l*(r^d - 1)/(r - 1)), and one between."""
+    for r, d in DESIGN_GRIDS:
+        b_full = r**d
+        s_max = r * (b_full - 1) // (r - 1)
+        for s in (b_full, (b_full + s_max) // 2, s_max):
+            yield s, d, r
+
+
+@pytest.mark.parametrize("s,d,r", list(_full_partition_cases()))
+def test_full_partition_matches_repeated_design(s, d, r):
+    b_full = r**d
+    l = -(-(s * (r - 1)) // (b_full - 1))
+    full = _good_partition_full(s, d, r)
+    expected = partition_from_sets(repeat_design(affine_line_design(r, d), l).sets, s, b_full)
+    for name in ("sizes", "rows", "cols"):
+        assert np.array_equal(getattr(full.groups, name), getattr(expected.groups, name)), name
+    assert (full.shape, full.r, full.l, full.dropped_empty) == (
+        expected.shape, expected.r, expected.l, expected.dropped_empty
+    )
 
 
 def test_affine_line_design_errors_match():

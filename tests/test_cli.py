@@ -71,6 +71,14 @@ class TestDesignCommand:
         rc, _, _ = run_cli(["design", "--r", "8", "--d", "5"])
         assert rc == 2
 
+    @pytest.mark.parametrize("r, d", [(2, 12), (2, 11), (4, 6)])
+    def test_too_many_line_memberships_exits_2(self, r, d):
+        # r^d fits the 4096-point cap, but AG(d, r) has millions of lines
+        start = time.perf_counter()
+        rc, out, err = run_cli(["design", "--r", str(r), "--d", str(d)])
+        assert (rc, out) == (2, "") and err.startswith("error: ") and "line memberships" in err
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("r, d", [(2, 1), (2, 0), (3, -2)])
     def test_dimension_below_2_exits_2(self, r, d):
         rc, out, err = run_cli(["design", "--r", str(r), "--d", str(d)])
@@ -143,6 +151,18 @@ class TestPartitionCommand:
         start = time.perf_counter()
         rc, out, err = run_cli([*command, "--d", d])
         assert (rc, out) == (3, "") and err.startswith("error") and "4096" in err
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("command", [
+        ["partition", "--s", "8", "--b", "8"],
+        ["bound", "--p1", "inf", "--p2", "1", "--q1", "1", "--q2", "2", "--s", "8", "--b", "8"],
+        ["sweep", "--p1", "inf", "--p2", "1", "--q1", "1", "--q2", "2", "--sizes", "8x8"],
+    ])
+    def test_too_many_line_memberships_exits_3(self, command):
+        # 2^12 points fit the cap, the 16.8 million memberships do not
+        start = time.perf_counter()
+        rc, out, err = run_cli([*command, "--d", "12"])
+        assert (rc, out) == (3, "") and err.startswith("error") and "line memberships" in err
         assert time.perf_counter() - start < 1.0
 
     def test_transposition_golden_stdout(self):

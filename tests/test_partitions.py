@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,8 @@ from mixedwidths import (
     singleton_partition,
     verify_partition,
 )
+from mixedwidths.designs import MAX_DESIGN_MEMBERSHIPS, design_memberships
+from mixedwidths.partitions import _good_partition_full
 
 
 class TestPartitionFromSets:
@@ -291,3 +294,28 @@ def test_design_grid_over_the_cap_refused():
         good_partition(8, 8, 13)
     with pytest.raises(ValueError, match="4096"):
         good_partition(3200, 3200, 5, field_order="smallest")  # 7^5 points
+
+
+def test_design_memberships_over_the_cap_refused():
+    # the 8^4 design (2,396,160 memberships) is built for b' = 4096 at d = 4
+    assert design_memberships(8, 4) == 2_396_160 <= MAX_DESIGN_MEMBERSHIPS
+    assert design_memberships(2, 12) == 16_773_120 > MAX_DESIGN_MEMBERSHIPS
+    _good_partition_full.cache_clear()
+    with pytest.raises(ValueError, match="16773120 line memberships"):
+        good_partition(8, 8, 12)
+    assert _good_partition_full.cache_info().misses == 0
+
+
+def test_cold_good_partition_peak_memory():
+    # the repeated design is never materialised: about 4.8 MiB, where
+    # building and sorting the l copies of every line took 12.6 MiB
+    good_partition(4, 4, 2)  # first-call imports
+    affine_line_design.cache_clear()
+    _good_partition_full.cache_clear()
+    tracemalloc.start()
+    try:
+        good_partition(297, 291, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak / 2**20
