@@ -16,11 +16,8 @@ from functools import partial
 import numpy as np
 
 from .designs import (
-    MAX_DESIGN_MEMBERSHIPS,
-    MAX_DESIGN_POINTS,
     affine_line_design,
-    design_memberships,
-    design_too_large,
+    design_size_error,
     is_supported_order,
     verify_design,
 )
@@ -160,16 +157,9 @@ def _cmd_design(args) -> int:
     if args.d < 2:
         print(f"error: d={args.d} must be at least 2", file=sys.stderr)
         return 2
-    if design_too_large(args.r, args.d):
-        print(f"error: r^d = {args.r}^{args.d} exceeds {MAX_DESIGN_POINTS}", file=sys.stderr)
-        return 2
-    memberships = design_memberships(args.r, args.d)
-    if memberships > MAX_DESIGN_MEMBERSHIPS:
-        print(
-            f"error: design grid r^d = {args.r}^{args.d} has {memberships} line memberships,"
-            f" over {MAX_DESIGN_MEMBERSHIPS}",
-            file=sys.stderr,
-        )
+    too_large = design_size_error(args.r, args.d)
+    if too_large is not None:
+        print(f"error: {too_large}", file=sys.stderr)
         return 2
     design = affine_line_design(args.r, args.d)
     _emit(json.dumps(design.to_json_dict()) + "\n", args.out)

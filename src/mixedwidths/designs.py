@@ -28,27 +28,30 @@ __all__ = [
 # peaks at about 150 MiB there (r = 64, d = 2).
 MAX_DESIGN_POINTS = 4096
 
-
-def design_too_large(r: int, d: int) -> bool:
-    """True when r^d exceeds MAX_DESIGN_POINTS, for r >= 2.  Once d reaches
-    the cap's bit length 2^d alone exceeds it, so a huge d is decided
-    without computing the power."""
-    return d >= MAX_DESIGN_POINTS.bit_length() or r**d > MAX_DESIGN_POINTS
-
-
 # Largest number of (line, point) memberships m*r of a design the toolkit
-# builds, each held in a Python tuple: the 8^4, 3^7 and 5^5 designs (about
-# 2.4 million each) fit, 2^11, 4^6 and 2^12 (4.2, 5.6 and 16.8 million)
-# do not.  The output of `mixedwidths design` grows with it.
-MAX_DESIGN_MEMBERSHIPS = 2_500_000
+# builds, each held in a Python tuple.  Of the designs within
+# MAX_DESIGN_POINTS only 2^12 (16.8 million) is over it: four times 2^11
+# (4.2 million), whose cold build takes about 2.7 s and 190 MiB.  4^6
+# (5.6 million) takes 1.7 s and 160 MiB.
+MAX_DESIGN_MEMBERSHIPS = 6_000_000
 
 
-def design_memberships(r: int, d: int) -> int:
-    """m*r for the affine-line design on F_r^d, whose r^d points each lie
-    on (r^d - 1)/(r - 1) lines.  Ask design_too_large first: a huge d
-    makes r^d too costly to compute."""
+def design_size_error(r: int, d: int) -> str | None:
+    """Why the affine-line design on F_r^d (r >= 2) is too large to
+    build, or None when it is within both caps.  The points come first:
+    once d reaches the cap's bit length 2^d alone exceeds it, so a huge d
+    is decided without computing the power.  Both counts grow with r, so
+    r = 2 refused means every order is."""
+    if d >= MAX_DESIGN_POINTS.bit_length() or r**d > MAX_DESIGN_POINTS:
+        return f"design grid r^d = {r}^{d} exceeds {MAX_DESIGN_POINTS} points"
     n = r**d
-    return n * (n - 1) // (r - 1)
+    memberships = n * (n - 1) // (r - 1)
+    if memberships > MAX_DESIGN_MEMBERSHIPS:
+        return (
+            f"design grid r^d = {r}^{d} has {memberships} line memberships,"
+            f" over {MAX_DESIGN_MEMBERSHIPS}"
+        )
+    return None
 
 
 # Smallest irreducible polynomial over GF(2) per extension degree,

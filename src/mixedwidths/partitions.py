@@ -20,12 +20,9 @@ from itertools import chain, islice
 import numpy as np
 
 from .designs import (
-    MAX_DESIGN_MEMBERSHIPS,
-    MAX_DESIGN_POINTS,
     _pair_multiplicities,
     affine_line_design,
-    design_memberships,
-    design_too_large,
+    design_size_error,
     is_supported_order,
 )
 from .norms import BlockShape
@@ -325,17 +322,13 @@ def good_partition(s: int, b: int, d: int, *, field_order: str = "power_of_two")
         raise ValueError(f"unknown field order {field_order!r}; choose from {_FIELD_ORDERS}")
     if b == 1:
         return singleton_partition(s, 1)
-    # r = 2 stands in for the order when even 2^d is over the cap, so a
-    # huge d is refused without searching powers
-    r = 2 if design_too_large(2, d) else _field_order(b, d, field_order)
-    if design_too_large(r, d):
-        raise ValueError(f"design grid r^d = {r}^{d} exceeds {MAX_DESIGN_POINTS} points")
-    memberships = design_memberships(r, d)
-    if memberships > MAX_DESIGN_MEMBERSHIPS:
-        raise ValueError(
-            f"design grid r^d = {r}^{d} has {memberships} line memberships,"
-            f" over {MAX_DESIGN_MEMBERSHIPS}"
-        )
+    # r = 2 is asked first, so a huge d is refused without searching powers
+    too_large = design_size_error(2, d)
+    if too_large is None:
+        r = _field_order(b, d, field_order)
+        too_large = design_size_error(r, d)
+    if too_large is not None:
+        raise ValueError(too_large)
 
     full = _good_partition_full(s, d, r)
     return restrict(full, s, b)

@@ -71,11 +71,10 @@ class TestDesignCommand:
         rc, _, _ = run_cli(["design", "--r", "8", "--d", "5"])
         assert rc == 2
 
-    @pytest.mark.parametrize("r, d", [(2, 12), (2, 11), (4, 6)])
-    def test_too_many_line_memberships_exits_2(self, r, d):
-        # r^d fits the 4096-point cap, but AG(d, r) has millions of lines
+    def test_too_many_line_memberships_exits_2(self):
+        # 2^12 fits the 4096-point cap, but AG(12, 2) has 8.4 million lines
         start = time.perf_counter()
-        rc, out, err = run_cli(["design", "--r", str(r), "--d", str(d)])
+        rc, out, err = run_cli(["design", "--r", "2", "--d", "12"])
         assert (rc, out) == (2, "") and err.startswith("error: ") and "line memberships" in err
         assert time.perf_counter() - start < 1.0
 
@@ -164,6 +163,28 @@ class TestPartitionCommand:
         rc, out, err = run_cli([*command, "--d", "12"])
         assert (rc, out) == (3, "") and err.startswith("error") and "line memberships" in err
         assert time.perf_counter() - start < 1.0
+
+    def test_tuple_with_d_12_exits_3(self):
+        # the pipeline's d for (6/5, 1, 1, 2) is 12, and 2^12 is refused at every width
+        start = time.perf_counter()
+        rc, out, err = run_cli(
+            ["bound", "--p1", "6/5", "--p2", "1", "--q1", "1", "--q2", "2", "--s", "8", "--b", "8"]
+        )
+        assert (rc, out) == (3, "") and "2^12 has 16773120 line memberships" in err
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("p1, width, d, r", [
+        ("3/2", 730, 6, 4),  # the paper's own tuple past 3^6 columns: a 4^6 design
+        ("11/9", 8, 11, 2),  # a 2^11 design at every width
+    ])
+    def test_largest_admitted_designs_still_run(self, p1, width, d, r):
+        rc, out, err = run_cli([
+            "bound", "--p1", p1, "--p2", "1", "--q1", "1", "--q2", "2",
+            "--s", str(width), "--b", str(width), "--samples", "1",
+        ])
+        assert (rc, err) == (0, "")
+        row = json.loads(out)
+        assert (row["d"], row["r"], row["b"]) == (d, r, width)
 
     def test_transposition_golden_stdout(self):
         # pins the within-group cell order: (i, j) before (j, i) for i < j

@@ -17,7 +17,7 @@ from mixedwidths import (
     singleton_partition,
     verify_partition,
 )
-from mixedwidths.designs import MAX_DESIGN_MEMBERSHIPS, design_memberships
+from mixedwidths.designs import MAX_DESIGN_POINTS, design_size_error, is_supported_order
 from mixedwidths.partitions import _good_partition_full
 
 
@@ -282,7 +282,6 @@ def test_empty_groups_and_outside_cells_are_held():
 
 @pytest.mark.parametrize("field_order", ["power_of_two", "smallest"])
 def test_design_grids_up_to_4096_columns_stay_within_the_cap(field_order):
-    from mixedwidths.designs import MAX_DESIGN_POINTS
     from mixedwidths.partitions import _field_order
 
     for d in (2, 3, 4):
@@ -297,9 +296,19 @@ def test_design_grid_over_the_cap_refused():
 
 
 def test_design_memberships_over_the_cap_refused():
-    # the 8^4 design (2,396,160 memberships) is built for b' = 4096 at d = 4
-    assert design_memberships(8, 4) == 2_396_160 <= MAX_DESIGN_MEMBERSHIPS
-    assert design_memberships(2, 12) == 16_773_120 > MAX_DESIGN_MEMBERSHIPS
+    # of the designs within the 4096-point cap only 2^12 (16,773,120
+    # memberships) is refused; 4^6 (5,591,040) and 2^11 are built
+    within_points = [
+        (r, d) for r in range(2, 65) if is_supported_order(r)
+        for d in range(2, 13) if r**d <= MAX_DESIGN_POINTS
+    ]
+    assert len(within_points) == 52
+    for r, d in within_points:
+        error = design_size_error(r, d)
+        if (r, d) == (2, 12):
+            assert error == "design grid r^d = 2^12 has 16773120 line memberships, over 6000000"
+        else:
+            assert error is None, (r, d)
     _good_partition_full.cache_clear()
     with pytest.raises(ValueError, match="16773120 line memberships"):
         good_partition(8, 8, 12)
