@@ -40,8 +40,9 @@ class Exponent:
 
     recip = 0 encodes p = inf and recip = 1 encodes p = 1.  Instances
     compare and hash by the exact recip, so inf is the largest exponent.
-    is_inf and float_value (float(p), math.inf for p = inf) are set once
-    here, so the norm kernels do not divide Fractions on every call.
+    is_inf, float_value (float(p), math.inf for p = inf) and the hash are
+    set once here, so the norm kernels do not divide Fractions on every
+    call.
     """
 
     recip: Fraction
@@ -54,17 +55,42 @@ class Exponent:
         # integer comparisons and one int division: a Fraction's
         # denominator is positive, and den / num is float(1 / recip)
         num, den = self.recip.numerator, self.recip.denominator
+        if type(num) is not int or type(den) is not int:
+            # a Fraction of numpy integers, which cannot be hashed
+            num, den = int(num), int(den)
+            object.__setattr__(self, "recip", Fraction(num, den))
         if not (0 <= num <= den):
             raise ValueError(f"reciprocal exponent {self.recip} outside [0, 1]")
         object.__setattr__(self, "is_inf", num == 0)
         object.__setattr__(self, "float_value", math.inf if num == 0 else den / num)
+        object.__setattr__(self, "_hash", hash((self.recip,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, value) -> "Exponent":
         """Build from p itself: int, Fraction, float('inf'), or a string
-        such as "2", "3/2", "inf"."""
+        such as "2", "3/2", "inf".
+
+        Interned: inputs equal in type and value return one instance, as
+        do all inputs of one exponent ("3/2" and Fraction(3, 2) alike)."""
         if isinstance(value, Exponent):
             return value
+        try:
+            return _INTERNED[type(value), value]
+        except KeyError:
+            pass
+        except TypeError:  # unhashable: parse it, remember nothing
+            return _canonical(cls._parse(value))
+        exponent = _canonical(cls._parse(value))
+        if len(_INTERNED) >= _MAX_INTERNED:
+            _INTERNED.clear()
+        _INTERNED[type(value), value] = exponent
+        return exponent
+
+    @classmethod
+    def _parse(cls, value) -> "Exponent":
         if isinstance(value, str):
             text = value.strip().lower()
             if text in ("inf", "infinity", "oo"):
@@ -104,9 +130,21 @@ class Exponent:
         return self.recip <= other.recip
 
 
-Exponent.ONE = Exponent(Fraction(1))
-Exponent.TWO = Exponent(Fraction(1, 2))
-Exponent.INF = Exponent(Fraction(0))
+# Exponent.of's memo, keyed by (type, value) of its argument, and the one
+# instance of each exponent it returns, keyed by recip.  The memo is
+# emptied when full, so arbitrary float inputs cannot grow it unbounded.
+_INTERNED: dict = {}
+_MAX_INTERNED = 4096
+_CANONICAL: dict[Fraction, Exponent] = {}
+
+
+def _canonical(exponent: Exponent) -> Exponent:
+    return _CANONICAL.setdefault(exponent.recip, exponent)
+
+
+Exponent.ONE = _canonical(Exponent(Fraction(1)))
+Exponent.TWO = _canonical(Exponent(Fraction(1, 2)))
+Exponent.INF = _canonical(Exponent(Fraction(0)))
 
 
 def pos_part(x: Fraction) -> Fraction:
@@ -256,7 +294,7 @@ def lq_norm(v, q: Exponent) -> float:
         raise ValueError("vector must be finite")
     if v.size == 0:
         return 0.0
-    return float(_row_norms(v.reshape(1, -1), Exponent.of(q))[0])
+    return _vector_norm(v.reshape(-1), Exponent.of(q))
 
 
 def block_norm_vector(x: BlockMatrix, q1: Exponent) -> np.ndarray:
@@ -270,6 +308,8 @@ _LEAST_POSITIVE = float(np.finfo(float).smallest_subnormal)
 def _row_norms(rows: np.ndarray, p: Exponent) -> np.ndarray:
     """The l_p norm of every row of a 2-d array: the one kernel behind
     lq_norm, block_norm_vector and sample_ball, so all three agree bit for bit."""
+    if rows.shape[0] == 1:
+        return np.array([_vector_norm(rows[0], p)])
     if p.is_inf:
         # max |x| without an |x| array; + 0.0 turns a -0.0 maximum into 0.0
         return np.maximum(rows.max(axis=1), -rows.min(axis=1)) + 0.0
@@ -278,7 +318,8 @@ def _row_norms(rows: np.ndarray, p: Exponent) -> np.ndarray:
 
 def _abs_row_norms(a: np.ndarray, p: Exponent) -> np.ndarray:
     """_row_norms for rows whose absolute values a already holds; a is
-    overwritten, so no grid-sized temporary is made."""
+    overwritten, so no grid-sized temporary is made.  The max of |x| is
+    max(max x, -min x) + 0.0 bit for bit, so p = inf reads a.max."""
     if p.is_inf:
         return a.max(axis=1)
     pf = p.float_value
@@ -293,6 +334,25 @@ def _abs_row_norms(a: np.ndarray, p: Exponent) -> np.ndarray:
     # differs from it in the last ulp on some rows.
     root = 1.0 / pf
     return m[:, 0] * np.array([t**root for t in a.sum(axis=1).tolist()])
+
+
+def _vector_norm(v: np.ndarray, p: Exponent) -> float:
+    """_row_norms of the one row v (1-d, finite, nonempty) as a float, in
+    fewer numpy calls; bit-identical to it.  One entry's norm is its
+    absolute value for every p: the scaled entry is 1 (or 0), and so are
+    its power and root."""
+    if v.size == 1:
+        return abs(float(v[0]))
+    if p.is_inf:
+        return float(max(v.max(), -v.min())) + 0.0
+    a = np.abs(v)
+    pf = p.float_value
+    if pf == 1.0:
+        return float(a.sum())
+    m = float(a.max()) or _LEAST_POSITIVE
+    a /= m
+    a **= pf
+    return m * float(a.sum()) ** (1.0 / pf)
 
 
 def mixed_norm(x: BlockMatrix, params) -> float:
@@ -334,17 +394,26 @@ def _symmetric_power_sample(rng: np.random.Generator, p: Exponent, size) -> np.n
     draws divided by its l_p norm is uniform on the l_p sphere.
     """
     if p.is_inf:
-        return rng.uniform(-1.0, 1.0, size)
+        return _signed_uniform(rng, size)
     if p == Exponent.TWO:
         return rng.standard_normal(size)
     # A Gamma shape >= 1 takes numpy's Marsaglia-Tsang path, which accepts
     # nearly every try; Gamma(1/p) with 1/p < 1 took a slower rejection
     # loop.  The power and the product are taken in place.
-    signed = rng.uniform(-1.0, 1.0, size)
+    signed = _signed_uniform(rng, size)
     mag = rng.standard_gamma(1.0 + 1.0 / p.float_value, size)
     mag **= 1.0 / p.float_value
     mag *= signed
     return mag
+
+
+def _signed_uniform(rng: np.random.Generator, size) -> np.ndarray:
+    """rng.uniform(-1.0, 1.0, size) bit for bit, drawn faster: uniform
+    computes -1 + 2u from the same doubles u, and u * 2 - 1 rounds the same."""
+    draws = rng.random(size)
+    draws *= 2.0
+    draws -= 1.0
+    return draws
 
 
 def sample_ball(shape: BlockShape, p1, p2, seed: int, count: int) -> list[BlockMatrix]:

@@ -238,7 +238,8 @@ def _good_partition_full(s: int, d: int, r: int) -> Partition:
     memberships gives the ranks; the cells with row < s, read off an
     (m, l, r) array in (line, copy, point) order, are the groups in the
     order partition_from_sets gives them.  The certified l is l times the
-    largest pair multiplicity of the base design, counted from its pairs.
+    largest pair multiplicity of the base design, counted from its pairs
+    once per design (_line_pair_multiplicity).
     """
     design = affine_line_design(r, d)
     b_full, m = design.b, design.m
@@ -253,10 +254,7 @@ def _good_partition_full(s: int, d: int, r: int) -> Partition:
             f"point {j} lies in {l * counts[j]} sets, but every point needs at least {s}"
         )
 
-    # lines are sorted, so these (line, point) keys are too
-    keys = (np.arange(m).reshape(m, 1) * b_full + lines).ravel()
-    base_l = int(_pair_multiplicities(keys, b_full).max(initial=0))
-    del keys
+    base_l = _line_pair_multiplicity(design, lines)
     rank = np.empty_like(points)
     starts = np.repeat(np.cumsum(counts) - counts, counts)
     rank[np.argsort(points, kind="stable")] = np.arange(points.size) - starts
@@ -274,6 +272,21 @@ def _good_partition_full(s: int, d: int, r: int) -> Partition:
         l=l * base_l,
         dropped_empty=m * l - len(groups),
     )
+
+
+def _line_pair_multiplicity(design, lines: np.ndarray) -> int:
+    """The largest number of lines of an affine-line design through one
+    pair of points, given the (m, r) array of its sorted lines.  Counted
+    once per Design object and kept on it, so every s built from one
+    design shares the count, and it is dropped with the design."""
+    count = design.__dict__.get("_line_pair_multiplicity")
+    if count is None:
+        m, b_full = lines.shape[0], design.b
+        # lines are sorted, so these (line, point) keys are too
+        keys = (np.arange(m).reshape(m, 1) * b_full + lines).ravel()
+        count = int(_pair_multiplicities(keys, b_full).max(initial=0))
+        object.__setattr__(design, "_line_pair_multiplicity", count)
+    return count
 
 
 _FIELD_ORDERS = ("power_of_two", "smallest")

@@ -28,6 +28,8 @@ from .norms import (
     _abs_row_norms,
     _ball_points,
     _extreme_points_inf1,
+    _row_norms,
+    _vector_norm,
     block_norm_vector,
     ceil_power,
     float_pow,
@@ -87,6 +89,7 @@ class SpreadOperator:
         index = np.empty(n, dtype=np.int64)
         index[flat] = np.repeat(np.arange(partition.m, dtype=np.int64), sizes)
         self._group_index = index
+        self._column_groups = index.reshape(b, s)  # group of cell (i, j) at [j, i]
         # cells of group g: _group_cells[_group_start[g] : _group_start[g] + _group_size[g]]
         self._group_cells = flat
         self._group_size = sizes
@@ -106,29 +109,46 @@ class SpreadOperator:
         sums = np.bincount(self._group_index, weights=x.entries, minlength=self.dim)
         return BlockMatrix(x.shape, sums[self._group_index])
 
-    def _spread_columns(self, entries: np.ndarray, columns) -> tuple[np.ndarray, np.ndarray]:
+    def _spread_columns(self, entries: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cells where the spread of entries kept on columns can be nonzero,
         and its values there: every cell of every group that meets the
-        columns.  entries are flat, of the partition's shape; a view of a
-        wider matrix's entries is read in place.  Each group sum adds its
-        cells of the columns in flat order, as apply does (its other terms
-        are zeros), so the values are bit-identical to apply's."""
-        s = self.partition.shape.s
-        kept = (np.sort(np.asarray(columns, dtype=np.int64))[:, None] * s + np.arange(s)).ravel()
-        group = self._group_index[kept]
+        columns.
+
+        entries are flat: count grids of the partition's shape side by
+        side (a view of a wider matrix's entries is read in place), and
+        columns is a (count, kept) array, the sorted columns kept in each
+        grid.  Grid c's group ids are offset by c * dim, so one bincount
+        sums every group of every grid, each adding its cells of the
+        columns in flat order, as apply does (its other terms are zeros):
+        the values are bit-identical to apply's.  The cells index entries.
+        """
+        count = columns.shape[0]
+        s, n = self.partition.shape.s, self.partition.shape.n
+        group = self._column_groups[columns]  # (count, kept, s)
+        if count > 1:
+            copies = np.arange(count)
+            group += (self.dim * copies)[:, None, None]
+            columns = columns + (self.partition.shape.b * copies)[:, None]
+        weights = entries.reshape(-1, s)[columns].ravel()
+        group = group.ravel()
         # the distinct groups in increasing order, as np.unique gives them
         ordered = np.sort(group)
         first = np.empty(ordered.size, dtype=bool)
         first[:1] = True
         np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
         touched = ordered[first]
-        sums = np.bincount(np.searchsorted(touched, group), weights=entries[kept])
+        sums = np.bincount(np.searchsorted(touched, group), weights=weights)
+        if count > 1:
+            copy, touched = np.divmod(touched, self.dim)
         sizes = self._group_size[touched]
         # where each touched group's cells sit in _group_cells: the group's
         # start plus 0, 1, ..., size - 1
         first = np.cumsum(sizes) - sizes
         at = np.repeat(self._group_start[touched] - first, sizes) + np.arange(sizes.sum())
-        return self._group_cells[at], np.repeat(sums, sizes)
+        cells = self._group_cells[at]
+        if count > 1:
+            cells += np.repeat(copy * n, sizes)
+        return cells, np.repeat(sums, sizes)
 
 
 def spread_error_coefficient(partition: Partition, p, q1, q2) -> float:
@@ -161,7 +181,7 @@ def check_one_column_bound(op: SpreadOperator, p, q1, q2, x: BlockMatrix) -> One
     nonzero_cols = np.flatnonzero(block_norm_vector(x, Exponent.ONE))
     if nonzero_cols.size > 1:
         raise ValueError(f"support spans columns {nonzero_cols.tolist()}; need one")
-    cells, values = op._spread_columns(x.entries, nonzero_cols)
+    cells, values = op._spread_columns(x.entries, nonzero_cols.reshape(1, -1))
     residual = x.entries.copy()
     residual[cells] -= values
     lhs = mixed_norm(BlockMatrix._adopt(x.shape, residual), (q1, q2))
@@ -280,67 +300,147 @@ class ApproxResult:
         }
 
 
-def _pipeline(x: BlockMatrix, params: PipelineParams, groups, work: dict | None) -> ApproxResult:
-    """The pipeline over contiguous column groups (lo, hi, op) tiling the
-    columns of x, each op over an s x (hi - lo) partition.
+class _ColumnGroups:
+    """The column groups of one width: count contiguous groups of width
+    columns from column lo, each spread through op and keeping its best
+    kept blocks, with the one-column coefficient coeff."""
+
+    def __init__(self, op: SpreadOperator, lo: int, width: int, count: int, kept: int, coeff: float):
+        self.op, self.width, self.count, self.kept, self.coeff = op, width, count, kept, coeff
+        self.lo, self.hi = lo, lo + count * width
+        self.copies = np.arange(count)[:, None]
+        self.starts = lo + width * self.copies  # first column of each group
+
+    def run(self, y: np.ndarray, entries: np.ndarray, q2: Exponent, tail_factor: float):
+        """(selected columns, bounds, tails, cells, values) of these groups
+        for block norms y and flat entries of the whole grid: the selected
+        columns, bounds and tails one group after another, and the cells
+        of the grid the spread writes with their values."""
+        width, kept = self.width, self.kept
+        norms = y[self.lo : self.hi].reshape(self.count, width)
+        order = np.argsort(-norms, axis=1, kind="stable")  # norms are >= 0: -|y|
+        support = np.sort(order[:, :kept], axis=1)
+        if kept < width:
+            tails = _row_norms(norms[self.copies, order[:, kept:]], q2)
+        else:
+            tails = np.zeros(self.count)
+        # each group's kept norms summed left to right, as the certified
+        # bound of one group adds them; np.sum would pair them from 8 terms
+        kept_norms = norms[self.copies, support]
+        spread_sum = np.zeros(self.count)
+        for c in range(kept):
+            spread_sum += kept_norms[:, c]
+        bounds = tails * tail_factor + self.coeff * spread_sum
+        s = self.op.partition.shape.s
+        cells, values = self.op._spread_columns(entries[self.lo * s : self.hi * s], support)
+        cells += self.lo * s
+        return (support + self.starts).ravel(), bounds, tails, cells, values
+
+
+class _Plan:
+    """What a pipeline run computes once per stream: the shape checks, the
+    column groups of each width with their budgets and coefficients, the
+    tail factor and the dimension.  Kept in work and reused while the
+    params, the shape and the operators stay the same objects."""
+
+    def __init__(self, shape: BlockShape, params: PipelineParams, width: int, ops: dict):
+        s, b = shape.s, shape.b
+        full, rest = divmod(b, width)
+        widths = [w for w, count in ((width, full), (rest, 1)) if w and count]
+        missing = [w for w in widths if w not in ops]
+        if missing:
+            raise ValueError(f"no column-group operator for width {', '.join(map(str, missing))}")
+        self.params, self.shape, self.width = params, shape, width
+        self.ops = tuple((w, ops[w]) for w in widths)
+        self.groups = []
+        for w, op in self.ops:
+            if op.partition.shape != BlockShape(s, w):
+                raise ValueError("partition shape does not match the input")
+            k = params.k if w >= min(s, b) else _group_budget(w, params.alpha)
+            lo, count = (0, full) if w == width else (full * width, 1)
+            coeff = spread_error_coefficient(op.partition, params.p1, params.q1, params.q2)
+            self.groups.append(_ColumnGroups(op, lo, w, count, min(max(k - 1, 0), w), coeff))
+        self.tail_factor = float_pow(s, recip_gap(params.q1, params.p1))
+        self.dim = sum(g.op.dim * g.count for g in self.groups)
+
+    def fits(self, shape: BlockShape, params: PipelineParams, width: int, ops: dict) -> bool:
+        return (
+            params is self.params
+            and width == self.width
+            and shape == self.shape
+            and all(ops.get(w) is op for w, op in self.ops)
+        )
+
+
+class _Buffers:
+    """The grid-sized arrays of a stream's runs: |x| and then |x - Dx|
+    (abs), and the approximant (approx), zero off the cells last written."""
+
+    def __init__(self, n: int):
+        self.abs = np.empty(n)
+        self.approx = np.zeros(n)
+        self.written = np.empty(0, dtype=np.int64)
+
+
+def _pipeline(x: BlockMatrix, params: PipelineParams, width: int, ops: dict, work: dict | None) -> ApproxResult:
+    """The pipeline over contiguous column groups of width columns tiling
+    the columns of x, the last one narrower when width does not divide b;
+    ops maps each group width to its operator, over an s x width
+    partition.
 
     Each group spreads the best (k-1)-term support of its slice of the
     block norms, with k = params.k for a group as wide as min(s, b) and
     _group_budget(width, alpha) for a narrower last one.  The certified
     bound and the tail error are the q2-norms of the per-group values, so
-    one group reports its own exactly.
+    one group reports its own exactly.  The groups of one width are
+    handled together, as rows of arrays.
+
+    With work, the per-stream constants (_Plan) and the grid arrays
+    (_Buffers) are kept there for the next run; each run takes |x| once,
+    and re-zeroes only the approximant cells the previous run wrote.
     """
-    s, b = x.shape.s, x.shape.b
-    for lo, hi, op in groups:
-        if op.partition.shape != BlockShape(s, hi - lo):
-            raise ValueError("partition shape does not match the input")
-    y = block_norm_vector(x, params.p1)
-    if lq_norm(y, params.p2) > 1 + 1e-9:
+    shape = x.shape
+    plan = work.get(_Plan) if work is not None else None
+    if plan is None or not plan.fits(shape, params, width, ops):
+        plan = _Plan(shape, params, width, ops)
+        if work is not None:
+            work[_Plan] = plan
+    n, s, b = shape.n, shape.s, shape.b
+    if work is None:
+        buffers = _Buffers(n)
+    else:
+        buffers = work.get(n)
+        if buffers is None:
+            buffers = work[n] = _Buffers(n)
+    entries = x.entries
+    a = np.abs(entries, out=buffers.abs)
+    rows = a.reshape(b, s)
+    y = _abs_row_norms(rows, params.p1)
+    if not (params.p1.is_inf or params.p1.float_value == 1.0):
+        # those norms overwrote |x|; a third grid-sized array, held across
+        # the draws, would cost more memory than this second pass costs time
+        np.abs(entries, out=a)
+    if _vector_norm(y, params.p2) > 1 + 1e-9:
         raise ValueError("input lies outside the unit ball")
 
-    tail_factor = float_pow(s, recip_gap(params.q1, params.p1))
-    residual, approx_entries = _grid_arrays(x, work)
-    selected, bounds, tails = [], [], []
-    for lo, hi, op in groups:
-        width = hi - lo
-        k = params.k if width >= min(s, b) else _group_budget(width, params.alpha)
-        y_group = y[lo:hi]
-        kterm = best_k_term(y_group, min(max(k - 1, 0), width), params.q2)
-        cells, values = op._spread_columns(x.entries[lo * s : hi * s], kterm.support)
-        cells += lo * s
-        approx_entries[cells] = values
-        residual[cells] -= values
-        coeff = spread_error_coefficient(op.partition, params.p1, params.q1, params.q2)
-        spread_sum = float(sum(y_group[j] for j in kterm.support))
-        bounds.append(kterm.error * tail_factor + coeff * spread_sum)
-        tails.append(kterm.error)
-        selected.extend(lo + j for j in kterm.support)
-
-    # mixed_norm of the residual, with |residual| taken in place
-    block_norms = _abs_row_norms(np.abs(residual, out=residual).reshape(b, s), params.q1)
-    return ApproxResult(
-        selected_columns=tuple(selected),
-        approximant=BlockMatrix._adopt(x.shape, approx_entries),
-        measured_error=lq_norm(block_norms, params.q2),
-        certified_bound=lq_norm(bounds, params.q2),
-        dim=sum(op.dim for _, _, op in groups),
-        tail_error=lq_norm(tails, params.q2),
+    runs = (g.run(y, entries, params.q2, plan.tail_factor) for g in plan.groups)
+    selected, bounds, tails, cells, values = (
+        parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in zip(*runs)
     )
-
-
-def _grid_arrays(x: BlockMatrix, work: dict | None) -> tuple[np.ndarray, np.ndarray]:
-    """The pipeline's residual and approximant arrays, set to x's entries
-    and to zeros: new arrays without work, else the pair that work keeps
-    for x's size, made on first use and overwritten on every later one."""
-    n = x.shape.n
-    if work is None:
-        return x.entries.copy(), np.zeros(n)
-    if n not in work:
-        work[n] = np.empty((2, n))
-    residual, approx_entries = work[n]
-    np.copyto(residual, x.entries)
-    approx_entries.fill(0.0)
-    return residual, approx_entries
+    approx = buffers.approx
+    approx[buffers.written] = 0.0
+    approx[cells] = values
+    a[cells] = np.abs(entries[cells] - values)  # a now holds |x - Dx|
+    buffers.written = cells
+    q2 = params.q2
+    return ApproxResult(
+        selected_columns=tuple(selected.tolist()),
+        approximant=BlockMatrix._adopt(shape, approx[:] if work is not None else approx),
+        measured_error=_vector_norm(_abs_row_norms(rows, params.q1), q2),
+        certified_bound=_vector_norm(bounds, q2),
+        dim=plan.dim,
+        tail_error=_vector_norm(tails, q2),
+    )
 
 
 def approximate(
@@ -355,11 +455,15 @@ def approximate(
     subspace, and only the groups that meet those columns are touched.
 
     work, a dict that sampled_sup passes to every run of a stream, keeps
-    the grid-sized arrays of one run for the next, so a stream of points
-    allocates them once.  The approximant is then a view of those arrays
-    and holds only until the next run with the same work.
+    for the next run what depends only on the stream: the shape checks,
+    the budget, the one-column coefficient, the tail factor and the
+    dimension, reused while params and op are the same objects, and the
+    grid-sized arrays, so a stream of points allocates them once and
+    re-zeroes only the approximant cells the previous point wrote.  The
+    approximant is then a view of those arrays and holds only until the
+    next run with the same work.
     """
-    return _pipeline(x, params, [(0, x.shape.b, op)], work)
+    return _pipeline(x, params, x.shape.b, {x.shape.b: op}, work)
 
 
 def column_group_operators(s: int, b: int, d: int) -> dict[int, SpreadOperator]:
@@ -389,15 +493,17 @@ def grouped_subspace_approximate(
     when not given).  Every full group has budget params.k; a narrower
     last group takes _group_budget(width, alpha).  The certified bound
     aggregates the per-group bounds with the outer norm, which dominates
-    the mixed norm of the residual.  work is approximate's.
+    the mixed norm of the residual.  A width missing from ops is a
+    ValueError naming it, raised before any work on x.  work is
+    approximate's, reused while params and the operators of x's widths
+    are the same objects.
     """
     s, b = x.shape.s, x.shape.b
     if s >= b:
         raise ValueError(f"s={s} >= b={b}: use approximate directly")
     if ops is None:
         ops = column_group_operators(s, b, params.d)
-    groups = [(lo, min(lo + s, b), ops[min(s, b - lo)]) for lo in range(0, b, s)]
-    return _pipeline(x, params, groups, work)
+    return _pipeline(x, params, s, ops, work)
 
 
 def pipeline_points(shape: BlockShape, p1, p2, seed: int, count: int) -> Iterator[BlockMatrix]:
@@ -430,8 +536,11 @@ def sampled_sup(
     """Run the pipeline on each point and keep only the running suprema,
     so memory does not grow with the number of points.  run is called as
     run(x, work=work) with one work dict for the whole stream, as
-    approximate and grouped_subspace_approximate take it, so the points
-    reuse one set of grid-sized arrays."""
+    approximate and grouped_subspace_approximate take it: the first point
+    computes the stream's constants (shape checks, budgets, one-column
+    coefficients, tail factor, dimension) and the grid-sized arrays, and
+    every later point reuses them.  Each result's approximant is a view
+    of those arrays, read here before the next point overwrites it."""
     work: dict = {}
     count = 0
     for x in points:

@@ -88,6 +88,30 @@ class TestExponent:
             assert a < b and b > a and a <= b and not b <= a
         assert Exponent.of(2) == Exponent.TWO
 
+    def test_of_interns_equal_exponents(self):
+        assert Exponent.of("3/2") is Exponent.of(Fraction(3, 2)) is Exponent.of(1.5)
+        assert Exponent.of(" 3/2 ") is Exponent.of("3/2")
+        assert Exponent.of(2) is Exponent.of("2") is Exponent.of(2.0) is Exponent.TWO
+        assert Exponent.of(1) is Exponent.of(True) is Exponent.ONE
+        assert Exponent.of("inf") is Exponent.of(math.inf) is Exponent.of("oo") is Exponent.INF
+        assert Exponent.of(np.int64(3)) is Exponent.of(3)
+        # built directly, an exponent is its own instance, yet equal with one hash
+        twin = Exponent(Fraction(2, 3))
+        assert twin is not Exponent.of("3/2")
+        assert twin == Exponent.of("3/2") and hash(twin) == hash(Exponent.of("3/2"))
+
+    @pytest.mark.parametrize("bad", ["0", "1/2", "bogus", "-3", "1/0", 0.5, 0, Fraction(-7, 2), math.nan])
+    def test_bad_inputs_raise_every_time(self, bad):
+        # failures are not remembered: the second call raises as the first
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                Exponent.of(bad)
+
+    def test_unhashable_input_raises_type_error(self):
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                Exponent.of([2])
+
     def test_recip_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
             Exponent(Fraction(3, 2))

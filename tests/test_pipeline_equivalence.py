@@ -336,3 +336,134 @@ def test_sampled_sup_matches_max_over_the_list(p1, n, k, count, seed):
 def test_sampled_sup_rejects_an_empty_stream():
     with pytest.raises(ValueError):
         sampled_sup(iter(()), approximate)
+
+
+# ------------------------------------------------------------- large budgets
+
+# Budgets past 8 kept columns: the certified bound adds each group's kept
+# block norms left to right, where a batched np.sum pairs them from 8 terms.
+LARGE_K = st.integers(9, 16)
+
+
+def _oracle_grouped_with_budget(x, params, ops):
+    """_oracle_grouped_subspace_approximate, except that every full group
+    (width s) takes params.k, as the pipeline does when k is overridden;
+    a narrower last group keeps its own ceil_power budget."""
+    s, b = x.shape.s, x.shape.b
+    approx_entries = np.zeros(x.shape.n)
+    selected, dim, bounds, tails = [], 0, [], []
+    for lo in range(0, b, s):
+        width = min(s, b - lo)
+        sub = BlockMatrix(BlockShape(s, width), x.entries[lo * s : (lo + width) * s])
+        k = params.k if width == s else max(1, ceil_power(width, params.alpha / 4))
+        result = _oracle_approximate(sub, replace(params, k=k), ops[width])
+        approx_entries[lo * s : (lo + width) * s] = result.approximant.entries
+        selected.extend(lo + j for j in result.selected_columns)
+        dim += result.dim
+        bounds.append(result.certified_bound)
+        tails.append(result.tail_error)
+    approximant = BlockMatrix(x.shape, approx_entries)
+    return ApproxResult(
+        selected_columns=tuple(selected),
+        approximant=approximant,
+        measured_error=mixed_norm(x - approximant, (params.q1, params.q2)),
+        certified_bound=lq_norm(np.asarray(bounds), params.q2),
+        dim=dim,
+        tail_error=lq_norm(np.asarray(tails), params.q2),
+    )
+
+
+@EXAMPLES
+@given(p1=st.sampled_from(P1_VALUES), b=st.integers(9, 30), extra_rows=st.integers(0, 6), k=LARGE_K, seed=SEEDS)
+def test_approximate_matches_dense_with_large_budgets(p1, b, extra_rows, k, seed):
+    s = b + extra_rows
+    params = _params(p1, s, b, k)
+    op = SpreadOperator(good_partition(s, b, params.d, field_order=PIPELINE_FIELD_ORDER))
+    for x in _points(BlockShape(s, b), p1, seed, 2):
+        assert_same_result(approximate(x, params, op), _oracle_approximate(x, params, op))
+
+
+@EXAMPLES
+@given(p1=st.sampled_from(P1_VALUES), s=st.integers(9, 16), height=st.integers(1, 3), k=LARGE_K, seed=SEEDS)
+def test_large_budgets_when_groups_meet_several_columns(p1, s, height, k, seed):
+    # every group sum adds k - 1 values, in the order of the kept columns
+    params = _params(p1, s, s, k)
+    op = SpreadOperator(_band_partition(s, s, height))
+    for x in _points(BlockShape(s, s), p1, seed, 2):
+        assert_same_result(approximate(x, params, op), _oracle_approximate(x, params, op))
+
+
+@EXAMPLES
+@given(
+    p1=st.sampled_from(P1_VALUES),
+    s=st.integers(1, 14),
+    extra_cols=st.integers(1, 40),
+    k=st.one_of(K_VALUES, LARGE_K),
+    seed=SEEDS,
+)
+def test_grouped_matches_dense_with_budget_overrides(p1, s, extra_cols, k, seed):
+    b = s + extra_cols
+    params = _params(p1, s, b, k)
+    ops = column_group_operators(s, b, params.d)
+    for x in _points(BlockShape(s, b), p1, seed, 2):
+        assert_same_result(
+            grouped_subspace_approximate(x, params, ops), _oracle_grouped_with_budget(x, params, ops)
+        )
+
+
+# ------------------------------------------------------------- shared work
+
+
+@EXAMPLES
+@given(
+    p1=st.sampled_from(P1_VALUES),
+    s=st.integers(1, 12),
+    extra_cols=st.integers(0, 30),
+    k=st.one_of(K_VALUES, LARGE_K),
+    seed=SEEDS,
+)
+def test_shared_work_matches_fresh_runs(p1, s, extra_cols, k, seed):
+    # each approximant is compared before the next run overwrites it
+    b = s + extra_cols
+    params = _params(p1, s, b, k)
+    if b > s:
+        run = partial(grouped_subspace_approximate, params=params, ops=column_group_operators(s, b, params.d))
+    else:
+        op = SpreadOperator(good_partition(s, b, params.d, field_order=PIPELINE_FIELD_ORDER))
+        run = partial(approximate, params=params, op=op)
+    work = {}
+    for x in _points(BlockShape(s, b), p1, seed, 4):
+        assert_same_result(run(x, work=work), run(x))
+
+
+def test_shared_work_clears_the_cells_of_the_previous_point():
+    # one-column points on different columns, so consecutive points spread
+    # through different groups; then two streams of one size n = 144, a
+    # square and a wide grid, alternate on the same work
+    s = b = 12
+    shape = BlockShape(s, b)
+    params = _params("inf", s, b, 2)  # one kept column
+    op = SpreadOperator(good_partition(s, b, params.d, field_order=PIPELINE_FIELD_ORDER))
+    rng = np.random.default_rng(7)
+    points = [BlockMatrix.one_column(shape, j, rng.choice([-1.0, 1.0], s)) for j in (0, 7, 3, 3, 11)]
+    points.insert(3, BlockMatrix.zeros(shape))
+    work = {}
+    selections = []
+    for x in points:
+        shared = approximate(x, params, op, work=work)
+        assert_same_result(shared, approximate(x, params, op))
+        selections.append(shared.selected_columns)
+    assert selections[:3] == [(0,), (7,), (3,)]
+
+    wide = BlockShape(8, 18)  # column groups of widths 8, 8 and 2
+    wide_params = _params("inf", 8, 18, None)
+    ops = column_group_operators(8, 18, wide_params.d)
+    square_points = _points(shape, "inf", 21, 3)
+    wide_points = _points(wide, "inf", 22, 3)
+    for x, y in zip(square_points, wide_points):
+        assert_same_result(approximate(x, params, op, work=work), approximate(x, params, op))
+        assert_same_result(
+            grouped_subspace_approximate(y, wide_params, ops, work=work),
+            grouped_subspace_approximate(y, wide_params, ops),
+        )
+    assert [key for key in work if isinstance(key, int)] == [s * b]

@@ -18,6 +18,7 @@ from mixedwidths import (
     ceil_power,
     check_one_column_bound,
     choose_pipeline_params,
+    column_group_operators,
     d0_mixed,
     extreme_points_inf1,
     good_partition,
@@ -436,6 +437,21 @@ class TestGroupedApproximate:
         for x in sample_ball(BlockShape(s, b), "inf", 1, seed=11, count=6):
             res = grouped_subspace_approximate(x, params)
             assert res.measured_error <= res.certified_bound + 1e-9
+
+    def test_missing_width_named_before_point_work(self):
+        # groups of 8 tile 40 columns, but a 36-column point also needs width 4
+        s, b = 8, 36
+        params = choose_pipeline_params("inf", 1, 1, 2, s, b)
+        ops = column_group_operators(s, 40, params.d)
+        assert sorted(ops) == [8]
+        work = {}
+        with pytest.raises(ValueError, match="width 4"):
+            grouped_subspace_approximate(BlockMatrix.zeros(BlockShape(s, b)), params, ops, work=work)
+        # raised before the ball check: a point outside the ball fails the same way
+        outside = BlockMatrix(BlockShape(s, b), np.full(s * b, 5.0))
+        with pytest.raises(ValueError, match="width 4"):
+            grouped_subspace_approximate(outside, params, ops)
+        assert work == {}
 
     def test_other_exceptional_tuple(self):
         s, b = 12, 12
