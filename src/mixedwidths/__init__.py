@@ -2,120 +2,13 @@
 affine-line designs, grid partitions, spreading operators, a block-sparse
 approximation pipeline, width formulas, and a rigidity classifier."""
 
-from .designs import (
-    Design,
-    DesignReport,
-    GaloisField,
-    affine_line_design,
-    is_supported_order,
-    repeat_design,
-    verify_design,
-)
-from .norms import (
-    BlockMatrix,
-    BlockShape,
-    Exponent,
-    block_norm_vector,
-    ceil_power,
-    d0_mixed,
-    extreme_points_inf1,
-    float_pow,
-    lq_norm,
-    mixed_norm,
-    normalized,
-    pos_part,
-    recip_gap,
-    sample_ball,
-)
-from .partitions import (
-    Partition,
-    PartitionReport,
-    good_partition,
-    partition_from_sets,
-    restrict,
-    singleton_partition,
-    verify_partition,
-)
-from .spread import (
-    ApproxResult,
-    KTermApproximation,
-    OneColumnCheck,
-    PipelineParams,
-    SampledSup,
-    SpreadOperator,
-    approximate,
-    best_k_term,
-    check_one_column_bound,
-    choose_pipeline_params,
-    column_group_operators,
-    grouped_subspace_approximate,
-    pipeline_points,
-    sampled_sup,
-    spread_error_coefficient,
-    transposition_partition,
-)
-from .widths import (
-    CertificateRecord,
-    RegimeReport,
-    WitnessRecord,
-    b1_l2_width,
-    classify,
-    nonrigidity_witness,
-    pietsch_stesin,
-    rigidity_certificate,
-)
+from . import designs, norms, partitions, spread, widths
+from .designs import *  # noqa: F403
+from .norms import *  # noqa: F403
+from .partitions import *  # noqa: F403
+from .spread import *  # noqa: F403
+from .widths import *  # noqa: F403
 
-__all__ = [
-    "ApproxResult",
-    "BlockMatrix",
-    "BlockShape",
-    "CertificateRecord",
-    "Design",
-    "DesignReport",
-    "Exponent",
-    "GaloisField",
-    "KTermApproximation",
-    "OneColumnCheck",
-    "Partition",
-    "PartitionReport",
-    "PipelineParams",
-    "RegimeReport",
-    "SampledSup",
-    "SpreadOperator",
-    "WitnessRecord",
-    "affine_line_design",
-    "approximate",
-    "b1_l2_width",
-    "best_k_term",
-    "block_norm_vector",
-    "ceil_power",
-    "check_one_column_bound",
-    "choose_pipeline_params",
-    "classify",
-    "column_group_operators",
-    "d0_mixed",
-    "extreme_points_inf1",
-    "float_pow",
-    "good_partition",
-    "grouped_subspace_approximate",
-    "is_supported_order",
-    "lq_norm",
-    "mixed_norm",
-    "nonrigidity_witness",
-    "normalized",
-    "partition_from_sets",
-    "pietsch_stesin",
-    "pipeline_points",
-    "pos_part",
-    "recip_gap",
-    "repeat_design",
-    "restrict",
-    "rigidity_certificate",
-    "sample_ball",
-    "sampled_sup",
-    "singleton_partition",
-    "spread_error_coefficient",
-    "transposition_partition",
-    "verify_design",
-    "verify_partition",
-]
+__all__ = sorted(
+    {name for module in (designs, norms, partitions, spread, widths) for name in module.__all__}
+)

@@ -15,12 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .designs import (
-    affine_line_design,
-    design_size_error,
-    is_supported_order,
-    verify_design,
-)
+from .designs import affine_line_design, verify_design
 from .norms import BlockShape, Exponent, d0_mixed
 from .partitions import good_partition, verify_partition
 from .spread import (
@@ -151,17 +146,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_design(args) -> int:
-    if not is_supported_order(args.r) or args.r > 64:
-        print(f"error: r={args.r} is not a supported prime power <= 64", file=sys.stderr)
+    try:
+        design = affine_line_design(args.r, args.d)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.d < 2:
-        print(f"error: d={args.d} must be at least 2", file=sys.stderr)
-        return 2
-    too_large = design_size_error(args.r, args.d)
-    if too_large is not None:
-        print(f"error: {too_large}", file=sys.stderr)
-        return 2
-    design = affine_line_design(args.r, args.d)
     _emit(json.dumps(design.to_json_dict()) + "\n", args.out)
     if args.verify:
         report = verify_design(design)

@@ -4,6 +4,11 @@ The central construction is the family of all affine lines in the space
 F_r^d: it covers every pair of points exactly once, every point lies on
 (b-1)/(r-1) lines, and there are r^(d-1) * (r^d - 1)/(r - 1) lines in
 total.  Repeating every set h times multiplies the pair coverage by h.
+
+GF(r) is held as its r x r addition and multiplication tables
+(field_tables), all the line construction needs.  affine_line_design
+refuses a bad dimension, field order or grid size itself, before it
+builds anything.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from itertools import chain
 import numpy as np
 
 __all__ = [
-    "GaloisField",
+    "field_tables",
     "Design",
     "DesignReport",
     "is_supported_order",
@@ -85,64 +90,27 @@ def is_supported_order(r: int) -> bool:
     return r >= 2 and r & (r - 1) == 0 and (r.bit_length() - 1) in _IRREDUCIBLE
 
 
-class GaloisField:
-    """Field arithmetic for order r prime (integers mod r) or r = 2^u
-    (polynomials over GF(2) modulo a fixed irreducible polynomial)."""
-
-    def __init__(self, order: int):
-        if order < 2:
-            raise ValueError(f"field order {order} must be at least 2")
-        self.order = order
-        if _is_prime(order):
-            self.modulus = None
-        elif order & (order - 1) == 0:
-            u = order.bit_length() - 1
-            if u not in _IRREDUCIBLE:
-                raise ValueError(f"GF(2^{u}) not supported (u > 6)")
-            self.modulus = _IRREDUCIBLE[u]
-        else:
-            raise ValueError(f"order {order} is neither prime nor a power of two")
-
-    @property
-    def is_binary(self) -> bool:
-        return self.modulus is not None
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def add(self, x: int, y: int) -> int:
-        if self.is_binary:
-            return x ^ y
-        return (x + y) % self.order
-
-    def mul(self, x: int, y: int) -> int:
-        if not self.is_binary:
-            return (x * y) % self.order
-        acc = 0
-        a = x
-        while y:
-            if y & 1:
-                acc ^= a
-            a <<= 1
-            if a & self.order:
-                a ^= self.modulus
-            y >>= 1
-        return acc
-
-    def power(self, x: int, e: int) -> int:
-        acc = 1
-        base = x
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
-
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.power(x, self.order - 2)
+def field_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """GF(r)'s addition and multiplication tables, int64 r x r arrays:
+    the integers mod r for a prime r, and for r = 2^u polynomials over
+    GF(2) modulo _IRREDUCIBLE[u], bit-encoded, so that x + y is x XOR y."""
+    if r < 2:
+        raise ValueError(f"field order {r} must be at least 2")
+    x = np.arange(r, dtype=np.int64)
+    if _is_prime(r):
+        return np.add.outer(x, x) % r, np.multiply.outer(x, x) % r
+    if r & (r - 1):
+        raise ValueError(f"order {r} is neither prime nor a power of two")
+    u = r.bit_length() - 1
+    if u not in _IRREDUCIBLE:
+        raise ValueError(f"GF(2^{u}) not supported (u > 6)")
+    mul = np.zeros((r, r), dtype=np.int64)
+    shifted = x.copy()  # x * t^k, reduced
+    for k in range(u):
+        mul ^= shifted[:, None] * ((x >> k) & 1)  # added where y has bit k
+        shifted <<= 1
+        shifted ^= np.where(shifted & r, _IRREDUCIBLE[u], 0)
+    return np.bitwise_xor.outer(x, x), mul
 
 
 @dataclass(frozen=True)
@@ -196,12 +164,20 @@ def affine_line_design(r: int, d: int) -> Design:
     r^(d-1) points a of that hyperplane, looked up in the field tables
     for all of them at once; each line is then sorted, and the lines
     ordered by their smallest point.
+
+    Bad inputs are ValueErrors raised before anything is built, cheapest
+    first: d < 2, r < 2, a grid over either cap (design_size_error), then
+    an order with no field, so a huge r is refused by the cap without a
+    primality test.
     """
     if d < 2:
         raise ValueError(f"dimension {d} must be at least 2")
-    gf = GaloisField(r)
-    add = np.array([[gf.add(x, y) for y in gf.elements()] for x in gf.elements()])
-    mul = np.array([[gf.mul(x, y) for y in gf.elements()] for x in gf.elements()])
+    if r < 2:
+        raise ValueError(f"field order {r} must be at least 2")
+    too_large = design_size_error(r, d)
+    if too_large is not None:
+        raise ValueError(too_large)
+    add, mul = field_tables(r)
     n = r**d
     weights = r ** np.arange(d - 1, -1, -1, dtype=np.int64)
     coords = np.arange(n, dtype=np.int64)[:, None] // weights % r
@@ -295,7 +271,7 @@ def verify_design(design: Design) -> DesignReport:
     memory grow with m*r^2, about 19 bytes per pair for an affine-line
     design.  Intended for b <= 4096, where an affine-line design has 8.4
     million pairs (r = 64, d = 2: a peak of about 150 MiB); b <= 4096 is
-    MAX_DESIGN_POINTS, the cap the CLI and good_partition enforce.
+    MAX_DESIGN_POINTS, the cap affine_line_design enforces.
     """
     sizes = np.fromiter(map(len, design.sets), dtype=np.int64, count=len(design.sets))
     points = np.fromiter(chain.from_iterable(design.sets), dtype=np.int64, count=int(sizes.sum()))

@@ -13,6 +13,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,16 +79,9 @@ class Exponent:
         if isinstance(value, Exponent):
             return value
         try:
-            return _INTERNED[type(value), value]
-        except KeyError:
-            pass
+            return _interned(value)
         except TypeError:  # unhashable: parse it, remember nothing
             return _canonical(cls._parse(value))
-        exponent = _canonical(cls._parse(value))
-        if len(_INTERNED) >= _MAX_INTERNED:
-            _INTERNED.clear()
-        _INTERNED[type(value), value] = exponent
-        return exponent
 
     @classmethod
     def _parse(cls, value) -> "Exponent":
@@ -130,16 +124,19 @@ class Exponent:
         return self.recip <= other.recip
 
 
-# Exponent.of's memo, keyed by (type, value) of its argument, and the one
-# instance of each exponent it returns, keyed by recip.  The memo is
-# emptied when full, so arbitrary float inputs cannot grow it unbounded.
-_INTERNED: dict = {}
-_MAX_INTERNED = 4096
+# The one instance of each exponent Exponent.of returns, keyed by recip.
 _CANONICAL: dict[Fraction, Exponent] = {}
 
 
 def _canonical(exponent: Exponent) -> Exponent:
     return _CANONICAL.setdefault(exponent.recip, exponent)
+
+
+# Exponent.of's memo, keyed by the type and value of its argument and
+# bounded, so arbitrary float inputs cannot grow it without limit.
+@lru_cache(maxsize=4096, typed=True)
+def _interned(value) -> Exponent:
+    return _canonical(Exponent._parse(value))
 
 
 Exponent.ONE = _canonical(Exponent(Fraction(1)))

@@ -340,8 +340,10 @@ class _ColumnGroups:
 class _Plan:
     """What a pipeline run computes once per stream: the shape checks, the
     column groups of each width with their budgets and coefficients, the
-    tail factor and the dimension.  Kept in work and reused while the
-    params, the shape and the operators stay the same objects."""
+    tail factor and the dimension, and the grid-sized arrays of the runs:
+    |x| and then |x - Dx| (abs), and the approximant (approx), zero off
+    the cells last written.  Kept in work and reused while the params,
+    the shape and the operators stay the same objects."""
 
     def __init__(self, shape: BlockShape, params: PipelineParams, width: int, ops: dict):
         s, b = shape.s, shape.b
@@ -362,6 +364,9 @@ class _Plan:
             self.groups.append(_ColumnGroups(op, lo, w, count, min(max(k - 1, 0), w), coeff))
         self.tail_factor = float_pow(s, recip_gap(params.q1, params.p1))
         self.dim = sum(g.op.dim * g.count for g in self.groups)
+        self.abs = np.empty(shape.n)
+        self.approx = np.zeros(shape.n)
+        self.written = np.empty(0, dtype=np.int64)
 
     def fits(self, shape: BlockShape, params: PipelineParams, width: int, ops: dict) -> bool:
         return (
@@ -370,16 +375,6 @@ class _Plan:
             and shape == self.shape
             and all(ops.get(w) is op for w, op in self.ops)
         )
-
-
-class _Buffers:
-    """The grid-sized arrays of a stream's runs: |x| and then |x - Dx|
-    (abs), and the approximant (approx), zero off the cells last written."""
-
-    def __init__(self, n: int):
-        self.abs = np.empty(n)
-        self.approx = np.zeros(n)
-        self.written = np.empty(0, dtype=np.int64)
 
 
 def _pipeline(x: BlockMatrix, params: PipelineParams, width: int, ops: dict, work: dict | None) -> ApproxResult:
@@ -395,9 +390,9 @@ def _pipeline(x: BlockMatrix, params: PipelineParams, width: int, ops: dict, wor
     one group reports its own exactly.  The groups of one width are
     handled together, as rows of arrays.
 
-    With work, the per-stream constants (_Plan) and the grid arrays
-    (_Buffers) are kept there for the next run; each run takes |x| once,
-    and re-zeroes only the approximant cells the previous run wrote.
+    With work, the plan of the stream (_Plan: its constants and grid
+    arrays) is kept there for the next run; each run takes |x| once, and
+    re-zeroes only the approximant cells the previous run wrote.
     """
     shape = x.shape
     plan = work.get(_Plan) if work is not None else None
@@ -405,16 +400,9 @@ def _pipeline(x: BlockMatrix, params: PipelineParams, width: int, ops: dict, wor
         plan = _Plan(shape, params, width, ops)
         if work is not None:
             work[_Plan] = plan
-    n, s, b = shape.n, shape.s, shape.b
-    if work is None:
-        buffers = _Buffers(n)
-    else:
-        buffers = work.get(n)
-        if buffers is None:
-            buffers = work[n] = _Buffers(n)
     entries = x.entries
-    a = np.abs(entries, out=buffers.abs)
-    rows = a.reshape(b, s)
+    a = np.abs(entries, out=plan.abs)
+    rows = a.reshape(shape.b, shape.s)
     y = _abs_row_norms(rows, params.p1)
     if not (params.p1.is_inf or params.p1.float_value == 1.0):
         # those norms overwrote |x|; a third grid-sized array, held across
@@ -427,15 +415,15 @@ def _pipeline(x: BlockMatrix, params: PipelineParams, width: int, ops: dict, wor
     selected, bounds, tails, cells, values = (
         parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in zip(*runs)
     )
-    approx = buffers.approx
-    approx[buffers.written] = 0.0
+    approx = plan.approx
+    approx[plan.written] = 0.0
     approx[cells] = values
     a[cells] = np.abs(entries[cells] - values)  # a now holds |x - Dx|
-    buffers.written = cells
+    plan.written = cells
     q2 = params.q2
     return ApproxResult(
         selected_columns=tuple(selected.tolist()),
-        approximant=BlockMatrix._adopt(shape, approx[:] if work is not None else approx),
+        approximant=BlockMatrix._adopt(shape, approx[:]),
         measured_error=_vector_norm(_abs_row_norms(rows, params.q1), q2),
         certified_bound=_vector_norm(bounds, q2),
         dim=plan.dim,
@@ -456,12 +444,12 @@ def approximate(
 
     work, a dict that sampled_sup passes to every run of a stream, keeps
     for the next run what depends only on the stream: the shape checks,
-    the budget, the one-column coefficient, the tail factor and the
-    dimension, reused while params and op are the same objects, and the
-    grid-sized arrays, so a stream of points allocates them once and
-    re-zeroes only the approximant cells the previous point wrote.  The
-    approximant is then a view of those arrays and holds only until the
-    next run with the same work.
+    the budget, the one-column coefficient, the tail factor, the
+    dimension and the grid-sized arrays, all reused while params and op
+    are the same objects, so a stream of points allocates the arrays once
+    and re-zeroes only the approximant cells the previous point wrote.
+    The approximant is then a view of those arrays and holds only until
+    the next run with the same work.
     """
     return _pipeline(x, params, x.shape.b, {x.shape.b: op}, work)
 

@@ -24,10 +24,10 @@ from mixedwidths import (
     BlockShape,
     Design,
     DesignReport,
-    GaloisField,
     Partition,
     PartitionReport,
     affine_line_design,
+    field_tables,
     good_partition,
     is_supported_order,
     partition_from_sets,
@@ -36,6 +36,7 @@ from mixedwidths import (
     verify_design,
     verify_partition,
 )
+from mixedwidths.designs import design_size_error
 from mixedwidths.partitions import _good_partition_full
 
 # Fixed example sequence, no example database: the suite stays deterministic.
@@ -45,20 +46,25 @@ EXAMPLES = settings(max_examples=300, deadline=None, derandomize=True, database=
 # ------------------------------------------------------------- oracles
 
 
-def _oracle_canonical_direction(gf, v):
+def _oracle_canonical_direction(mul, v):
     lead = next(c for c in v if c != 0)
-    scale = gf.inv(lead)
-    return tuple(gf.mul(scale, c) for c in v)
+    scale = mul[lead].tolist().index(1)
+    return tuple(int(mul[scale, c]) for c in v)
 
 
 def _oracle_affine_line_design(r, d):
     if d < 2:
         raise ValueError(f"dimension {d} must be at least 2")
-    gf = GaloisField(r)
+    if r < 2:
+        raise ValueError(f"field order {r} must be at least 2")
+    too_large = design_size_error(r, d)
+    if too_large is not None:
+        raise ValueError(too_large)
+    add, mul = field_tables(r)
     points = list(itertools.product(range(r), repeat=d))
     index = {pt: i for i, pt in enumerate(points)}
 
-    directions = sorted({_oracle_canonical_direction(gf, pt) for pt in points if any(pt)})
+    directions = sorted({_oracle_canonical_direction(mul, pt) for pt in points if any(pt)})
     sets = []
     for v in directions:
         seen = [False] * len(points)
@@ -66,8 +72,8 @@ def _oracle_affine_line_design(r, d):
             if seen[index[a]]:
                 continue
             line = []
-            for t in gf.elements():
-                pt = tuple(gf.add(ac, gf.mul(t, vc)) for ac, vc in zip(a, v))
+            for t in range(r):
+                pt = tuple(int(add[ac, mul[t, vc]]) for ac, vc in zip(a, v))
                 line.append(index[pt])
             for i in line:
                 seen[i] = True

@@ -78,6 +78,13 @@ class TestDesignCommand:
         assert (rc, out) == (2, "") and err.startswith("error: ") and "line memberships" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_huge_order_exits_2_without_a_primality_test(self):
+        # 2^61 - 1 is prime: trial division to its square root takes minutes
+        start = time.perf_counter()
+        rc, out, err = run_cli(["design", "--r", "2305843009213693951", "--d", "2"])
+        assert (rc, out) == (2, "") and err.startswith("error: ") and "exceeds 4096 points" in err
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("r, d", [(2, 1), (2, 0), (3, -2)])
     def test_dimension_below_2_exits_2(self, r, d):
         rc, out, err = run_cli(["design", "--r", str(r), "--d", str(d)])

@@ -1,12 +1,15 @@
+import hashlib
 import itertools
+import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from mixedwidths import (
     Design,
-    GaloisField,
     affine_line_design,
+    field_tables,
     is_supported_order,
     repeat_design,
     verify_design,
@@ -15,48 +18,80 @@ from mixedwidths import (
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 11, 13, 16]
 
 
+# sha256 of the int64 bytes of the addition table, then the
+# multiplication table, of every supported order up to 64, recorded from
+# the scalar field arithmetic the tables replaced
+TABLE_DIGESTS = {
+    2: "e0e2ab06335db0a120bf836bd1238025e1f166a28ad4c5b58024fcb0b7f3790c",
+    3: "cffce48c67cbb359149810ed7be82d51276b41fef6207415e262cadfdb4ee823",
+    4: "4450d8a9fbb25198650d8f11c764d9d67452dad2da65911e7b51e603ce347a04",
+    5: "85abf1af779bdf17b77369e2c22e52a81e8442f4b3ffd388a1a68ff992c71dc6",
+    7: "d47d2047798c9f20faad86b50dc62b52eec8a5668d7ebd0a9ef2e763367e4f48",
+    8: "5f037fb7a3a3e3d85b9577b60aed3a79c638ed31036d065bdb7346f90fc311bb",
+    11: "56f1eb01bcf3ddc005ded52de5c3ac2d76f386ee8734584f2c6db01b7caea20f",
+    13: "2b791b349f218002d90967d3f2690ba794ca463645e4bfff4e31bc42c9a09f6c",
+    16: "d37030fcdd9c22139034f3d0897b7cd4f8a9c12cecb1b29dd50d5c5cef955e74",
+    17: "433889178d737594099582a58884e266fb0a1290ff6da4a2bb07f975069b6016",
+    19: "9b927223af476c1fd141fe99baa37776e55f645d6e75536a40cacdf236c72019",
+    23: "3e767e4a54a2fe23c30d902d968de99b7aacf6a6b1c5907c01e34e50b56cb63e",
+    29: "7a753a2780e0cbc837241f8cc395bcefecb57109bb37ac2f3711bdbe513c7c42",
+    31: "208845b517e7860003deedba31da5dec093a18261400ef50d3b5c050ba14da16",
+    32: "45d5e5be67f0350e8196582a586aa8848f01bc141aba1a3fcb840c797de5c2a6",
+    37: "6b88183848fc678c26ceaeb2c95f1954e814e3648edfc5aff36e12bbaf091eec",
+    41: "f61cabf3ab3e800bf1cbc4dce4b7f148a5b4b9edea6aacde6c669e9ed9517efb",
+    43: "5a4fb0ad509958d13cd4c5589d1bd10267c5eacfac42962e90d705179ff2223d",
+    47: "94e29e7693946161b8f2b30584a54e9aa1702d65895dd5df950906b02a039dfd",
+    53: "47adf036f0a9a143f0192c37d9bdbca72ebf07c8581c7f9a90bcd6f6a44b091b",
+    59: "16dd7f787691954f11409c433946a5a7aa04b7f23589afb0580ddcc8c49ab2fb",
+    61: "f498d1a9edf96d2c0c21c8df137d0cbdd921f57e33f0f120401ea6fa0d93b31f",
+    64: "51fcc993f469ca3471602275a85e02474e79b1ba9da97a62786045360c21ecc6",
+}
+
+
 class TestGaloisField:
     @pytest.mark.parametrize("r", SMALL_ORDERS)
     def test_field_axioms_exhaustive(self, r):
-        gf = GaloisField(r)
-        els = list(gf.elements())
-        add = {(a, b): gf.add(a, b) for a in els for b in els}
-        mul = {(a, b): gf.mul(a, b) for a in els for b in els}
+        add, mul = field_tables(r)
+        els = range(r)
         # identities and commutativity
         for a in els:
-            assert add[(a, 0)] == a and mul[(a, 1)] == a and mul[(a, 0)] == 0
-            for b in els:
-                assert add[(a, b)] == add[(b, a)]
-                assert mul[(a, b)] == mul[(b, a)]
+            assert add[a, 0] == a and mul[a, 1] == a and mul[a, 0] == 0
+        assert (add == add.T).all() and (mul == mul.T).all()
         # associativity and distributivity over all triples
         for a, b, c in itertools.product(els, repeat=3):
-            assert add[(add[(a, b)], c)] == add[(a, add[(b, c)])]
-            assert mul[(mul[(a, b)], c)] == mul[(a, mul[(b, c)])]
-            assert mul[(a, add[(b, c)])] == add[(mul[(a, b)], mul[(a, c)])]
-        # unique inverses
-        for a in els[1:]:
-            inverses = [b for b in els if mul[(a, b)] == 1]
-            assert inverses == [gf.inv(a)]
+            assert add[add[a, b], c] == add[a, add[b, c]]
+            assert mul[mul[a, b], c] == mul[a, mul[b, c]]
+            assert mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]
+        # unique inverses, and none for 0
+        assert (mul == 1).sum(axis=1).tolist() == [0] + [1] * (r - 1)
+
+    def test_tables_match_the_recorded_digests(self):
+        assert [r for r in range(2, 65) if is_supported_order(r)] == list(TABLE_DIGESTS)
+        for r, digest in TABLE_DIGESTS.items():
+            add, mul = field_tables(r)
+            assert add.dtype == mul.dtype == np.int64 and add.shape == mul.shape == (r, r)
+            assert hashlib.sha256(add.tobytes() + mul.tobytes()).hexdigest() == digest, r
 
     def test_characteristic_two(self):
-        assert GaloisField(2).add(1, 1) == 0
+        add, _ = field_tables(2)
+        assert add[1, 1] == 0
 
     def test_gf4_inverses(self):
-        gf = GaloisField(4)
-        for a in range(1, 4):
-            assert gf.mul(a, gf.inv(a)) == 1
+        _, mul = field_tables(4)
+        assert [mul[a].tolist().index(1) for a in range(1, 4)] == [1, 3, 2]
 
     def test_gf3_product(self):
-        assert GaloisField(3).mul(2, 2) == 1
+        _, mul = field_tables(3)
+        assert mul[2, 2] == 1
 
     def test_zero_inverse_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            GaloisField(5).inv(0)
+        _, mul = field_tables(5)
+        assert 1 not in mul[0]
 
     @pytest.mark.parametrize("bad", [1, 6, 9, 12, 15])
     def test_unsupported_orders_rejected(self, bad):
         with pytest.raises(ValueError):
-            GaloisField(bad)
+            field_tables(bad)
         assert not is_supported_order(bad)
 
     def test_supported_orders(self):
@@ -90,6 +125,14 @@ class TestAffineLineDesign:
     def test_dimension_one_rejected(self):
         with pytest.raises(ValueError):
             affine_line_design(2, 1)
+
+    def test_too_many_line_memberships_refused_before_building(self):
+        # 2^12 fits the 4096-point cap, but AG(12, 2) has 16.8 million
+        # line memberships
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="line memberships, over 6000000"):
+            affine_line_design(2, 12)
+        assert time.perf_counter() - start < 1.0
 
     def test_deterministic_enumeration(self):
         a = affine_line_design(3, 2)

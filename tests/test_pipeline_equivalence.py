@@ -466,4 +466,3 @@ def test_shared_work_clears_the_cells_of_the_previous_point():
             grouped_subspace_approximate(y, wide_params, ops, work=work),
             grouped_subspace_approximate(y, wide_params, ops),
         )
-    assert [key for key in work if isinstance(key, int)] == [s * b]
