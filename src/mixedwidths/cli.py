@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 
@@ -21,11 +20,9 @@ from .partitions import good_partition, verify_partition
 from .spread import (
     PIPELINE_FIELD_ORDER,
     SpreadOperator,
-    approximate,
+    approximate,  # noqa: F401 - perfbench's tracer patches this lookup and its self-test asserts it
     choose_pipeline_params,
     column_group_operators,
-    grouped_subspace_approximate,
-    pipeline_points,
     sampled_sup,
     transposition_partition,
 )
@@ -97,24 +94,19 @@ def sweep_row(
         params = replace(params, k=k_override)
 
     shape = BlockShape(s, b)
-    points = pipeline_points(shape, params.p1, params.p2, _derived_seed(seed, s, b), samples)
-
     if partition_kind == "transposition":
         if s != b:
             raise ValueError("transposition partition needs s == b")
         ops = {b: SpreadOperator(transposition_partition(s))}
-        run = partial(approximate, params=params, op=ops[b])
     elif partition_kind == "good":
         if s >= b:
             ops = {b: SpreadOperator(good_partition(s, b, params.d, field_order=PIPELINE_FIELD_ORDER))}
-            run = partial(approximate, params=params, op=ops[b])
         else:
             ops = column_group_operators(s, b, params.d)
-            run = partial(grouped_subspace_approximate, params=params, ops=ops)
     else:
         raise ValueError(f"unknown partition kind {partition_kind!r}")
 
-    sup = sampled_sup(points, run)
+    sup = sampled_sup(shape, params, ops, _derived_seed(seed, s, b), samples)
     sup_error = sup.sup_error
     d0 = d0_mixed(shape, params.p1, params.p2, params.q1, params.q2)
     return {

@@ -13,6 +13,7 @@ builds anything.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -32,6 +33,10 @@ __all__ = [
 # Largest ground set r^d the toolkit builds a design on: verify_design
 # peaks at about 150 MiB there (r = 64, d = 2).
 MAX_DESIGN_POINTS = 4096
+
+# Largest field order a design within MAX_DESIGN_POINTS can use (d >= 2);
+# field_tables refuses larger orders before it allocates r^2 entries.
+MAX_FIELD_ORDER = math.isqrt(MAX_DESIGN_POINTS)
 
 # Largest number of (line, point) memberships m*r of a design the toolkit
 # builds, each held in a Python tuple.  Of the designs within
@@ -72,19 +77,45 @@ _IRREDUCIBLE = {
 }
 
 
+# Miller-Rabin with the 13 prime bases up to 41 is exact below this bound,
+# the least strong pseudoprime to all of them (Sorenson and Webster, 2015);
+# larger orders are refused.  The bases up to 37 alone would be exact only
+# below 318665857834031151167461, a strong pseudoprime to each of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < _MR_LIMIT; a
+    ValueError for larger n."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"order {n} is too large to test for primality (limit {_MR_LIMIT})")
     if n < 2:
         return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < _MR_BASES[-1] ** 2:  # no prime factor up to its square root
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 1
     return True
 
 
 def is_supported_order(r: int) -> bool:
-    """True for primes and for 2^u with u <= 6."""
+    """True for primes and for 2^u with u <= 6; a ValueError for r at or
+    above 3.3 * 10^24, past the exact range of the primality test."""
     if _is_prime(r):
         return True
     return r >= 2 and r & (r - 1) == 0 and (r.bit_length() - 1) in _IRREDUCIBLE
@@ -96,6 +127,8 @@ def field_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
     GF(2) modulo _IRREDUCIBLE[u], bit-encoded, so that x + y is x XOR y."""
     if r < 2:
         raise ValueError(f"field order {r} must be at least 2")
+    if r > MAX_FIELD_ORDER:
+        raise ValueError(f"field order {r} exceeds {MAX_FIELD_ORDER}, the largest order a design can use")
     x = np.arange(r, dtype=np.int64)
     if _is_prime(r):
         return np.add.outer(x, x) % r, np.multiply.outer(x, x) % r

@@ -13,7 +13,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -301,16 +301,25 @@ def block_norm_vector(x: BlockMatrix, q1: Exponent) -> np.ndarray:
 
 _LEAST_POSITIVE = float(np.finfo(float).smallest_subnormal)
 
+# Largest |x| temporary _row_norms makes: a quarter of a chunk of points.
+_SLAB_CELLS = 2**14
+
 
 def _row_norms(rows: np.ndarray, p: Exponent) -> np.ndarray:
     """The l_p norm of every row of a 2-d array: the one kernel behind
-    lq_norm, block_norm_vector and sample_ball, so all three agree bit for bit."""
+    lq_norm, block_norm_vector, sample_ball and the pipeline, so all agree
+    bit for bit.  |rows| is taken _SLAB_CELLS cells at a time, so a chunk
+    of points needs no |x| array of its own size."""
     if rows.shape[0] == 1:
         return np.array([_vector_norm(rows[0], p)])
     if p.is_inf:
         # max |x| without an |x| array; + 0.0 turns a -0.0 maximum into 0.0
         return np.maximum(rows.max(axis=1), -rows.min(axis=1)) + 0.0
-    return _abs_row_norms(np.abs(rows), p)
+    step = max(1, _SLAB_CELLS // rows.shape[1])
+    if rows.shape[0] <= step:
+        return _abs_row_norms(np.abs(rows), p)
+    slabs = (rows[lo : lo + step] for lo in range(0, rows.shape[0], step))
+    return np.concatenate([_abs_row_norms(np.abs(slab), p) for slab in slabs])
 
 
 def _abs_row_norms(a: np.ndarray, p: Exponent) -> np.ndarray:
@@ -376,7 +385,7 @@ def normalized(x: BlockMatrix, p1, p2) -> BlockMatrix:
     return BlockMatrix(x.shape, x.entries / norm)
 
 
-def _symmetric_power_sample(rng: np.random.Generator, p: Exponent, size) -> np.ndarray:
+def _symmetric_power_sample(rng: np.random.Generator, p: Exponent, size, out=None) -> np.ndarray:
     """I.i.d. draws whose density is proportional to exp(-|t/c|^p) for
     some scale c > 0, one pass per coordinate:
 
@@ -386,31 +395,46 @@ def _symmetric_power_sample(rng: np.random.Generator, p: Exponent, size) -> np.n
       Gamma(1 + 1/p) variate, so |V| * G^(1/p) has density
       exp(-x^p) / Gamma(1 + 1/p) on x >= 0 (c = 1).
 
-    The density is right up to scale only; both callers in _ball_point
-    divide by the l_p norm, which removes the scale.  A vector of such
-    draws divided by its l_p norm is uniform on the l_p sphere.
+    The density is right up to scale only; the ball draws divide by the
+    l_p norm, which removes the scale.  A vector of such draws divided by
+    its l_p norm is uniform on the l_p sphere.  The draws go into out, a
+    C-contiguous float array of the given size, when it is given: the
+    same numbers as into a new array.
     """
+    out = np.empty(size) if out is None else out
     if p.is_inf:
-        return _signed_uniform(rng, size)
+        return _signed_uniform(rng, out)
     if p == Exponent.TWO:
-        return rng.standard_normal(size)
+        return rng.standard_normal(out=out)
     # A Gamma shape >= 1 takes numpy's Marsaglia-Tsang path, which accepts
     # nearly every try; Gamma(1/p) with 1/p < 1 took a slower rejection
     # loop.  The power and the product are taken in place.
-    signed = _signed_uniform(rng, size)
-    mag = rng.standard_gamma(1.0 + 1.0 / p.float_value, size)
+    _signed_uniform(rng, out)
+    mag = rng.standard_gamma(1.0 + 1.0 / p.float_value, out.shape)
     mag **= 1.0 / p.float_value
-    mag *= signed
-    return mag
+    out *= mag
+    return out
 
 
-def _signed_uniform(rng: np.random.Generator, size) -> np.ndarray:
-    """rng.uniform(-1.0, 1.0, size) bit for bit, drawn faster: uniform
-    computes -1 + 2u from the same doubles u, and u * 2 - 1 rounds the same."""
-    draws = rng.random(size)
-    draws *= 2.0
-    draws -= 1.0
-    return draws
+def _signed_uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """rng.uniform(-1.0, 1.0, out.shape) bit for bit, drawn faster into out:
+    uniform computes -1 + 2u from the same doubles u, and u * 2 - 1 rounds
+    the same."""
+    rng.random(out=out)
+    out *= 2.0
+    out -= 1.0
+    return out
+
+
+# Cells of the largest chunk of points drawn, or run through the pipeline,
+# together: one 256 x 256 grid.  A larger grid is a chunk of one point.
+_CHUNK_CELLS = 2**16
+
+
+def _chunk_points(shape: BlockShape) -> int:
+    """Points in each chunk of a stream over shape: as many as fit in
+    _CHUNK_CELLS cells, and at least one."""
+    return max(1, _CHUNK_CELLS // shape.n)
 
 
 def sample_ball(shape: BlockShape, p1, p2, seed: int, count: int) -> list[BlockMatrix]:
@@ -427,37 +451,80 @@ def sample_ball(shape: BlockShape, p1, p2, seed: int, count: int) -> list[BlockM
 
 
 def _ball_points(shape: BlockShape, p1, p2, seed: int, count: int) -> Iterator[BlockMatrix]:
-    """sample_ball's points drawn one at a time from the same random stream.
+    """sample_ball's points, one at a time, from the same random stream.
+    They are drawn in chunks of _chunk_points(shape) points, at most
+    _CHUNK_CELLS = 2^16 cells unless one grid alone is larger, each chunk
+    a new array, so no point shares memory with another.  The arguments
+    are checked here, before the first point is drawn."""
+    return _points(shape, _ball_chunks(shape, p1, p2, seed, count))
 
-    The arguments are checked here, before the first point is drawn.
-    """
+
+def _ball_chunks(shape: BlockShape, p1, p2, seed: int, count: int, out=None) -> Iterator[np.ndarray]:
+    """sample_ball's points drawn chunk by chunk (see _draw_chunks); the
+    arguments are checked here, before the first point is drawn."""
     if count < 1:
         raise ValueError("count must be >= 1")
     p1, p2 = Exponent.of(p1), Exponent.of(p2)
     rng = np.random.default_rng(seed)
-    return (_ball_point(rng, shape, p1, p2, interior=idx % 2 == 1) for idx in range(count))
+    return _draw_chunks(shape, count, out, partial(_draw_ball_chunk, rng, shape, p1, p2))
 
 
-def _ball_point(
-    rng: np.random.Generator, shape: BlockShape, p1: Exponent, p2: Exponent, interior: bool
-) -> BlockMatrix:
-    blocks = _symmetric_power_sample(rng, p1, (shape.b, shape.s))
+def _draw_chunks(shape: BlockShape, count: int, out, draw) -> Iterator[np.ndarray]:
+    """count points of a stream in chunks: (k, n) arrays of k successive
+    points, k = _chunk_points(shape) but in the last chunk, each filled
+    by draw(chunk, index of its first point).  With out, an array of
+    _chunk_points(shape) rows of n, every chunk is its first k rows, so a
+    chunk holds only until the next one is drawn; without out, each chunk
+    is a new array."""
+    per = _chunk_points(shape)
+    for first in range(0, count, per):
+        k = min(per, count - first)
+        chunk = np.empty((k, shape.n)) if out is None else out[:k]
+        draw(chunk, first)
+        yield chunk
+
+
+def _points(shape: BlockShape, chunks: Iterator[np.ndarray]) -> Iterator[BlockMatrix]:
+    """The points of chunks of new arrays, one at a time."""
+    for chunk in chunks:
+        for row in chunk:
+            yield BlockMatrix._adopt(shape, row)
+
+
+def _draw_ball_chunk(
+    rng: np.random.Generator, shape: BlockShape, p1: Exponent, p2: Exponent, chunk: np.ndarray, first: int
+) -> None:
+    """Draw the points first, first + 1, ... of a ball stream into the rows
+    of chunk, each from the random stream in turn: its blocks, its block
+    weights and, at odd indices, the uniform that scales it into the
+    interior.  Then every point is normalised at once, each block by its
+    p1-norm and each point's weights by their p2-norm, as one point would
+    be on its own."""
+    k, (b, s) = chunk.shape[0], (shape.b, shape.s)
+    blocks = chunk.reshape(k * b, s)
+    weights = np.empty((k, b))
+    scales = []
+    for i in range(k):
+        _symmetric_power_sample(rng, p1, (b, s), out=blocks[i * b : (i + 1) * b])
+        _symmetric_power_sample(rng, p2, b, out=weights[i])
+        if (first + i) % 2 == 1:
+            scales.append(float(rng.uniform()) ** (1.0 / shape.n))
     inner = _row_norms(blocks, p1)
-    if not (inner > 0).all():  # pragma: no cover - probability zero
-        blocks += 1e-9
-        inner = _row_norms(blocks, p1)
+    for i in np.flatnonzero(~(inner > 0).reshape(k, b).all(axis=1)):  # pragma: no cover - probability zero
+        rows = blocks[i * b : (i + 1) * b]
+        rows += 1e-9
+        inner[i * b : (i + 1) * b] = _row_norms(rows, p1)
     blocks /= inner[:, None]
-    weights = np.abs(_symmetric_power_sample(rng, p2, shape.b))
-    wnorm = lq_norm(weights, p2)
-    if wnorm == 0.0:  # pragma: no cover - probability zero
-        weights = np.ones(shape.b)
-        wnorm = lq_norm(weights, p2)
-    weights /= wnorm
-    blocks *= weights[:, None]
-    flat = blocks.reshape(-1)
-    if interior:
-        flat *= float(rng.uniform()) ** (1.0 / shape.n)
-    return BlockMatrix._adopt(shape, flat)
+    np.abs(weights, out=weights)
+    wnorm = _row_norms(weights, p2)
+    zero = wnorm == 0.0
+    if zero.any():  # pragma: no cover - probability zero
+        weights[zero] = 1.0
+        wnorm[zero] = _row_norms(weights[zero], p2)
+    weights /= wnorm[:, None]
+    blocks *= weights.reshape(-1, 1)
+    if scales:
+        chunk[(first + 1) % 2 :: 2] *= np.array(scales)[:, None]
 
 
 def extreme_points_inf1(shape: BlockShape, seed: int, count: int) -> list[BlockMatrix]:
@@ -466,15 +533,26 @@ def extreme_points_inf1(shape: BlockShape, seed: int, count: int) -> list[BlockM
 
 
 def _extreme_points_inf1(shape: BlockShape, seed: int, count: int) -> Iterator[BlockMatrix]:
-    """extreme_points_inf1's points drawn one at a time from the same
-    random stream; count is checked before the first point is drawn."""
+    """extreme_points_inf1's points one at a time, from the same random
+    stream and in new arrays, as _ball_points draws its points; count is
+    checked before the first point is drawn."""
+    return _points(shape, _extreme_chunks(shape, seed, count))
+
+
+def _extreme_chunks(shape: BlockShape, seed: int, count: int, out=None) -> Iterator[np.ndarray]:
+    """extreme_points_inf1's points drawn chunk by chunk (see _draw_chunks);
+    count is checked here, before the first point is drawn."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    return (_extreme_point_inf1(rng, shape) for _ in range(count))
+    return _draw_chunks(shape, count, out, lambda chunk, first: _draw_extreme_chunk(rng, shape, chunk))
 
 
-def _extreme_point_inf1(rng: np.random.Generator, shape: BlockShape) -> BlockMatrix:
-    j = int(rng.integers(0, shape.b))
-    signs = rng.integers(0, 2, size=shape.s) * 2 - 1
-    return BlockMatrix.one_column(shape, j, signs.astype(float))
+def _draw_extreme_chunk(rng: np.random.Generator, shape: BlockShape, chunk: np.ndarray) -> None:
+    """Each row of chunk: zero but one column of random signs, the column
+    drawn first."""
+    s = shape.s
+    chunk.fill(0.0)
+    for row in chunk:
+        j = int(rng.integers(0, shape.b))
+        row[j * s : (j + 1) * s] = rng.integers(0, 2, size=s) * 2 - 1

@@ -14,9 +14,11 @@ unnamed constants.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -26,10 +28,11 @@ from .norms import (
     BlockShape,
     Exponent,
     _abs_row_norms,
-    _ball_points,
-    _extreme_points_inf1,
+    _ball_chunks,
+    _chunk_points,
+    _extreme_chunks,
+    _points,
     _row_norms,
-    _vector_norm,
     block_norm_vector,
     ceil_power,
     float_pow,
@@ -109,45 +112,47 @@ class SpreadOperator:
         sums = np.bincount(self._group_index, weights=x.entries, minlength=self.dim)
         return BlockMatrix(x.shape, sums[self._group_index])
 
-    def _spread_columns(self, entries: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _spread_columns(
+        self, entries: np.ndarray, columns: np.ndarray, first: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Cells where the spread of entries kept on columns can be nonzero,
         and its values there: every cell of every group that meets the
         columns.
 
-        entries are flat: count grids of the partition's shape side by
-        side (a view of a wider matrix's entries is read in place), and
-        columns is a (count, kept) array, the sorted columns kept in each
-        grid.  Grid c's group ids are offset by c * dim, so one bincount
-        sums every group of every grid, each adding its cells of the
-        columns in flat order, as apply does (its other terms are zeros):
-        the values are bit-identical to apply's.  The cells index entries.
+        entries are flat, a stack of columns of s entries (one or more
+        grids, read in place), and columns is a (count, kept) array: the
+        sorted columns kept in each of count copies of the partition's
+        grid, copy c starting at column first[c] of the stack (one copy
+        at column 0 without first).  Copy c's group ids are offset by
+        c * dim, so one bincount sums every group of every copy, each
+        adding its cells of the columns in flat order, as apply does (its
+        other terms are zeros): the values are bit-identical to apply's.
+        The cells index entries.
         """
         count = columns.shape[0]
-        s, n = self.partition.shape.s, self.partition.shape.n
+        s = self.partition.shape.s
         group = self._column_groups[columns]  # (count, kept, s)
         if count > 1:
-            copies = np.arange(count)
-            group += (self.dim * copies)[:, None, None]
-            columns = columns + (self.partition.shape.b * copies)[:, None]
-        weights = entries.reshape(-1, s)[columns].ravel()
+            group += (self.dim * np.arange(count))[:, None, None]
+        weights = entries.reshape(-1, s)[columns if first is None else columns + first[:, None]].ravel()
         group = group.ravel()
         # the distinct groups in increasing order, as np.unique gives them
         ordered = np.sort(group)
-        first = np.empty(ordered.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        touched = ordered[first]
+        starts = np.empty(ordered.size, dtype=bool)
+        starts[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+        touched = ordered[starts]
         sums = np.bincount(np.searchsorted(touched, group), weights=weights)
         if count > 1:
             copy, touched = np.divmod(touched, self.dim)
         sizes = self._group_size[touched]
         # where each touched group's cells sit in _group_cells: the group's
         # start plus 0, 1, ..., size - 1
-        first = np.cumsum(sizes) - sizes
-        at = np.repeat(self._group_start[touched] - first, sizes) + np.arange(sizes.sum())
+        offsets = np.cumsum(sizes) - sizes
+        at = np.repeat(self._group_start[touched] - offsets, sizes) + np.arange(sizes.sum())
         cells = self._group_cells[at]
-        if count > 1:
-            cells += np.repeat(copy * n, sizes)
+        if first is not None:
+            cells += np.repeat(first[copy] * s, sizes) if count > 1 else first[0] * s
         return cells, np.repeat(sums, sizes)
 
 
@@ -156,14 +161,16 @@ def spread_error_coefficient(partition: Partition, p, q1, q2) -> float:
 
     c = l^(1/q1-1/p)_+ * b^(1/q2-1/p)_+ * (r-1)^(1/p), using the
     partition's certified (r, l).  Conventions: (r-1)^(1/p) is 1 when
-    p = inf and 0 when r = 1 with p finite.
+    p = inf and 0 when r = 1 with p finite.  Remembered per (r, l, b) and
+    exponents, so repeated checks on one partition pay for it once.
     """
     p, q1, q2 = Exponent.of(p), Exponent.of(q1), Exponent.of(q2)
-    return (
-        float_pow(partition.l, recip_gap(q1, p))
-        * float_pow(partition.shape.b, recip_gap(q2, p))
-        * float_pow(partition.r - 1, p.recip)
-    )
+    return _error_coefficient(partition.r, partition.l, partition.shape.b, p, q1, q2)
+
+
+@lru_cache(maxsize=4096)
+def _error_coefficient(r: int, l: int, b: int, p: Exponent, q1: Exponent, q2: Exponent) -> float:
+    return float_pow(l, recip_gap(q1, p)) * float_pow(b, recip_gap(q2, p)) * float_pow(r - 1, p.recip)
 
 
 @dataclass(frozen=True)
@@ -302,57 +309,67 @@ class ApproxResult:
 
 class _ColumnGroups:
     """The column groups of one width: count contiguous groups of width
-    columns from column lo, each spread through op and keeping its best
-    kept blocks, with the one-column coefficient coeff."""
+    columns from column lo of a b-column grid, each spread through op and
+    keeping its best kept blocks, with the one-column coefficient coeff,
+    for chunks of up to points grids."""
 
-    def __init__(self, op: SpreadOperator, lo: int, width: int, count: int, kept: int, coeff: float):
+    def __init__(
+        self, op: SpreadOperator, lo: int, width: int, count: int, kept: int, coeff: float,
+        b: int, points: int,
+    ):
         self.op, self.width, self.count, self.kept, self.coeff = op, width, count, kept, coeff
         self.lo, self.hi = lo, lo + count * width
-        self.copies = np.arange(count)[:, None]
-        self.starts = lo + width * self.copies  # first column of each group
+        # the groups of a chunk, point by point: each one's first column in
+        # its grid, and in the chunk's stack of points * b columns
+        starts = np.tile(lo + width * np.arange(count), points)
+        self.starts = starts[:, None]
+        self.first = starts + np.repeat(b * np.arange(points), count)
+        self.rows = np.arange(points * count)[:, None]
 
     def run(self, y: np.ndarray, entries: np.ndarray, q2: Exponent, tail_factor: float):
         """(selected columns, bounds, tails, cells, values) of these groups
-        for block norms y and flat entries of the whole grid: the selected
-        columns, bounds and tails one group after another, and the cells
-        of the grid the spread writes with their values."""
-        width, kept = self.width, self.kept
-        norms = y[self.lo : self.hi].reshape(self.count, width)
+        for the (k, b) block norms y of k points and their flat entries: the
+        selected columns, bounds and tails of each point's groups as its
+        row, and the cells of the entries the spread writes with their
+        values."""
+        k = y.shape[0]
+        groups, width, kept = k * self.count, self.width, self.kept
+        rows = self.rows[:groups]
+        norms = y[:, self.lo : self.hi].reshape(groups, width)
         order = np.argsort(-norms, axis=1, kind="stable")  # norms are >= 0: -|y|
         support = np.sort(order[:, :kept], axis=1)
         if kept < width:
-            tails = _row_norms(norms[self.copies, order[:, kept:]], q2)
+            tails = _row_norms(norms[rows, order[:, kept:]], q2)
         else:
-            tails = np.zeros(self.count)
+            tails = np.zeros(groups)
         # each group's kept norms summed left to right, as the certified
         # bound of one group adds them; np.sum would pair them from 8 terms
-        kept_norms = norms[self.copies, support]
-        spread_sum = np.zeros(self.count)
+        kept_norms = norms[rows, support]
+        spread_sum = np.zeros(groups)
         for c in range(kept):
             spread_sum += kept_norms[:, c]
         bounds = tails * tail_factor + self.coeff * spread_sum
-        s = self.op.partition.shape.s
-        cells, values = self.op._spread_columns(entries[self.lo * s : self.hi * s], support)
-        cells += self.lo * s
-        return (support + self.starts).ravel(), bounds, tails, cells, values
+        cells, values = self.op._spread_columns(entries, support, self.first[:groups])
+        selected = (support + self.starts[:groups]).reshape(k, self.count * kept)
+        return selected, bounds.reshape(k, self.count), tails.reshape(k, self.count), cells, values
 
 
 class _Plan:
-    """What a pipeline run computes once per stream: the shape checks, the
+    """What the pipeline computes once per stream: the shape checks, the
     column groups of each width with their budgets and coefficients, the
-    tail factor and the dimension, and the grid-sized arrays of the runs:
-    |x| and then |x - Dx| (abs), and the approximant (approx), zero off
-    the cells last written.  Kept in work and reused while the params,
-    the shape and the operators stay the same objects."""
+    tail factor and the dimension, and its arrays: entries, room for a
+    chunk of points, and for one-point runs the approximant (approx), zero
+    off the cells last written.  Kept in work and reused while the params,
+    the shape, the chunk size and the operators stay the same objects."""
 
-    def __init__(self, shape: BlockShape, params: PipelineParams, width: int, ops: dict):
+    def __init__(self, shape: BlockShape, params: PipelineParams, width: int, ops: dict, points: int):
         s, b = shape.s, shape.b
         full, rest = divmod(b, width)
         widths = [w for w, count in ((width, full), (rest, 1)) if w and count]
         missing = [w for w in widths if w not in ops]
         if missing:
             raise ValueError(f"no column-group operator for width {', '.join(map(str, missing))}")
-        self.params, self.shape, self.width = params, shape, width
+        self.params, self.shape, self.width, self.points = params, shape, width, points
         self.ops = tuple((w, ops[w]) for w in widths)
         self.groups = []
         for w, op in self.ops:
@@ -361,73 +378,94 @@ class _Plan:
             k = params.k if w >= min(s, b) else _group_budget(w, params.alpha)
             lo, count = (0, full) if w == width else (full * width, 1)
             coeff = spread_error_coefficient(op.partition, params.p1, params.q1, params.q2)
-            self.groups.append(_ColumnGroups(op, lo, w, count, min(max(k - 1, 0), w), coeff))
+            self.groups.append(_ColumnGroups(op, lo, w, count, min(max(k - 1, 0), w), coeff, b, points))
         self.tail_factor = float_pow(s, recip_gap(params.q1, params.p1))
         self.dim = sum(g.op.dim * g.count for g in self.groups)
-        self.abs = np.empty(shape.n)
-        self.approx = np.zeros(shape.n)
+        self.entries = np.empty((points, shape.n))
+        self.approx = None
         self.written = np.empty(0, dtype=np.int64)
 
-    def fits(self, shape: BlockShape, params: PipelineParams, width: int, ops: dict) -> bool:
+    def fits(self, shape: BlockShape, params: PipelineParams, width: int, ops: dict, points: int) -> bool:
         return (
             params is self.params
             and width == self.width
             and shape == self.shape
+            and points == self.points
             and all(ops.get(w) is op for w, op in self.ops)
         )
 
+    def run(self, chunk: np.ndarray):
+        """The pipeline on the k points in the rows of chunk, a (k, n) array
+        that it overwrites: (selected, measured, bounds, tails, cells,
+        values), the first four with a row or an entry per point, and the
+        cells of chunk the spread writes, with their values.
+
+        The block norms, the ball check, the selection, the spread and the
+        error norms each take one pass over the whole chunk; the residual
+        x - Dx is formed in chunk itself, then its absolute value."""
+        params, shape = self.params, self.shape
+        k = chunk.shape[0]
+        rows = chunk.reshape(k * shape.b, shape.s)
+        y = _row_norms(rows, params.p1).reshape(k, shape.b)
+        if (_row_norms(y, params.p2) > 1 + 1e-9).any():
+            raise ValueError("input lies outside the unit ball")
+        entries = chunk.reshape(-1)
+        runs = (g.run(y, entries, params.q2, self.tail_factor) for g in self.groups)
+        selected, bounds, tails, cells, values = (
+            parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1) for parts in zip(*runs)
+        )
+        entries[cells] -= values
+        np.abs(entries, out=entries)
+        q2 = params.q2
+        measured = _row_norms(_abs_row_norms(rows, params.q1).reshape(k, shape.b), q2)
+        return selected, measured, _row_norms(bounds, q2), _row_norms(tails, q2), cells, values
+
+    def approximant(self, cells: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The approximant of a one-point run, values on cells and zero
+        elsewhere, in the plan's array: it holds until the next run."""
+        if self.approx is None:
+            self.approx = np.zeros(self.shape.n)
+        self.approx[self.written] = 0.0
+        self.approx[cells] = values
+        self.written = cells
+        return self.approx
+
 
 def _pipeline(x: BlockMatrix, params: PipelineParams, width: int, ops: dict, work: dict | None) -> ApproxResult:
-    """The pipeline over contiguous column groups of width columns tiling
-    the columns of x, the last one narrower when width does not divide b;
-    ops maps each group width to its operator, over an s x width
-    partition.
+    """The pipeline on the one point x, over contiguous column groups of
+    width columns tiling the columns of x, the last one narrower when
+    width does not divide b; ops maps each group width to its operator,
+    over an s x width partition.
 
     Each group spreads the best (k-1)-term support of its slice of the
     block norms, with k = params.k for a group as wide as min(s, b) and
     _group_budget(width, alpha) for a narrower last one.  The certified
     bound and the tail error are the q2-norms of the per-group values, so
     one group reports its own exactly.  The groups of one width are
-    handled together, as rows of arrays.
+    handled together, as rows of arrays.  This is the one-point case of
+    the chunked run sampled_sup makes (_Plan.run), so both give the same
+    bits.
 
-    With work, the plan of the stream (_Plan: its constants and grid
-    arrays) is kept there for the next run; each run takes |x| once, and
+    With work, the plan of the stream (_Plan: its constants and arrays)
+    is kept there for the next run; each run copies x into the plan, and
     re-zeroes only the approximant cells the previous run wrote.
     """
     shape = x.shape
     plan = work.get(_Plan) if work is not None else None
-    if plan is None or not plan.fits(shape, params, width, ops):
-        plan = _Plan(shape, params, width, ops)
+    if plan is None or not plan.fits(shape, params, width, ops, 1):
+        plan = _Plan(shape, params, width, ops, 1)
         if work is not None:
             work[_Plan] = plan
-    entries = x.entries
-    a = np.abs(entries, out=plan.abs)
-    rows = a.reshape(shape.b, shape.s)
-    y = _abs_row_norms(rows, params.p1)
-    if not (params.p1.is_inf or params.p1.float_value == 1.0):
-        # those norms overwrote |x|; a third grid-sized array, held across
-        # the draws, would cost more memory than this second pass costs time
-        np.abs(entries, out=a)
-    if _vector_norm(y, params.p2) > 1 + 1e-9:
-        raise ValueError("input lies outside the unit ball")
-
-    runs = (g.run(y, entries, params.q2, plan.tail_factor) for g in plan.groups)
-    selected, bounds, tails, cells, values = (
-        parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in zip(*runs)
-    )
-    approx = plan.approx
-    approx[plan.written] = 0.0
-    approx[cells] = values
-    a[cells] = np.abs(entries[cells] - values)  # a now holds |x - Dx|
-    plan.written = cells
-    q2 = params.q2
+    chunk = plan.entries
+    chunk[0] = x.entries
+    selected, measured, bound, tail, cells, values = plan.run(chunk)
     return ApproxResult(
-        selected_columns=tuple(selected.tolist()),
-        approximant=BlockMatrix._adopt(shape, approx[:]),
-        measured_error=_vector_norm(_abs_row_norms(rows, params.q1), q2),
-        certified_bound=_vector_norm(bounds, q2),
+        selected_columns=tuple(selected[0].tolist()),
+        approximant=BlockMatrix._adopt(shape, plan.approximant(cells, values)[:]),
+        measured_error=float(measured[0]),
+        certified_bound=float(bound[0]),
         dim=plan.dim,
-        tail_error=_vector_norm(tails, q2),
+        tail_error=float(tail[0]),
     )
 
 
@@ -442,14 +480,15 @@ def approximate(
     support of its block norms, an element of the group-constant
     subspace, and only the groups that meet those columns are touched.
 
-    work, a dict that sampled_sup passes to every run of a stream, keeps
-    for the next run what depends only on the stream: the shape checks,
-    the budget, the one-column coefficient, the tail factor, the
-    dimension and the grid-sized arrays, all reused while params and op
-    are the same objects, so a stream of points allocates the arrays once
-    and re-zeroes only the approximant cells the previous point wrote.
-    The approximant is then a view of those arrays and holds only until
-    the next run with the same work.
+    work, a dict passed to every run of a stream, keeps for the next run
+    what depends only on the stream: the shape checks, the budget, the
+    one-column coefficient, the tail factor, the dimension and the
+    grid-sized arrays, all reused while params and op are the same
+    objects, so a stream of points allocates the arrays once and
+    re-zeroes only the approximant cells the previous point wrote.  The
+    approximant is then a view of those arrays and holds only until the
+    next run with the same work.  sampled_sup runs whole chunks of points
+    through the same pipeline instead.
     """
     return _pipeline(x, params, x.shape.b, {x.shape.b: op}, work)
 
@@ -495,22 +534,28 @@ def grouped_subspace_approximate(
 
 
 def pipeline_points(shape: BlockShape, p1, p2, seed: int, count: int) -> Iterator[BlockMatrix]:
-    """The points sweep rows and witnesses sample, drawn one at a time: count
+    """The points sweep rows and witnesses sample, one at a time: count
     points of the (p1, p2) ball from seed (sample_ball's), then for the
     (inf, 1) ball count extreme points from seed + 1 (extreme_points_inf1's).
     """
+    return _points(shape, _pipeline_chunks(shape, p1, p2, seed, count))
+
+
+def _pipeline_chunks(shape: BlockShape, p1, p2, seed: int, count: int, out=None) -> Iterator[np.ndarray]:
+    """pipeline_points' points in chunks, drawn into out when it is given
+    (see norms._draw_chunks); a chunk never mixes ball and extreme points."""
     p1, p2 = Exponent.of(p1), Exponent.of(p2)
-    points = _ball_points(shape, p1, p2, seed, count)
+    chunks = _ball_chunks(shape, p1, p2, seed, count, out)
     if p1.is_inf and p2 == Exponent.ONE:
-        points = chain(points, _extreme_points_inf1(shape, seed + 1, count))
-    return points
+        chunks = chain(chunks, _extreme_chunks(shape, seed + 1, count, out))
+    return chunks
 
 
 @dataclass(frozen=True)
 class SampledSup:
     """What a sweep row or witness keeps of a stream of points: the suprema of
     the measured error and of the certified bound, the dimension of the
-    first point's subspace and the number of points."""
+    pipeline's subspace and the number of points."""
 
     sup_error: float
     sup_bound: float
@@ -519,31 +564,31 @@ class SampledSup:
 
 
 def sampled_sup(
-    points: Iterable[BlockMatrix], run: Callable[..., ApproxResult]
+    shape: BlockShape, params: PipelineParams, ops: dict[int, SpreadOperator], seed: int, count: int
 ) -> SampledSup:
-    """Run the pipeline on each point and keep only the running suprema,
-    so memory does not grow with the number of points.  run is called as
-    run(x, work=work) with one work dict for the whole stream, as
-    approximate and grouped_subspace_approximate take it: the first point
-    computes the stream's constants (shape checks, budgets, one-column
-    coefficients, tail factor, dimension) and the grid-sized arrays, and
-    every later point reuses them.  Each result's approximant is a view
-    of those arrays, read here before the next point overwrites it."""
-    work: dict = {}
-    count = 0
-    for x in points:
-        result = run(x, work=work)
-        if count == 0:
-            sup_error, sup_bound, dim = result.measured_error, result.certified_bound, result.dim
-        else:
-            sup_error = max(sup_error, result.measured_error)
-            sup_bound = max(sup_bound, result.certified_bound)
-        count += 1
-        # drop this point and its approximant before the next one is drawn
-        del x, result
-    if count == 0:
-        raise ValueError("no points to evaluate")
-    return SampledSup(sup_error=sup_error, sup_bound=sup_bound, dim=dim, count=count)
+    """The suprema of the pipeline's measured error and certified bound
+    over pipeline_points(shape, params.p1, params.p2, seed, count), the
+    pipeline taking column groups of min(s, b) columns: approximate's
+    for s >= b (ops = {b: op}), grouped_subspace_approximate's for s < b
+    (ops as column_group_operators gives them).  The floats are those of
+    a loop of approximate or grouped_subspace_approximate over the points.
+
+    The points are drawn and evaluated in chunks of _chunk_points(shape)
+    points, at most 2^16 cells (one 256 x 256 grid) unless one grid alone
+    is larger: each chunk is drawn into the one array of the stream's
+    plan, normalised at once and run through the pipeline in one pass
+    (_Plan.run), and only the running suprema are kept, so memory does
+    not grow with count.  count below 1 is a ValueError, raised before
+    any point is drawn."""
+    plan = _Plan(shape, params, min(shape.s, shape.b), ops, _chunk_points(shape))
+    sup_error = sup_bound = -math.inf
+    seen = 0
+    for chunk in _pipeline_chunks(shape, params.p1, params.p2, seed, count, plan.entries):
+        _, measured, bounds, *_ = plan.run(chunk)
+        sup_error = max(sup_error, *measured.tolist())
+        sup_bound = max(sup_bound, *bounds.tolist())
+        seen += len(chunk)
+    return SampledSup(sup_error=sup_error, sup_bound=sup_bound, dim=plan.dim, count=seen)
 
 
 def transposition_partition(s: int) -> Partition:

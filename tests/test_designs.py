@@ -98,6 +98,33 @@ class TestGaloisField:
         for r in SMALL_ORDERS + [32, 64]:
             assert is_supported_order(r)
 
+    def test_primality_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+        for lo in (0, 10**4, 10**6):
+            orders = [n for n in range(lo, lo + 1000) if n & (n - 1)]
+            assert [is_supported_order(n) for n in orders] == [trial(n) for n in orders]
+
+    def test_large_orders_are_tested_at_once(self):
+        start = time.perf_counter()
+        assert is_supported_order(2**61 - 1)  # a Mersenne prime
+        assert not is_supported_order(2**61 + 1)
+        # a strong pseudoprime to every prime base up to 37, not to 41
+        assert not is_supported_order(318665857834031151167461)
+        assert time.perf_counter() - start < 0.1
+
+    def test_orders_past_the_exact_range_refused(self):
+        with pytest.raises(ValueError, match="too large"):
+            is_supported_order(3317044064679887385961981)
+
+    def test_tables_refuse_orders_no_design_uses(self):
+        with pytest.raises(ValueError, match="exceeds 64"):
+            field_tables(67)
+        with pytest.raises(ValueError, match="exceeds 64"):
+            field_tables(2**61 - 1)
+        assert field_tables(64)[0].shape == (64, 64)
+
 
 class TestAffineLineDesign:
     @pytest.mark.parametrize(

@@ -37,10 +37,18 @@ from mixedwidths import (
     sampled_sup,
     transposition_partition,
 )
-from mixedwidths.norms import _ball_points, _extreme_points_inf1, _row_norms, _symmetric_power_sample
+from mixedwidths.norms import (
+    _CHUNK_CELLS,
+    _ball_points,
+    _chunk_points,
+    _extreme_points_inf1,
+    _row_norms,
+    _symmetric_power_sample,
+)
 from mixedwidths.spread import (
     PIPELINE_FIELD_ORDER,
     ApproxResult,
+    _Plan,
     best_k_term,
     ceil_power,
     float_pow,
@@ -326,7 +334,7 @@ def test_sampled_sup_matches_max_over_the_list(p1, n, k, count, seed):
         points += _oracle_extreme_points_inf1(shape, seed + 1, count)
     results = [_oracle_approximate(x, params, op) for x in points]
 
-    sup = sampled_sup(pipeline_points(shape, p1, 1, seed, count), partial(approximate, params=params, op=op))
+    sup = sampled_sup(shape, params, {n: op}, seed, count)
     assert _bits(sup.sup_error) == _bits(max(r.measured_error for r in results))
     assert _bits(sup.sup_bound) == _bits(max(r.certified_bound for r in results))
     assert sup.dim == results[0].dim
@@ -334,8 +342,115 @@ def test_sampled_sup_matches_max_over_the_list(p1, n, k, count, seed):
 
 
 def test_sampled_sup_rejects_an_empty_stream():
+    params = _params("inf", 2, 2, None)
     with pytest.raises(ValueError):
-        sampled_sup(iter(()), approximate)
+        sampled_sup(BlockShape(2, 2), params, {2: SpreadOperator(transposition_partition(2))}, 0, 0)
+
+
+# ------------------------------------------------------------- chunks
+
+# Grids of 2^12 to 2^15 cells, so a chunk holds 2 to 16 points.
+CHUNKED_SIDES = st.integers(64, 181)
+
+
+@st.composite
+def _chunked_streams(draw):
+    """(kind, s, b, count): a square good or transposition partition, or a
+    wide grid whose last column group is narrower, with a count of points
+    below the chunk size, equal to it, or not a multiple of it."""
+    kind = draw(st.sampled_from(("good", "transposition", "wide")))
+    if kind == "wide":
+        s = draw(st.integers(16, 40))
+        b = draw(st.integers(-(-4096 // s), 32768 // s).filter(lambda b: b % s))
+    else:
+        s = b = draw(CHUNKED_SIDES)
+    per = _chunk_points(BlockShape(s, b))
+    count = draw(
+        st.one_of(
+            st.integers(1, per - 1),
+            st.just(per),
+            st.builds(lambda m, r: m * per + r, st.integers(1, 2), st.integers(1, per - 1)),
+        )
+    )
+    return kind, s, b, count
+
+
+@EXAMPLES
+@given(p1=st.sampled_from(P1_VALUES), stream=_chunked_streams(), seed=SEEDS)
+def test_chunked_sampled_sup_matches_a_loop_over_the_points(p1, stream, seed):
+    kind, s, b, count = stream
+    shape = BlockShape(s, b)
+    assert 2 <= _chunk_points(shape) <= 16 and s * b <= _CHUNK_CELLS // 2
+    params = _params(p1, s, b, None)
+    if kind == "wide":
+        assert s < b and b % s
+        ops = column_group_operators(s, b, params.d)
+        run = partial(grouped_subspace_approximate, params=params, ops=ops)
+    else:
+        partition = transposition_partition(s) if kind == "transposition" else good_partition(
+            s, b, params.d, field_order=PIPELINE_FIELD_ORDER
+        )
+        ops = {b: SpreadOperator(partition)}
+        run = partial(approximate, params=params, op=ops[b])
+    points = _oracle_sample_ball(shape, p1, 1, seed, count)
+    if Exponent.of(p1).is_inf:
+        points += _oracle_extreme_points_inf1(shape, seed + 1, count)
+    results = [run(x) for x in points]
+
+    sup = sampled_sup(shape, params, ops, seed, count)
+    assert _bits(sup.sup_error) == _bits(max(r.measured_error for r in results))
+    assert _bits(sup.sup_bound) == _bits(max(r.certified_bound for r in results))
+    assert sup.dim == results[0].dim
+    assert sup.count == len(points)
+
+
+def test_a_point_outside_the_ball_in_the_middle_of_a_chunk_raises():
+    s = b = 100  # 6 points a chunk
+    shape = BlockShape(s, b)
+    params = _params("2", s, b, None)
+    op = SpreadOperator(good_partition(s, b, params.d, field_order=PIPELINE_FIELD_ORDER))
+    plan = _Plan(shape, params, b, {b: op}, _chunk_points(shape))
+    points = _oracle_sample_ball(shape, "2", 1, 3, 6)
+    chunk = plan.entries
+    chunk[:] = [x.entries for x in points]
+    chunk[3] *= 2.0  # the sphere point 2 scaled out of the ball
+    with pytest.raises(ValueError, match="input lies outside the unit ball"):
+        plan.run(chunk)
+    chunk[:] = [x.entries for x in points]
+    plan.run(chunk)  # the same chunk inside the ball runs
+
+
+@pytest.mark.parametrize("p1,p2", [("2", "1"), ("inf", "1"), ("3/2", "2"), ("4", "3/2")])
+def test_lists_drawn_in_chunks_equal_the_list_samplers(p1, p2):
+    # 7 chunks of 6 points and a last one of 3: every point equals the
+    # oracle's once the whole list is drawn, and no two share memory
+    shape, count = BlockShape(100, 100), 45
+    assert _chunk_points(shape) == 6
+    ball = sample_ball(shape, p1, p2, 11, count)
+    extreme = extreme_points_inf1(shape, 12, count)
+    assert_same_points(ball, _oracle_sample_ball(shape, p1, p2, 11, count))
+    assert_same_points(extreme, _oracle_extreme_points_inf1(shape, 12, count))
+    for points in (ball, extreme):
+        for i in range(1, count):
+            assert not np.shares_memory(points[i - 1].entries, points[i].entries)
+
+
+@pytest.mark.parametrize(
+    "s,b", [(1, 1), (8, 8), (100, 100), (128, 128), (255, 257), (256, 256), (300, 290), (24, 640)]
+)
+def test_chunks_stay_within_the_cell_budget(s, b):
+    shape = BlockShape(s, b)
+    params = _params("inf", s, b, None)
+    if s < b:
+        ops = column_group_operators(s, b, params.d)
+    else:
+        ops = {b: SpreadOperator(good_partition(s, b, params.d, field_order=PIPELINE_FIELD_ORDER))}
+    plan = _Plan(shape, params, min(s, b), ops, _chunk_points(shape))
+    assert plan.entries.shape == (_chunk_points(shape), shape.n)
+    assert plan.entries.size <= max(_CHUNK_CELLS, shape.n)
+    if shape.n <= _CHUNK_CELLS:
+        assert plan.entries.size > _CHUNK_CELLS - shape.n  # one more point would not fit
+    assert plan.approx is None  # no approximant array for a chunked stream
 
 
 # ------------------------------------------------------------- large budgets

@@ -2,7 +2,6 @@ import itertools
 import math
 import tracemalloc
 from dataclasses import replace
-from functools import partial
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +11,7 @@ from mixedwidths import (
     BlockMatrix,
     BlockShape,
     Exponent,
+    Partition,
     SpreadOperator,
     approximate,
     best_k_term,
@@ -21,12 +21,12 @@ from mixedwidths import (
     column_group_operators,
     d0_mixed,
     extreme_points_inf1,
+    float_pow,
     good_partition,
     grouped_subspace_approximate,
     lq_norm,
     mixed_norm,
     partition_from_sets,
-    pipeline_points,
     sample_ball,
     sampled_sup,
     singleton_partition,
@@ -34,6 +34,7 @@ from mixedwidths import (
     transposition_partition,
     verify_partition,
 )
+from mixedwidths.spread import _error_coefficient
 
 
 def _transposition_image(x: BlockMatrix) -> np.ndarray:
@@ -132,6 +133,18 @@ class TestErrorCoefficient:
     def test_good_16_16_2(self):
         part = good_partition(16, 16, 2)
         assert spread_error_coefficient(part, "inf", 1, 2) == pytest.approx(16.0, abs=1e-12)
+
+    def test_remembered_per_parameters_and_exponents(self):
+        # the value is the formula's, computed once per (r, l, b, p, q1, q2)
+        # whatever the partition object and the spelling of the exponents
+        part = good_partition(12, 10, 2)
+        formula = float_pow(part.l, Fraction(1, 6)) * float_pow(part.r - 1, Fraction(1, 2))
+        first = spread_error_coefficient(part, 2, "3/2", 2)
+        hits = _error_coefficient.cache_info().hits
+        twin = Partition(part.shape, part.groups, r=part.r, l=part.l)
+        again = spread_error_coefficient(twin, "2", Fraction(3, 2), 2)
+        assert first == again == formula
+        assert _error_coefficient.cache_info().hits == hits + 1
 
 
 class TestOneColumnBound:
@@ -356,16 +369,16 @@ class TestApproximate:
 
 class TestSampledSup:
     def test_memory_stays_within_a_few_points(self):
-        # 64 ball points through a prebuilt operator: each point and its
-        # approximant are dropped before the next point is drawn
+        # 64 ball points through a prebuilt operator, in chunks of 4 drawn
+        # into the stream's one array: memory does not grow with the count
         s = b = 128
         params = choose_pipeline_params("2", 1, 1, 2, s, b)
         part = good_partition(s, b, params.d, field_order="smallest")
-        run = partial(approximate, params=params, op=SpreadOperator(part))
-        sampled_sup(pipeline_points(BlockShape(s, b), "2", 1, 0, 1), run)  # first-call imports
+        ops = {b: SpreadOperator(part)}
+        sampled_sup(BlockShape(s, b), params, ops, 0, 1)  # first-call imports
         tracemalloc.start()
         try:
-            sup = sampled_sup(pipeline_points(BlockShape(s, b), "2", 1, 0, 64), run)
+            sup = sampled_sup(BlockShape(s, b), params, ops, 0, 64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
