@@ -18,11 +18,9 @@ from .designs import affine_line_design, verify_design
 from .norms import BlockShape, Exponent, d0_mixed
 from .partitions import good_partition, verify_partition
 from .spread import (
-    PIPELINE_FIELD_ORDER,
-    SpreadOperator,
     approximate,  # noqa: F401 - perfbench's tracer patches this lookup and its self-test asserts it
     choose_pipeline_params,
-    column_group_operators,
+    pipeline_operators,
     sampled_sup,
     transposition_partition,
 )
@@ -94,18 +92,7 @@ def sweep_row(
         params = replace(params, k=k_override)
 
     shape = BlockShape(s, b)
-    if partition_kind == "transposition":
-        if s != b:
-            raise ValueError("transposition partition needs s == b")
-        ops = {b: SpreadOperator(transposition_partition(s))}
-    elif partition_kind == "good":
-        if s >= b:
-            ops = {b: SpreadOperator(good_partition(s, b, params.d, field_order=PIPELINE_FIELD_ORDER))}
-        else:
-            ops = column_group_operators(s, b, params.d)
-    else:
-        raise ValueError(f"unknown partition kind {partition_kind!r}")
-
+    ops = pipeline_operators(s, b, params.d, partition_kind)
     sup = sampled_sup(shape, params, ops, _derived_seed(seed, s, b), samples)
     sup_error = sup.sup_error
     d0 = d0_mixed(shape, params.p1, params.p2, params.q1, params.q2)

@@ -14,6 +14,7 @@ builds anything.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -115,7 +116,9 @@ def _is_prime(n: int) -> bool:
 
 def is_supported_order(r: int) -> bool:
     """True for primes and for 2^u with u <= 6; a ValueError for r at or
-    above 3.3 * 10^24, past the exact range of the primality test."""
+    above 3.3 * 10^24, past the exact range of the primality test.  Any
+    integer type is taken as its int; a float is a TypeError."""
+    r = operator.index(r)
     if _is_prime(r):
         return True
     return r >= 2 and r & (r - 1) == 0 and (r.bit_length() - 1) in _IRREDUCIBLE

@@ -60,6 +60,7 @@ __all__ = [
     "approximate",
     "column_group_operators",
     "grouped_subspace_approximate",
+    "pipeline_operators",
     "pipeline_points",
     "SampledSup",
     "sampled_sup",
@@ -357,10 +358,8 @@ class _ColumnGroups:
 class _Plan:
     """What the pipeline computes once per stream: the shape checks, the
     column groups of each width with their budgets and coefficients, the
-    tail factor and the dimension, and its arrays: entries, room for a
-    chunk of points, and for one-point runs the approximant (approx), zero
-    off the cells last written.  Kept in work and reused while the params,
-    the shape, the chunk size and the operators stay the same objects."""
+    tail factor and the dimension, and entries, room for a chunk of
+    points."""
 
     def __init__(self, shape: BlockShape, params: PipelineParams, width: int, ops: dict, points: int):
         s, b = shape.s, shape.b
@@ -369,10 +368,10 @@ class _Plan:
         missing = [w for w in widths if w not in ops]
         if missing:
             raise ValueError(f"no column-group operator for width {', '.join(map(str, missing))}")
-        self.params, self.shape, self.width, self.points = params, shape, width, points
-        self.ops = tuple((w, ops[w]) for w in widths)
+        self.params, self.shape = params, shape
         self.groups = []
-        for w, op in self.ops:
+        for w in widths:
+            op = ops[w]
             if op.partition.shape != BlockShape(s, w):
                 raise ValueError("partition shape does not match the input")
             k = params.k if w >= min(s, b) else _group_budget(w, params.alpha)
@@ -382,17 +381,6 @@ class _Plan:
         self.tail_factor = float_pow(s, recip_gap(params.q1, params.p1))
         self.dim = sum(g.op.dim * g.count for g in self.groups)
         self.entries = np.empty((points, shape.n))
-        self.approx = None
-        self.written = np.empty(0, dtype=np.int64)
-
-    def fits(self, shape: BlockShape, params: PipelineParams, width: int, ops: dict, points: int) -> bool:
-        return (
-            params is self.params
-            and width == self.width
-            and shape == self.shape
-            and points == self.points
-            and all(ops.get(w) is op for w, op in self.ops)
-        )
 
     def run(self, chunk: np.ndarray):
         """The pipeline on the k points in the rows of chunk, a (k, n) array
@@ -420,18 +408,8 @@ class _Plan:
         measured = _row_norms(_abs_row_norms(rows, params.q1).reshape(k, shape.b), q2)
         return selected, measured, _row_norms(bounds, q2), _row_norms(tails, q2), cells, values
 
-    def approximant(self, cells: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """The approximant of a one-point run, values on cells and zero
-        elsewhere, in the plan's array: it holds until the next run."""
-        if self.approx is None:
-            self.approx = np.zeros(self.shape.n)
-        self.approx[self.written] = 0.0
-        self.approx[cells] = values
-        self.written = cells
-        return self.approx
 
-
-def _pipeline(x: BlockMatrix, params: PipelineParams, width: int, ops: dict, work: dict | None) -> ApproxResult:
+def _pipeline(x: BlockMatrix, params: PipelineParams, width: int, ops: dict) -> ApproxResult:
     """The pipeline on the one point x, over contiguous column groups of
     width columns tiling the columns of x, the last one narrower when
     width does not divide b; ops maps each group width to its operator,
@@ -444,24 +422,19 @@ def _pipeline(x: BlockMatrix, params: PipelineParams, width: int, ops: dict, wor
     one group reports its own exactly.  The groups of one width are
     handled together, as rows of arrays.  This is the one-point case of
     the chunked run sampled_sup makes (_Plan.run), so both give the same
-    bits.
-
-    With work, the plan of the stream (_Plan: its constants and arrays)
-    is kept there for the next run; each run copies x into the plan, and
-    re-zeroes only the approximant cells the previous run wrote.
+    bits.  Each run builds its own one-point plan, and the approximant is
+    a new array of the result's own.
     """
     shape = x.shape
-    plan = work.get(_Plan) if work is not None else None
-    if plan is None or not plan.fits(shape, params, width, ops, 1):
-        plan = _Plan(shape, params, width, ops, 1)
-        if work is not None:
-            work[_Plan] = plan
+    plan = _Plan(shape, params, width, ops, 1)
     chunk = plan.entries
     chunk[0] = x.entries
     selected, measured, bound, tail, cells, values = plan.run(chunk)
+    approximant = np.zeros(shape.n)
+    approximant[cells] = values
     return ApproxResult(
         selected_columns=tuple(selected[0].tolist()),
-        approximant=BlockMatrix._adopt(shape, plan.approximant(cells, values)[:]),
+        approximant=BlockMatrix._adopt(shape, approximant),
         measured_error=float(measured[0]),
         certified_bound=float(bound[0]),
         dim=plan.dim,
@@ -469,9 +442,7 @@ def _pipeline(x: BlockMatrix, params: PipelineParams, width: int, ops: dict, wor
     )
 
 
-def approximate(
-    x: BlockMatrix, params: PipelineParams, op: SpreadOperator, work: dict | None = None
-) -> ApproxResult:
+def approximate(x: BlockMatrix, params: PipelineParams, op: SpreadOperator) -> ApproxResult:
     """Spread the heaviest k-1 blocks of x through op's partition.
 
     x must lie in the (p1, p2) unit ball.  This is the column-group
@@ -479,28 +450,20 @@ def approximate(
     approximant is the spread of x restricted to the best (k-1)-term
     support of its block norms, an element of the group-constant
     subspace, and only the groups that meet those columns are touched.
-
-    work, a dict passed to every run of a stream, keeps for the next run
-    what depends only on the stream: the shape checks, the budget, the
-    one-column coefficient, the tail factor, the dimension and the
-    grid-sized arrays, all reused while params and op are the same
-    objects, so a stream of points allocates the arrays once and
-    re-zeroes only the approximant cells the previous point wrote.  The
-    approximant is then a view of those arrays and holds only until the
-    next run with the same work.  sampled_sup runs whole chunks of points
-    through the same pipeline instead.
+    The run owns its arrays: the approximant is the result's own.
+    sampled_sup runs whole chunks of points through the same pipeline.
     """
-    return _pipeline(x, params, x.shape.b, {x.shape.b: op}, work)
+    return _pipeline(x, params, x.shape.b, {x.shape.b: op})
 
 
 def column_group_operators(s: int, b: int, d: int) -> dict[int, SpreadOperator]:
-    """Spreading operator of every distinct column-group width of a wide
+    """Spreading operator of every distinct column-group width of an
     s x b grid, keyed by width, each over that width's good partition.
 
-    The grouped pipeline splits the b columns into contiguous groups of
-    at most s, so at most two widths occur: s and the remainder.  Build
-    this once and pass it to grouped_subspace_approximate for every point
-    of the grid.
+    The pipeline splits the b columns into contiguous groups of at most
+    s, so at most two widths occur: s and the remainder on a wide grid,
+    b alone when s >= b.  Build this once and pass it to
+    grouped_subspace_approximate for every point of a wide grid.
     """
     return {
         width: SpreadOperator(good_partition(s, width, d, field_order=PIPELINE_FIELD_ORDER))
@@ -512,7 +475,6 @@ def grouped_subspace_approximate(
     x: BlockMatrix,
     params: PipelineParams,
     ops: dict[int, SpreadOperator] | None = None,
-    work: dict | None = None,
 ) -> ApproxResult:
     """Pipeline for wide grids (s < b): the column-group pipeline over
     ceil(b/s) contiguous groups of at most s columns, each with its own
@@ -521,16 +483,30 @@ def grouped_subspace_approximate(
     last group takes _group_budget(width, alpha).  The certified bound
     aggregates the per-group bounds with the outer norm, which dominates
     the mixed norm of the residual.  A width missing from ops is a
-    ValueError naming it, raised before any work on x.  work is
-    approximate's, reused while params and the operators of x's widths
-    are the same objects.
+    ValueError naming it, raised before x is read.
     """
     s, b = x.shape.s, x.shape.b
     if s >= b:
         raise ValueError(f"s={s} >= b={b}: use approximate directly")
     if ops is None:
         ops = column_group_operators(s, b, params.d)
-    return _pipeline(x, params, s, ops, work)
+    return _pipeline(x, params, s, ops)
+
+
+def pipeline_operators(s: int, b: int, d: int, kind: str) -> dict[int, SpreadOperator]:
+    """The operators sweep rows and witnesses run sampled_sup with on an
+    s x b grid, keyed by column-group width.  kind "good" gives
+    column_group_operators(s, b, d): for s >= b, the one good partition of
+    the whole grid.  kind "transposition" gives the transposition
+    partition of a square grid; a grid that is not square is a ValueError,
+    and so is any other kind."""
+    if kind == "good":
+        return column_group_operators(s, b, d)
+    if kind == "transposition":
+        if s != b:
+            raise ValueError("transposition partition needs s == b")
+        return {s: SpreadOperator(transposition_partition(s))}
+    raise ValueError(f"unknown partition kind {kind!r}")
 
 
 def pipeline_points(shape: BlockShape, p1, p2, seed: int, count: int) -> Iterator[BlockMatrix]:
@@ -570,7 +546,7 @@ def sampled_sup(
     over pipeline_points(shape, params.p1, params.p2, seed, count), the
     pipeline taking column groups of min(s, b) columns: approximate's
     for s >= b (ops = {b: op}), grouped_subspace_approximate's for s < b
-    (ops as column_group_operators gives them).  The floats are those of
+    (ops as pipeline_operators gives them).  The floats are those of
     a loop of approximate or grouped_subspace_approximate over the points.
 
     The points are drawn and evaluated in chunks of _chunk_points(shape)

@@ -362,6 +362,28 @@ def test_pipeline_golden_stdout(args, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+# stdout of the README's CLI examples, recorded before sweep rows and
+# witnesses took their operators from spread.pipeline_operators
+README_COMMANDS = [
+    ("classify --p1 inf --p2 1 --q1 1 --q2 2", "readme_classify_inf_1_1_2.txt"),
+    ("design --r 2 --d 2 --verify", "readme_design_r2_d2_verify.txt"),
+    ("partition --s 16 --b 16 --d 2 --verify", "readme_partition_s16_b16_d2_verify.txt"),
+    ("bound --p1 inf --p2 1 --q1 1 --q2 2 --s 16 --b 16", "readme_bound_inf_1_1_2_s16_b16.txt"),
+    (
+        "sweep --p1 inf --p2 1 --q1 1 --q2 2 --sizes 16x16 64x64 256x256 --partition transposition --seed 0",
+        "readme_sweep_transposition_seed0.csv",
+    ),
+    ("example-transpose --sizes 4 8 16", "readme_example_transpose_4_8_16.json"),
+]
+
+
+@pytest.mark.parametrize("args, golden", README_COMMANDS)
+def test_readme_commands_golden_stdout(args, golden):
+    rc, out, err = run_cli(args.split())
+    assert (rc, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text()
+
+
 class TestExampleTranspose:
     def test_default_sizes(self):
         rc, out, _ = run_cli(["example-transpose", "--samples", "2"])

@@ -114,6 +114,15 @@ class TestGaloisField:
         assert not is_supported_order(318665857834031151167461)
         assert time.perf_counter() - start < 0.1
 
+    @pytest.mark.parametrize("r, supported", [(np.int64(8), True), (np.int64(6), False), (np.int64(7), True)])
+    def test_numpy_integer_orders_read_as_ints(self, r, supported):
+        assert is_supported_order(r) == supported
+
+    @pytest.mark.parametrize("r", [8.0, 7.0])
+    def test_float_orders_refused(self, r):
+        with pytest.raises(TypeError):
+            is_supported_order(r)
+
     def test_orders_past_the_exact_range_refused(self):
         with pytest.raises(ValueError, match="too large"):
             is_supported_order(3317044064679887385961981)

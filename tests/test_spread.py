@@ -457,14 +457,12 @@ class TestGroupedApproximate:
         params = choose_pipeline_params("inf", 1, 1, 2, s, b)
         ops = column_group_operators(s, 40, params.d)
         assert sorted(ops) == [8]
-        work = {}
         with pytest.raises(ValueError, match="width 4"):
-            grouped_subspace_approximate(BlockMatrix.zeros(BlockShape(s, b)), params, ops, work=work)
+            grouped_subspace_approximate(BlockMatrix.zeros(BlockShape(s, b)), params, ops)
         # raised before the ball check: a point outside the ball fails the same way
         outside = BlockMatrix(BlockShape(s, b), np.full(s * b, 5.0))
         with pytest.raises(ValueError, match="width 4"):
             grouped_subspace_approximate(outside, params, ops)
-        assert work == {}
 
     def test_other_exceptional_tuple(self):
         s, b = 12, 12

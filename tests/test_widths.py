@@ -22,6 +22,7 @@ from mixedwidths import (
     sample_ball,
 )
 from mixedwidths import spread
+from mixedwidths.cli import sweep_row
 
 GRID_VALUES = (1, "4/3", "3/2", 2, "5/2", 3, 4, 8, "inf")
 
@@ -201,6 +202,22 @@ class TestWitness:
     def test_square_witness_uses_smallest_order(self):
         record = nonrigidity_witness("inf", 1, 1, 2, 64, 64, samples=2)
         assert record.n == good_partition(64, 64, 4, field_order="smallest").m == 1688
+
+    def test_negative_seed_refused_before_the_partitions(self):
+        # (6/5, 1, 1, 2) needs d = 12, a design grid good_partition refuses
+        with pytest.raises(ValueError, match="line memberships"):
+            nonrigidity_witness("6/5", 1, 1, 2, 16, 16)
+        with pytest.raises(ValueError, match="^seed=-1 must be non-negative$"):
+            nonrigidity_witness("6/5", 1, 1, 2, 16, 16, seed=-1)
+
+    @pytest.mark.parametrize("kind", ["transposition", "diagonal"])
+    def test_refused_like_a_sweep_row(self, kind):
+        # a 12 x 16 grid is not square, and "diagonal" is no kind at all
+        with pytest.raises(ValueError) as row:
+            sweep_row("inf", 1, 1, 2, 12, 16, samples=2, partition_kind=kind)
+        with pytest.raises(ValueError) as witness:
+            nonrigidity_witness("inf", 1, 1, 2, 12, 16, samples=2, strategy=kind)
+        assert str(witness.value) == str(row.value)
 
     def test_analytic_stub_for_coordinate_failures(self):
         record = nonrigidity_witness(1, 1, 3, 1, 8, 8)
