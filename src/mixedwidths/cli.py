@@ -85,6 +85,8 @@ def sweep_row(
         raise ValueError(f"k={k_override} must be at least 1")
     if seed < 0:
         raise ValueError(f"seed={seed} must be non-negative")
+    if samples < 1:
+        raise ValueError(f"samples={samples} must be at least 1")
     params = choose_pipeline_params(p1, p2, q1, q2, s, b)
     if d_override is not None:
         params = replace(params, d=d_override)

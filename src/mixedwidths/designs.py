@@ -8,16 +8,17 @@ total.  Repeating every set h times multiplies the pair coverage by h.
 GF(r) is held as its r x r addition and multiplication tables
 (field_tables), all the line construction needs.  affine_line_design
 refuses a bad dimension, field order or grid size itself, before it
-builds anything.
+builds anything, and fills a Design's int64 arrays (PointSets) directly.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "field_tables",
     "Design",
     "DesignReport",
+    "PointSets",
     "is_supported_order",
     "affine_line_design",
     "repeat_design",
@@ -40,10 +42,9 @@ MAX_DESIGN_POINTS = 4096
 MAX_FIELD_ORDER = math.isqrt(MAX_DESIGN_POINTS)
 
 # Largest number of (line, point) memberships m*r of a design the toolkit
-# builds, each held in a Python tuple.  Of the designs within
-# MAX_DESIGN_POINTS only 2^12 (16.8 million) is over it: four times 2^11
-# (4.2 million), whose cold build takes about 2.7 s and 190 MiB.  4^6
-# (5.6 million) takes 1.7 s and 160 MiB.
+# builds.  Of the designs within MAX_DESIGN_POINTS only 2^12 (16.8 million)
+# is over it: four times 2^11 (4.2 million), built cold in about 0.8 s
+# (peak 80 MiB) and verified in 0.5 s (250 MiB); 4^6 (5.6 million) in 0.5 s.
 MAX_DESIGN_MEMBERSHIPS = 6_000_000
 
 
@@ -149,41 +150,116 @@ def field_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
     return np.bitwise_xor.outer(x, x), mul
 
 
+class _Ragged(Sequence):
+    """A tuple of int tuples as read-only int64 arrays: ``sizes``, then one
+    array per name in _FIELDS holding every item's members in turn (an
+    int for one field, a tuple of ints for several).  It reads, slices,
+    iterates, compares (either way round) and hashes as that tuple, and
+    copies and pickles as read-only arrays.
+    """
+
+    __slots__ = ("sizes", "_ends")
+    _FIELDS: tuple[str, ...] = ()
+
+    @classmethod
+    def _of(cls, *arrays: np.ndarray):
+        """Items over new int64 arrays, sizes then _FIELDS, handed over."""
+        held = object.__new__(cls)
+        for name, a in zip(("sizes", *cls._FIELDS), arrays):
+            a.setflags(write=False)
+            setattr(held, name, a)
+        held._ends = None
+        return held
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in ("sizes", *self._FIELDS))
+
+    def __reduce__(self):
+        return type(self)._of, self._arrays()
+
+    def _members(self, start: int = 0, end: int | None = None):
+        columns = [a[start:end].tolist() for a in self._arrays()[1:]]
+        return zip(*columns) if len(columns) > 1 else columns[0]
+
+    def __len__(self) -> int:
+        return self.sizes.size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        k = range(len(self))[k]  # negative indices, and IndexError out of range
+        if self._ends is None:
+            self._ends = np.cumsum(self.sizes)
+        end = int(self._ends[k])
+        return tuple(self._members(end - int(self.sizes[k]), end))
+
+    def __iter__(self):
+        members = iter(self._members())
+        return (tuple(islice(members, n)) for n in self.sizes.tolist())
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return all(map(np.array_equal, self._arrays(), other._arrays()))
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({tuple(self)!r})"
+
+
+class PointSets(_Ragged):
+    """A design's sets: ``sizes``, then ``points`` of every set in turn.
+    Sets may be ragged, repeat a point or leave the ground set."""
+
+    __slots__ = _FIELDS = ("points",)
+
+    def __new__(cls, sets: Sequence[Sequence[int]]):
+        sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+        return cls._of(sizes, np.fromiter(chain.from_iterable(sets), np.int64, int(sizes.sum())))
+
+
 @dataclass(frozen=True)
 class Design:
     """m sets of size r over ground set [b], every pair covered l times.
 
     Point indices are 0-based; each point lies in l*(b-1)/(r-1) sets and
-    m = l*b*(b-1)/(r^2 - r) whenever the coverage is exact.
+    m = l*b*(b-1)/(r^2 - r) whenever the coverage is exact.  ``sets`` is a
+    PointSets; the constructor converts a tuple (or lists) of int tuples.
     """
 
     b: int
     r: int
     l: int
-    sets: tuple[tuple[int, ...], ...]
+    sets: PointSets
+
+    def __post_init__(self):
+        if not isinstance(self.sets, PointSets):
+            object.__setattr__(self, "sets", PointSets(self.sets))
 
     @property
     def m(self) -> int:
         return len(self.sets)
 
     def point_replication(self) -> list[int]:
-        counts = [0] * self.b
-        for s in self.sets:
-            for p in s:
-                counts[p] += 1
-        return counts
+        return np.bincount(self.sets.points, minlength=self.b).tolist()
 
     def to_json_dict(self) -> dict:
-        return {"b": self.b, "r": self.r, "l": self.l, "sets": [list(s) for s in self.sets]}
+        sizes, points = self.sets.sizes, self.sets.points
+        if points.size and sizes.min() == sizes.max() and 0 <= points.min() and points.max() < self.b:
+            # one reshape, and one int object per point of [b], shared by the lists
+            sets = np.arange(self.b, dtype=object)[points.reshape(sizes.size, -1)].tolist()
+        else:
+            sets = [list(s) for s in self.sets]
+        return {"b": self.b, "r": self.r, "l": self.l, "sets": sets}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Design":
-        return cls(
-            b=int(data["b"]),
-            r=int(data["r"]),
-            l=int(data["l"]),
-            sets=tuple(tuple(int(p) for p in s) for s in data["sets"]),
-        )
+        sets = [[int(p) for p in s] for s in data["sets"]]
+        return cls(b=int(data["b"]), r=int(data["r"]), l=int(data["l"]), sets=sets)
 
 
 @lru_cache(maxsize=None)
@@ -193,13 +269,14 @@ def affine_line_design(r: int, d: int) -> Design:
     Points are indexed by their position in lexicographic coordinate
     order.  Lines are emitted grouped by canonical direction (first
     nonzero coordinate scaled to 1), each direction's lines ordered by
-    smallest point, so the output is deterministic.
+    smallest point, so the output is deterministic: line t has direction
+    t // r^(d-1), since each direction has r^(d-1) parallel lines.
 
     A line of direction v, whose leading coordinate is v_i = 1, meets the
-    hyperplane x_i = 0 exactly once.  So v's lines are a + t*v for the
-    r^(d-1) points a of that hyperplane, looked up in the field tables
-    for all of them at once; each line is then sorted, and the lines
-    ordered by their smallest point.
+    hyperplane x_i = 0 exactly once, at its smallest point.  So v's lines
+    are a + t*v for the r^(d-1) points a of that hyperplane, in order,
+    computed in the field tables for every direction of lead i at once,
+    and then sorted, into one (m, r) int64 array.
 
     Bad inputs are ValueErrors raised before anything is built, cheapest
     first: d < 2, r < 2, a grid over either cap (design_size_error), then
@@ -219,14 +296,18 @@ def affine_line_design(r: int, d: int) -> Design:
     coords = np.arange(n, dtype=np.int64)[:, None] // weights % r
     lead_at = (coords != 0).argmax(axis=1)
     canonical = coords[np.arange(n), lead_at] == 1
-    planes = [coords[coords[:, i] == 0] for i in range(d)]
-    ints = np.arange(n).astype(object)  # one int object per point
-    sets: list[tuple[int, ...]] = []
-    for v, i in zip(coords[canonical], lead_at[canonical].tolist()):  # in sorted order
-        lines = (add[planes[i][:, None, :], mul[:, v]] * weights).sum(axis=2)
-        lines.sort(axis=1)
-        sets += map(tuple, ints[lines[np.argsort(lines[:, 0])]].tolist())
-    return Design(b=n, r=r, l=1, sets=tuple(sets))
+    blocks = []
+    for i in range(d - 1, -1, -1):  # directions with a later lead come first
+        dirs = coords[canonical & (lead_at == i)]
+        plane = coords[coords[:, i] == 0]
+        # lines[v, a, t] = a + t*v, point by point, for v's of lead i
+        lines = np.zeros((len(dirs), len(plane), r), dtype=np.int64)
+        for k in range(d):
+            lines += add[plane[None, :, k, None], mul[:, dirs[:, k]].T[:, None, :]] * weights[k]
+        blocks.append(lines.reshape(-1, r))
+    lines = np.concatenate(blocks)
+    lines.sort(axis=1)
+    return Design(b=n, r=r, l=1, sets=PointSets._of(np.full(len(lines), r, dtype=np.int64), lines.ravel()))
 
 
 def repeat_design(design: Design, h: int) -> Design:
@@ -299,25 +380,26 @@ def _pair_multiplicities(keys: np.ndarray, n: int) -> np.ndarray:
 def verify_design(design: Design) -> DesignReport:
     """Exhaustive check of set sizes and pair-coverage multiplicity.
 
-    Violations are collected, never raised.  The sets are flattened into
-    arrays: sizes and range checks are elementwise, repeated points come
-    from one sort of the (set, point) keys, and the pair coverage from
-    one array with an entry per pair inside each set, r*(r-1)/2 per set
-    (a run of equal sets counted once), summed after one sort.  Time and
-    memory grow with m*r^2, about 19 bytes per pair for an affine-line
+    Violations are collected, never raised.  The design's arrays are read
+    as they are: sizes and range checks are elementwise, repeated points
+    come from one sort of the (set, point) keys, and the pair coverage
+    from one array with an entry per pair inside each set, r*(r-1)/2 per
+    set (a run of equal sets counted once), summed after one sort.  Time
+    and memory grow with m*r^2, about 19 bytes per pair for an affine-line
     design.  Intended for b <= 4096, where an affine-line design has 8.4
     million pairs (r = 64, d = 2: a peak of about 150 MiB); b <= 4096 is
     MAX_DESIGN_POINTS, the cap affine_line_design enforces.
     """
-    sizes = np.fromiter(map(len, design.sets), dtype=np.int64, count=len(design.sets))
-    points = np.fromiter(chain.from_iterable(design.sets), dtype=np.int64, count=int(sizes.sum()))
+    sizes, points = design.sets.sizes, design.sets.points
     owner = np.repeat(np.arange(sizes.size), sizes)
-    labels, point_id = np.unique(points, return_inverse=True)
+    inside = (points >= 0) & (points < design.b)
+    fits = inside.all() and max(design.b, sizes.size) * design.b < 2**63  # no relabelling needed
+    labels, point_id = (np.arange(design.b), points) if fits else np.unique(points, return_inverse=True)
     keys = np.sort(owner * labels.size + point_id)
     repeats = np.zeros(sizes.size, dtype=bool)
     repeats[keys[np.diff(keys, prepend=-1) == 0] // labels.size] = True
     wrong_size = sizes != design.r
-    outside = np.bincount(owner[(points < 0) | (points >= design.b)], minlength=sizes.size) > 0
+    outside = np.bincount(owner[~inside], minlength=sizes.size) > 0
 
     violations = []
     for k in np.flatnonzero(repeats | wrong_size | outside).tolist():
@@ -335,7 +417,9 @@ def verify_design(design: Design) -> DesignReport:
     if n_pairs == 0:
         l_observed = None
     else:
-        values = set(np.unique(counts).tolist())
+        values = {int(counts.min()), int(counts.max())} if counts.size else set()
+        if len(values) > 1:  # np.unique only for coverage that is not constant
+            values = set(np.unique(counts).tolist())
         if counts.size < n_pairs:
             values.add(0)
         if len(values) == 1:

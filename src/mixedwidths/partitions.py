@@ -6,8 +6,8 @@ The workhorse constructor assigns, for every column j, its s cells to the
 s lowest-indexed input sets containing j; all three guarantees are then
 inherited from the set system.  Good parameters come from an affine-line
 design with every line taken l times, enough that every point is covered
-s-fold; good_partition builds that partition from the memberships of the
-base design, without materialising the repeated sets.
+s-fold; good_partition builds that partition row by row, row i holding
+the lines of the design's (i // l)-th direction.
 """
 
 from __future__ import annotations
@@ -15,12 +15,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
 from .designs import (
+    PointSets,
     _pair_multiplicities,
+    _Ragged,
     affine_line_design,
     design_size_error,
     is_supported_order,
@@ -41,79 +43,24 @@ __all__ = [
 Cell = tuple[int, int]
 
 
-class CellGroups(Sequence):
-    """The cell groups of a partition, held as three read-only int64
-    arrays: ``sizes``, the size of each group, then ``rows`` and ``cols``,
-    the row and column of every cell, group by group.
-
-    It reads, iterates, compares and hashes as the tuple of groups of
-    (row, col) int tuples it stands for, so it can be built from such a
-    tuple (or lists, as JSON gives them) and compares equal to it either
-    way round.  Cells may lie outside any grid and groups may be empty or
-    overlap: verify_partition reports such defects, it does not rule them
-    out.
+class CellGroups(_Ragged):
+    """The cell groups of a partition as read-only int64 arrays: ``sizes``,
+    then ``rows`` and ``cols``, the row and column of every cell, group by
+    group.  It reads as the tuple of groups of (row, col) int tuples it
+    stands for (designs._Ragged) and is built from one (or lists, as JSON
+    gives them).  Cells may lie outside any grid and groups may be empty
+    or overlap: verify_partition reports such defects.
     """
 
-    __slots__ = ("sizes", "rows", "cols", "_ends")
+    __slots__ = _FIELDS = ("rows", "cols")
 
-    def __init__(self, groups: Sequence[Sequence[Cell]]):
+    def __new__(cls, groups: Sequence[Sequence[Cell]]):
         sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
         cells = list(chain.from_iterable(groups))
         flat = np.array(cells, dtype=np.int64) if cells else np.empty((0, 2), dtype=np.int64)
         if flat.shape != (len(cells), 2):
             raise ValueError("every cell must be a (row, col) pair")
-        self._set(sizes, flat[:, 0].copy(), flat[:, 1].copy())
-
-    @classmethod
-    def _of(cls, sizes: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> "CellGroups":
-        """Groups over int64 arrays the caller has just built and hands over."""
-        groups = cls.__new__(cls)
-        groups._set(sizes, rows, cols)
-        return groups
-
-    def _set(self, sizes, rows, cols) -> None:
-        for a in (sizes, rows, cols):
-            a.setflags(write=False)
-        self.sizes, self.rows, self.cols = sizes, rows, cols
-        self._ends = None
-
-    def __reduce__(self):
-        # copies and unpickled copies come back read-only too
-        return CellGroups._of, (self.sizes, self.rows, self.cols)
-
-    def __len__(self) -> int:
-        return self.sizes.size
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self[i] for i in range(*k.indices(len(self))))
-        k = range(len(self))[k]  # negative indices, and IndexError out of range
-        if self._ends is None:
-            self._ends = np.cumsum(self.sizes)
-        end = int(self._ends[k])
-        start = end - int(self.sizes[k])
-        return tuple(zip(self.rows[start:end].tolist(), self.cols[start:end].tolist()))
-
-    def __iter__(self):
-        cells = zip(self.rows.tolist(), self.cols.tolist())
-        return (tuple(islice(cells, n)) for n in self.sizes.tolist())
-
-    def __eq__(self, other):
-        if isinstance(other, CellGroups):
-            return (
-                np.array_equal(self.sizes, other.sizes)
-                and np.array_equal(self.rows, other.rows)
-                and np.array_equal(self.cols, other.cols)
-            )
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"CellGroups({tuple(self)!r})"
+        return cls._of(sizes, flat[:, 0].copy(), flat[:, 1].copy())
 
 
 @dataclass(frozen=True)
@@ -181,8 +128,8 @@ def partition_from_sets(sets: Sequence[Sequence[int]], s: int, b: int) -> Partit
     one stable sort of the (set, point) keys, whose distinct values also
     give the pairs counted for l.
     """
-    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-    points = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=int(sizes.sum()))
+    sets = sets if isinstance(sets, PointSets) else PointSets(sets)
+    sizes, points = sets.sizes, sets.points
     outside = (points < 0) | (points >= b)
     if outside.any():
         first = int(outside.argmax())
@@ -229,64 +176,27 @@ def partition_from_sets(sets: Sequence[Sequence[int]], s: int, b: int) -> Partit
 def _good_partition_full(s: int, d: int, r: int) -> Partition:
     """The partition of [s] x [r^d] that partition_from_sets makes from
     the affine-line design on F_r^d with each line repeated
-    l = ceil(s*(r-1)/(r^d - 1)) times, built without the repeat.
+    l = ceil(s*(r-1)/(r^d - 1)) times, built row by row without the repeat.
 
-    Copy c of base line t is set t*l + c of the repeated family, so point
-    j's sets there are its base lines in order, each l times over: in
-    copy c of line t, j takes row l*rank(t, j) + c, where rank(t, j) is
-    t's place among j's lines.  One stable argsort of the m*r base
-    memberships gives the ranks; the cells with row < s, read off an
-    (m, l, r) array in (line, copy, point) order, are the groups in the
-    order partition_from_sets gives them.  The certified l is l times the
-    largest pair multiplicity of the base design, counted from its pairs
-    once per design (_line_pair_multiplicity).
+    Line t has direction t // r^(d-1), and a point lies on one line of
+    each direction, so its k-th line has its k-th direction: copy c of
+    line t lies in the one row l*(t // r^(d-1)) + c, and row i holds the
+    lines of direction i // l.  The groups are the copies whose row is
+    below s, in (line, copy) order as partition_from_sets gives them.  The
+    certified l is the repeat count: the design covers each pair once.
     """
     design = affine_line_design(r, d)
     b_full, m = design.b, design.m
-    l = -(-(s * (r - 1)) // (b_full - 1))  # ceil
-    lines = np.fromiter(chain.from_iterable(design.sets), dtype=np.int64, count=m * r).reshape(m, r)
-    points = lines.ravel()
-    counts = np.bincount(points, minlength=b_full)
-    short = np.flatnonzero(l * counts < s)
-    if short.size:
-        j = short[0]
-        raise ValueError(
-            f"point {j} lies in {l * counts[j]} sets, but every point needs at least {s}"
-        )
-
-    base_l = _line_pair_multiplicity(design, lines)
-    rank = np.empty_like(points)
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    rank[np.argsort(points, kind="stable")] = np.arange(points.size) - starts
-    rows = l * rank.reshape(m, 1, r) + np.arange(l).reshape(l, 1)
-    del rank
-    keep = rows < s
-    sizes = keep.sum(axis=2, dtype=np.int64).ravel()
-    groups = CellGroups._of(
-        sizes[sizes > 0], rows[keep], np.broadcast_to(lines[:, None, :], rows.shape)[keep]
-    )
-    return Partition(
-        shape=BlockShape(s, b_full),
-        groups=groups,
-        r=r,
-        l=l * base_l,
-        dropped_empty=m * l - len(groups),
-    )
-
-
-def _line_pair_multiplicity(design, lines: np.ndarray) -> int:
-    """The largest number of lines of an affine-line design through one
-    pair of points, given the (m, r) array of its sorted lines.  Counted
-    once per Design object and kept on it, so every s built from one
-    design shares the count, and it is dropped with the design."""
-    count = design.__dict__.get("_line_pair_multiplicity")
-    if count is None:
-        m, b_full = lines.shape[0], design.b
-        # lines are sorted, so these (line, point) keys are too
-        keys = (np.arange(m).reshape(m, 1) * b_full + lines).ravel()
-        count = int(_pair_multiplicities(keys, b_full).max(initial=0))
-        object.__setattr__(design, "_line_pair_multiplicity", count)
-    return count
+    n_dir = (b_full - 1) // (r - 1)
+    l = -(-s // n_dir)  # ceil(s*(r-1)/(b_full - 1))
+    if l * n_dir < s:  # every point lies on n_dir lines, l copies each
+        raise ValueError(f"point 0 lies in {l * n_dir} sets, but every point needs at least {s}")
+    lines = design.sets.points.reshape(m, r)
+    row = l * (np.arange(m) // (m // n_dir))[:, None] + np.arange(l)
+    line, copy = np.nonzero(row < s)
+    sizes = np.full(line.size, r, dtype=np.int64)
+    groups = CellGroups._of(sizes, np.repeat(row[line, copy], r), lines[line].ravel())
+    return Partition(BlockShape(s, b_full), groups, r=r, l=l, dropped_empty=m * l - line.size)
 
 
 _FIELD_ORDERS = ("power_of_two", "smallest")
@@ -312,10 +222,11 @@ def good_partition(s: int, b: int, d: int, *, field_order: str = "power_of_two")
     Routes through a design grid b' = r^d >= b: builds the affine-line
     design on b' points with block size r, partitions [s] x [b'] as
     partition_from_sets does with each line taken l = ceil(s*(r-1)/(b'-1))
-    times, so every point is covered s-fold (the repeated sets are never
-    built), and restricts to the first b columns.  A design grid over
-    MAX_DESIGN_POINTS points or MAX_DESIGN_MEMBERSHIPS line memberships is
-    refused before anything is built.
+    times, so every point is covered s-fold (row i holds the lines of the
+    (i // l)-th direction; the repeat is never built), and restricts to
+    the first b columns.  A design grid over MAX_DESIGN_POINTS points or
+    MAX_DESIGN_MEMBERSHIPS line memberships is refused before anything is
+    built.
 
     field_order picks r: "power_of_two" (the default) takes the least
     r = 2^u with r^d >= b; "smallest" takes the least supported order,

@@ -251,6 +251,8 @@ def nonrigidity_witness(
     """
     if seed < 0:
         raise ValueError(f"seed={seed} must be non-negative")
+    if samples < 1:
+        raise ValueError(f"samples={samples} must be at least 1")
     report = classify(p1, p2, q1, q2)
     if report.rigid:
         raise ValueError("tuple is rigid; no non-rigidity witness exists")

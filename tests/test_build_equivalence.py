@@ -9,8 +9,12 @@ points, ragged sets) must give equal reports or the same ValueError
 message.
 """
 
+import copy
 import hashlib
 import itertools
+import json
+import math
+import pickle
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
@@ -26,6 +30,7 @@ from mixedwidths import (
     DesignReport,
     Partition,
     PartitionReport,
+    PointSets,
     affine_line_design,
     field_tables,
     good_partition,
@@ -384,6 +389,103 @@ def test_full_partition_matches_repeated_design(s, d, r):
     assert (full.shape, full.r, full.l, full.dropped_empty) == (
         expected.shape, expected.r, expected.l, expected.dropped_empty
     )
+
+
+@pytest.mark.parametrize("r,d", DESIGN_GRIDS + list(DESIGN_DIGESTS))
+def test_affine_line_designs_cover_every_pair_once(r, d):
+    # the certified l of a good partition is its repeat count because of this
+    report = verify_design(affine_line_design(r, d))
+    assert report.ok and report.l_observed == 1
+
+
+@pytest.mark.parametrize("s,d,r", list(_full_partition_cases()))
+def test_full_partition_certifies_the_repeat_count(s, d, r):
+    b_full = r**d
+    full = _good_partition_full(s, d, r)
+    assert (full.r, full.l) == (r, math.ceil(s * (r - 1) / (b_full - 1)))
+    if s * b_full <= 10**6:
+        report = verify_partition(full)
+        assert report.ok and report.l_observed == full.l
+
+
+@EXAMPLES
+@given(grid_params)
+def test_good_partition_rows_are_parallel_classes(params):
+    # every group lies in one row, and row i holds the lines of direction
+    # i // l (the design's r^(d-1) lines from line (i // l) * r^(d-1) on),
+    # each cut to the columns below b
+    s, b, d, order = params
+    part = good_partition(s, b, d, field_order=order)
+    if b == 1:
+        return
+    r, l = part.r, part.l
+    per_direction = r ** (d - 1)
+    lines = affine_line_design(r, d).sets.points.reshape(-1, r)
+    by_row = {}
+    for g in part.groups:
+        rows = {i for i, _ in g}
+        assert len(rows) == 1, g
+        by_row.setdefault(rows.pop(), []).append(tuple(j for _, j in g))
+    assert set(by_row) == set(range(s))
+    for i, groups in by_row.items():
+        parallel = lines[i // l * per_direction : (i // l + 1) * per_direction]
+        assert sorted(parallel.ravel().tolist()) == list(range(r**d))
+        cut = [tuple(p for p in line if p < b) for line in parallel.tolist()]
+        assert sorted(groups) == sorted(c for c in cut if c)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: affine_line_design(2, 3),
+    lambda: affine_line_design(5, 2),
+    lambda: repeat_design(affine_line_design(3, 2), 2),
+    lambda: replace(affine_line_design(16, 2), sets=affine_line_design(16, 2).sets[::7]),
+    lambda: Design(b=4, r=3, l=1, sets=((0, 1), (2, 3))),
+    lambda: Design(b=3, r=2, l=1, sets=((0, 5, -1), (), (1, 1))),
+])
+class TestDesignArrays:
+    def test_equal_to_tuple_and_json_built_designs(self, make):
+        design = make()
+        as_tuples = tuple(tuple(a) for a in design.sets)
+        for other in (
+            Design(design.b, design.r, design.l, as_tuples),
+            Design(design.b, design.r, design.l, [list(a) for a in as_tuples]),
+            Design.from_json_dict(design.to_json_dict()),
+        ):
+            assert design == other and other == design
+            assert hash(design) == hash(other)
+        assert design.sets == as_tuples and as_tuples == design.sets
+        assert hash(design.sets) == hash(as_tuples)
+        as_lists = {"b": design.b, "r": design.r, "l": design.l, "sets": [list(a) for a in as_tuples]}
+        assert json.dumps(design.to_json_dict()) == json.dumps(as_lists)
+        assert design.sets != as_tuples[:-1] and as_tuples[:-1] != design.sets
+
+    def test_reads_as_tuples_of_ints(self, make):
+        design = make()
+        sets = design.sets
+        as_tuples = tuple(sets)
+        assert all(type(a) is tuple and all(type(p) is int for p in a) for a in as_tuples)
+        assert len(sets) == design.m == len(as_tuples)
+        assert [sets[k] for k in range(len(sets))] == list(as_tuples)
+        assert sets[-1] == as_tuples[-1] and sets[1:3] == as_tuples[1:3]
+        assert sets[::2] == as_tuples[::2]
+        with pytest.raises(IndexError):
+            sets[len(sets)]
+
+    def test_pickled_and_copied_arrays_stay_read_only(self, make):
+        design = make()
+        for held in (design, copy.deepcopy(design), pickle.loads(pickle.dumps(design))):
+            assert held == design and type(held.sets) is PointSets
+            for a in (held.sets.sizes, held.sets.points):
+                assert a.dtype == np.int64
+                with pytest.raises(ValueError):
+                    a[...] = 7
+
+    def test_verified_and_replicated_as_the_loops_do(self, make):
+        design = make()
+        assert_same(verify_design(design), _oracle_verify_design(design))
+        if all(0 <= p < design.b for a in design.sets for p in a):
+            counts = Counter(p for a in design.sets for p in a)
+            assert design.point_replication() == [counts[p] for p in range(design.b)]
 
 
 def test_affine_line_design_errors_match():

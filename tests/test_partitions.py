@@ -18,7 +18,6 @@ from mixedwidths import (
     verify_partition,
 )
 from mixedwidths.designs import MAX_DESIGN_POINTS, design_size_error, is_supported_order
-from mixedwidths import partitions
 from mixedwidths.partitions import _good_partition_full
 
 
@@ -91,31 +90,6 @@ class TestGoodPartition:
                 u += 1
             r, bf = 2**u, 2 ** (u * d)
             assert part.m <= part.l * bf * (bf - 1) // (r * (r - 1))
-
-    def test_base_pair_multiplicity_counted_once_per_design(self, monkeypatch):
-        counted = []
-        count = partitions._pair_multiplicities
-        monkeypatch.setattr(
-            partitions, "_pair_multiplicities", lambda keys, n: counted.append(n) or count(keys, n)
-        )
-        affine_line_design.cache_clear()
-        _good_partition_full.cache_clear()
-        try:
-            # s = 27 and s = 53 on the 27-point design over F_3: l = 3 and l = 5
-            small = good_partition(27, 27, 3, field_order="smallest")
-            large = good_partition(53, 27, 3, field_order="smallest")
-            assert counted == [27]
-            assert (small.r, small.l, large.r, large.l) == (3, 3, 3, 5)
-            # a new design object counts again
-            affine_line_design.cache_clear()
-            _good_partition_full.cache_clear()
-            good_partition(40, 27, 3, field_order="smallest")
-            assert counted == [27, 27]
-        finally:
-            _good_partition_full.cache_clear()
-            affine_line_design.cache_clear()
-        for part in (small, large):
-            assert verify_partition(part).l_observed == part.l
 
 
 def _supported_orders(limit):

@@ -21,7 +21,7 @@ from mixedwidths import (
     rigidity_certificate,
     sample_ball,
 )
-from mixedwidths import spread
+from mixedwidths import cli, spread, widths
 from mixedwidths.cli import sweep_row
 
 GRID_VALUES = (1, "4/3", "3/2", 2, "5/2", 3, 4, 8, "inf")
@@ -209,6 +209,22 @@ class TestWitness:
             nonrigidity_witness("6/5", 1, 1, 2, 16, 16)
         with pytest.raises(ValueError, match="^seed=-1 must be non-negative$"):
             nonrigidity_witness("6/5", 1, 1, 2, 16, 16, seed=-1)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_samples_below_one_refused_before_the_partitions(self, samples, monkeypatch):
+        # both drivers name the argument, before the design-grid refusal of
+        # (6/5, 1, 1, 2) and before they build any operator
+        def no_operators(*args):
+            raise AssertionError("operators built")
+
+        for module in (cli, widths):
+            monkeypatch.setattr(module, "pipeline_operators", no_operators)
+        message = f"^samples={samples} must be at least 1$"
+        for p1, s in (("6/5", 16), ("inf", 16), ("2", 40)):
+            with pytest.raises(ValueError, match=message):
+                sweep_row(p1, 1, 1, 2, s, s, samples=samples)
+            with pytest.raises(ValueError, match=message):
+                nonrigidity_witness(p1, 1, 1, 2, s, s, samples=samples)
 
     @pytest.mark.parametrize("kind", ["transposition", "diagonal"])
     def test_refused_like_a_sweep_row(self, kind):
