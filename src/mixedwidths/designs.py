@@ -33,8 +33,9 @@ __all__ = [
     "verify_design",
 ]
 
-# Largest ground set r^d the toolkit builds a design on: verify_design
-# peaks at about 150 MiB there (r = 64, d = 2).
+# Largest ground set r^d the toolkit builds a design on.  Of the designs
+# both caps admit, verify_design peaks highest at 4^6 (about 391 MiB), then
+# 2^11 (252 MiB); 64^2 takes about 147 MiB.
 MAX_DESIGN_POINTS = 4096
 
 # Largest field order a design within MAX_DESIGN_POINTS can use (d >= 2);
@@ -262,7 +263,8 @@ class Design:
         return cls(b=int(data["b"]), r=int(data["r"]), l=int(data["l"]), sets=sets)
 
 
-@lru_cache(maxsize=None)
+# bounded, so a sweep over many sizes does not hold every design it built
+@lru_cache(maxsize=16)
 def affine_line_design(r: int, d: int) -> Design:
     """All affine lines {a + t*v : t in F_r} of F_r^d as a design on r^d points.
 
@@ -385,10 +387,11 @@ def verify_design(design: Design) -> DesignReport:
     come from one sort of the (set, point) keys, and the pair coverage
     from one array with an entry per pair inside each set, r*(r-1)/2 per
     set (a run of equal sets counted once), summed after one sort.  Time
-    and memory grow with m*r^2, about 19 bytes per pair for an affine-line
-    design.  Intended for b <= 4096, where an affine-line design has 8.4
-    million pairs (r = 64, d = 2: a peak of about 150 MiB); b <= 4096 is
-    MAX_DESIGN_POINTS, the cap affine_line_design enforces.
+    and memory grow with m*r^2 pairs and m*r memberships: about 19 bytes
+    per pair when the sets are large (r = 64, d = 2: 8.4 million pairs, a
+    peak of about 147 MiB), more when the per-set arrays dominate.  Of the
+    affine-line designs affine_line_design admits, 4^6 peaks highest, at
+    about 391 MiB, then 2^11 at about 252 MiB.
     """
     sizes, points = design.sets.sizes, design.sets.points
     owner = np.repeat(np.arange(sizes.size), sizes)

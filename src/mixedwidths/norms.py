@@ -447,48 +447,31 @@ def sample_ball(shape: BlockShape, p1, p2, seed: int, count: int) -> list[BlockM
     sample (even indices) sits on the unit sphere; the rest are scaled
     into the interior.  Membership, not exact uniformity, is the contract.
     """
-    return list(_ball_points(shape, p1, p2, seed, count))
+    return [BlockMatrix(shape, row) for chunk in _ball_chunks(shape, p1, p2, seed, count) for row in chunk]
 
 
-def _ball_points(shape: BlockShape, p1, p2, seed: int, count: int) -> Iterator[BlockMatrix]:
-    """sample_ball's points, one at a time, from the same random stream.
-    They are drawn in chunks of _chunk_points(shape) points, at most
-    _CHUNK_CELLS = 2^16 cells unless one grid alone is larger, each chunk
-    a new array, so no point shares memory with another.  The arguments
-    are checked here, before the first point is drawn."""
-    return _points(shape, _ball_chunks(shape, p1, p2, seed, count))
-
-
-def _ball_chunks(shape: BlockShape, p1, p2, seed: int, count: int, out=None) -> Iterator[np.ndarray]:
+def _ball_chunks(shape: BlockShape, p1, p2, seed: int, count: int) -> Iterator[np.ndarray]:
     """sample_ball's points drawn chunk by chunk (see _draw_chunks); the
     arguments are checked here, before the first point is drawn."""
     if count < 1:
         raise ValueError("count must be >= 1")
     p1, p2 = Exponent.of(p1), Exponent.of(p2)
     rng = np.random.default_rng(seed)
-    return _draw_chunks(shape, count, out, partial(_draw_ball_chunk, rng, shape, p1, p2))
+    return _draw_chunks(shape, count, partial(_draw_ball_chunk, rng, shape, p1, p2))
 
 
-def _draw_chunks(shape: BlockShape, count: int, out, draw) -> Iterator[np.ndarray]:
+def _draw_chunks(shape: BlockShape, count: int, draw) -> Iterator[np.ndarray]:
     """count points of a stream in chunks: (k, n) arrays of k successive
     points, k = _chunk_points(shape) but in the last chunk, each filled
-    by draw(chunk, index of its first point).  With out, an array of
-    _chunk_points(shape) rows of n, every chunk is its first k rows, so a
-    chunk holds only until the next one is drawn; without out, each chunk
-    is a new array."""
+    by draw(chunk, index of its first point).  Every chunk is the first k
+    rows of the stream's one array of _chunk_points(shape) rows, so a
+    chunk holds only until the next one is drawn."""
     per = _chunk_points(shape)
+    rows = np.empty((per, shape.n))
     for first in range(0, count, per):
-        k = min(per, count - first)
-        chunk = np.empty((k, shape.n)) if out is None else out[:k]
+        chunk = rows[: min(per, count - first)]
         draw(chunk, first)
         yield chunk
-
-
-def _points(shape: BlockShape, chunks: Iterator[np.ndarray]) -> Iterator[BlockMatrix]:
-    """The points of chunks of new arrays, one at a time."""
-    for chunk in chunks:
-        for row in chunk:
-            yield BlockMatrix._adopt(shape, row)
 
 
 def _draw_ball_chunk(
@@ -529,23 +512,16 @@ def _draw_ball_chunk(
 
 def extreme_points_inf1(shape: BlockShape, seed: int, count: int) -> list[BlockMatrix]:
     """Extreme points of the (inf, 1) unit ball: one column of +-1 entries."""
-    return list(_extreme_points_inf1(shape, seed, count))
+    return [BlockMatrix(shape, row) for chunk in _extreme_chunks(shape, seed, count) for row in chunk]
 
 
-def _extreme_points_inf1(shape: BlockShape, seed: int, count: int) -> Iterator[BlockMatrix]:
-    """extreme_points_inf1's points one at a time, from the same random
-    stream and in new arrays, as _ball_points draws its points; count is
-    checked before the first point is drawn."""
-    return _points(shape, _extreme_chunks(shape, seed, count))
-
-
-def _extreme_chunks(shape: BlockShape, seed: int, count: int, out=None) -> Iterator[np.ndarray]:
+def _extreme_chunks(shape: BlockShape, seed: int, count: int) -> Iterator[np.ndarray]:
     """extreme_points_inf1's points drawn chunk by chunk (see _draw_chunks);
     count is checked here, before the first point is drawn."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    return _draw_chunks(shape, count, out, lambda chunk, first: _draw_extreme_chunk(rng, shape, chunk))
+    return _draw_chunks(shape, count, lambda chunk, first: _draw_extreme_chunk(rng, shape, chunk))
 
 
 def _draw_extreme_chunk(rng: np.random.Generator, shape: BlockShape, chunk: np.ndarray) -> None:

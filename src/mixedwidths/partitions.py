@@ -172,7 +172,8 @@ def partition_from_sets(sets: Sequence[Sequence[int]], s: int, b: int) -> Partit
     )
 
 
-@lru_cache(maxsize=None)
+# bounded, so a sweep over many sizes does not hold every partition it built
+@lru_cache(maxsize=16)
 def _good_partition_full(s: int, d: int, r: int) -> Partition:
     """The partition of [s] x [r^d] that partition_from_sets makes from
     the affine-line design on F_r^d with each line repeated

@@ -31,7 +31,6 @@ from .norms import (
     _ball_chunks,
     _chunk_points,
     _extreme_chunks,
-    _points,
     _row_norms,
     block_norm_vector,
     ceil_power,
@@ -58,10 +57,8 @@ __all__ = [
     "choose_pipeline_params",
     "ApproxResult",
     "approximate",
-    "column_group_operators",
     "grouped_subspace_approximate",
     "pipeline_operators",
-    "pipeline_points",
     "SampledSup",
     "sampled_sup",
     "transposition_partition",
@@ -90,6 +87,8 @@ class SpreadOperator:
             raise ValueError("partition does not cover the grid")
         if (cover > 1).any():
             raise ValueError("partition puts some cell in more than one group")
+        if (sizes == 0).any():
+            raise ValueError("partition has an empty group")
         index = np.empty(n, dtype=np.int64)
         index[flat] = np.repeat(np.arange(partition.m, dtype=np.int64), sizes)
         self._group_index = index
@@ -114,7 +113,7 @@ class SpreadOperator:
         return BlockMatrix(x.shape, sums[self._group_index])
 
     def _spread_columns(
-        self, entries: np.ndarray, columns: np.ndarray, first: np.ndarray | None = None
+        self, entries: np.ndarray, columns: np.ndarray, first: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Cells where the spread of entries kept on columns can be nonzero,
         and its values there: every cell of every group that meets the
@@ -123,19 +122,17 @@ class SpreadOperator:
         entries are flat, a stack of columns of s entries (one or more
         grids, read in place), and columns is a (count, kept) array: the
         sorted columns kept in each of count copies of the partition's
-        grid, copy c starting at column first[c] of the stack (one copy
-        at column 0 without first).  Copy c's group ids are offset by
-        c * dim, so one bincount sums every group of every copy, each
-        adding its cells of the columns in flat order, as apply does (its
-        other terms are zeros): the values are bit-identical to apply's.
-        The cells index entries.
+        grid, copy c starting at column first[c] of the stack.  Copy c's
+        group ids are offset by c * dim, so one bincount sums every group
+        of every copy, each adding its cells of the columns in flat order,
+        as apply does (its other terms are zeros): the values are
+        bit-identical to apply's.  The cells index entries.
         """
         count = columns.shape[0]
         s = self.partition.shape.s
         group = self._column_groups[columns]  # (count, kept, s)
-        if count > 1:
-            group += (self.dim * np.arange(count))[:, None, None]
-        weights = entries.reshape(-1, s)[columns if first is None else columns + first[:, None]].ravel()
+        group += (self.dim * np.arange(count))[:, None, None]
+        weights = entries.reshape(-1, s)[columns + first[:, None]].ravel()
         group = group.ravel()
         # the distinct groups in increasing order, as np.unique gives them
         ordered = np.sort(group)
@@ -144,16 +141,13 @@ class SpreadOperator:
         np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
         touched = ordered[starts]
         sums = np.bincount(np.searchsorted(touched, group), weights=weights)
-        if count > 1:
-            copy, touched = np.divmod(touched, self.dim)
+        copy, touched = np.divmod(touched, self.dim)
         sizes = self._group_size[touched]
         # where each touched group's cells sit in _group_cells: the group's
         # start plus 0, 1, ..., size - 1
         offsets = np.cumsum(sizes) - sizes
         at = np.repeat(self._group_start[touched] - offsets, sizes) + np.arange(sizes.sum())
-        cells = self._group_cells[at]
-        if first is not None:
-            cells += np.repeat(first[copy] * s, sizes) if count > 1 else first[0] * s
+        cells = self._group_cells[at] + np.repeat(first[copy] * s, sizes)
         return cells, np.repeat(sums, sizes)
 
 
@@ -189,7 +183,7 @@ def check_one_column_bound(op: SpreadOperator, p, q1, q2, x: BlockMatrix) -> One
     nonzero_cols = np.flatnonzero(block_norm_vector(x, Exponent.ONE))
     if nonzero_cols.size > 1:
         raise ValueError(f"support spans columns {nonzero_cols.tolist()}; need one")
-    cells, values = op._spread_columns(x.entries, nonzero_cols.reshape(1, -1))
+    cells, values = op._spread_columns(x.entries, nonzero_cols.reshape(1, -1), np.zeros(1, dtype=np.int64))
     residual = x.entries.copy()
     residual[cells] -= values
     lhs = mixed_norm(BlockMatrix._adopt(x.shape, residual), (q1, q2))
@@ -357,9 +351,8 @@ class _ColumnGroups:
 
 class _Plan:
     """What the pipeline computes once per stream: the shape checks, the
-    column groups of each width with their budgets and coefficients, the
-    tail factor and the dimension, and entries, room for a chunk of
-    points."""
+    column groups of each width with their budgets and coefficients, for
+    chunks of up to points grids, the tail factor and the dimension."""
 
     def __init__(self, shape: BlockShape, params: PipelineParams, width: int, ops: dict, points: int):
         s, b = shape.s, shape.b
@@ -380,7 +373,6 @@ class _Plan:
             self.groups.append(_ColumnGroups(op, lo, w, count, min(max(k - 1, 0), w), coeff, b, points))
         self.tail_factor = float_pow(s, recip_gap(params.q1, params.p1))
         self.dim = sum(g.op.dim * g.count for g in self.groups)
-        self.entries = np.empty((points, shape.n))
 
     def run(self, chunk: np.ndarray):
         """The pipeline on the k points in the rows of chunk, a (k, n) array
@@ -422,14 +414,12 @@ def _pipeline(x: BlockMatrix, params: PipelineParams, width: int, ops: dict) -> 
     one group reports its own exactly.  The groups of one width are
     handled together, as rows of arrays.  This is the one-point case of
     the chunked run sampled_sup makes (_Plan.run), so both give the same
-    bits.  Each run builds its own one-point plan, and the approximant is
-    a new array of the result's own.
+    bits.  Each run builds its own one-point plan and runs it on its own
+    copy of x, and the approximant is a new array of the result's own.
     """
     shape = x.shape
     plan = _Plan(shape, params, width, ops, 1)
-    chunk = plan.entries
-    chunk[0] = x.entries
-    selected, measured, bound, tail, cells, values = plan.run(chunk)
+    selected, measured, bound, tail, cells, values = plan.run(x.entries.reshape(1, -1).copy())
     approximant = np.zeros(shape.n)
     approximant[cells] = values
     return ApproxResult(
@@ -456,21 +446,6 @@ def approximate(x: BlockMatrix, params: PipelineParams, op: SpreadOperator) -> A
     return _pipeline(x, params, x.shape.b, {x.shape.b: op})
 
 
-def column_group_operators(s: int, b: int, d: int) -> dict[int, SpreadOperator]:
-    """Spreading operator of every distinct column-group width of an
-    s x b grid, keyed by width, each over that width's good partition.
-
-    The pipeline splits the b columns into contiguous groups of at most
-    s, so at most two widths occur: s and the remainder on a wide grid,
-    b alone when s >= b.  Build this once and pass it to
-    grouped_subspace_approximate for every point of a wide grid.
-    """
-    return {
-        width: SpreadOperator(good_partition(s, width, d, field_order=PIPELINE_FIELD_ORDER))
-        for width in sorted({min(s, b - lo) for lo in range(0, b, s)})
-    }
-
-
 def grouped_subspace_approximate(
     x: BlockMatrix,
     params: PipelineParams,
@@ -478,8 +453,8 @@ def grouped_subspace_approximate(
 ) -> ApproxResult:
     """Pipeline for wide grids (s < b): the column-group pipeline over
     ceil(b/s) contiguous groups of at most s columns, each with its own
-    operator from ops (column_group_operators(s, b, params.d), built here
-    when not given).  Every full group has budget params.k; a narrower
+    operator from ops (pipeline_operators(s, b, params.d, "good"), built
+    here when not given).  Every full group has budget params.k; a narrower
     last group takes _group_budget(width, alpha).  The certified bound
     aggregates the per-group bounds with the outer norm, which dominates
     the mixed norm of the residual.  A width missing from ops is a
@@ -489,19 +464,23 @@ def grouped_subspace_approximate(
     if s >= b:
         raise ValueError(f"s={s} >= b={b}: use approximate directly")
     if ops is None:
-        ops = column_group_operators(s, b, params.d)
+        ops = pipeline_operators(s, b, params.d, "good")
     return _pipeline(x, params, s, ops)
 
 
 def pipeline_operators(s: int, b: int, d: int, kind: str) -> dict[int, SpreadOperator]:
     """The operators sweep rows and witnesses run sampled_sup with on an
-    s x b grid, keyed by column-group width.  kind "good" gives
-    column_group_operators(s, b, d): for s >= b, the one good partition of
-    the whole grid.  kind "transposition" gives the transposition
-    partition of a square grid; a grid that is not square is a ValueError,
-    and so is any other kind."""
+    s x b grid, keyed by column-group width.  kind "good" spreads every
+    distinct width of the contiguous column groups of at most s columns
+    (s and the remainder on a wide grid, b alone when s >= b) through
+    that width's good partition.  kind "transposition" gives the
+    transposition partition of a square grid; a grid that is not square
+    is a ValueError, and so is any other kind."""
     if kind == "good":
-        return column_group_operators(s, b, d)
+        return {
+            width: SpreadOperator(good_partition(s, width, d, field_order=PIPELINE_FIELD_ORDER))
+            for width in sorted({min(s, b - lo) for lo in range(0, b, s)})
+        }
     if kind == "transposition":
         if s != b:
             raise ValueError("transposition partition needs s == b")
@@ -509,21 +488,15 @@ def pipeline_operators(s: int, b: int, d: int, kind: str) -> dict[int, SpreadOpe
     raise ValueError(f"unknown partition kind {kind!r}")
 
 
-def pipeline_points(shape: BlockShape, p1, p2, seed: int, count: int) -> Iterator[BlockMatrix]:
-    """The points sweep rows and witnesses sample, one at a time: count
-    points of the (p1, p2) ball from seed (sample_ball's), then for the
-    (inf, 1) ball count extreme points from seed + 1 (extreme_points_inf1's).
-    """
-    return _points(shape, _pipeline_chunks(shape, p1, p2, seed, count))
-
-
-def _pipeline_chunks(shape: BlockShape, p1, p2, seed: int, count: int, out=None) -> Iterator[np.ndarray]:
-    """pipeline_points' points in chunks, drawn into out when it is given
-    (see norms._draw_chunks); a chunk never mixes ball and extreme points."""
+def _pipeline_chunks(shape: BlockShape, p1, p2, seed: int, count: int) -> Iterator[np.ndarray]:
+    """The points sweep rows and witnesses sample, in chunks (see
+    norms._draw_chunks): count points of the (p1, p2) ball from seed
+    (sample_ball's), then for the (inf, 1) ball count extreme points from
+    seed + 1 (extreme_points_inf1's).  A chunk never mixes the two."""
     p1, p2 = Exponent.of(p1), Exponent.of(p2)
-    chunks = _ball_chunks(shape, p1, p2, seed, count, out)
+    chunks = _ball_chunks(shape, p1, p2, seed, count)
     if p1.is_inf and p2 == Exponent.ONE:
-        chunks = chain(chunks, _extreme_chunks(shape, seed + 1, count, out))
+        chunks = chain(chunks, _extreme_chunks(shape, seed + 1, count))
     return chunks
 
 
@@ -543,7 +516,7 @@ def sampled_sup(
     shape: BlockShape, params: PipelineParams, ops: dict[int, SpreadOperator], seed: int, count: int
 ) -> SampledSup:
     """The suprema of the pipeline's measured error and certified bound
-    over pipeline_points(shape, params.p1, params.p2, seed, count), the
+    over _pipeline_chunks(shape, params.p1, params.p2, seed, count), the
     pipeline taking column groups of min(s, b) columns: approximate's
     for s >= b (ops = {b: op}), grouped_subspace_approximate's for s < b
     (ops as pipeline_operators gives them).  The floats are those of
@@ -551,15 +524,15 @@ def sampled_sup(
 
     The points are drawn and evaluated in chunks of _chunk_points(shape)
     points, at most 2^16 cells (one 256 x 256 grid) unless one grid alone
-    is larger: each chunk is drawn into the one array of the stream's
-    plan, normalised at once and run through the pipeline in one pass
+    is larger: each chunk is drawn into the stream's one array,
+    normalised at once and run through the pipeline in one pass
     (_Plan.run), and only the running suprema are kept, so memory does
     not grow with count.  count below 1 is a ValueError, raised before
     any point is drawn."""
     plan = _Plan(shape, params, min(shape.s, shape.b), ops, _chunk_points(shape))
     sup_error = sup_bound = -math.inf
     seen = 0
-    for chunk in _pipeline_chunks(shape, params.p1, params.p2, seed, count, plan.entries):
+    for chunk in _pipeline_chunks(shape, params.p1, params.p2, seed, count):
         _, measured, bounds, *_ = plan.run(chunk)
         sup_error = max(sup_error, *measured.tolist())
         sup_bound = max(sup_bound, *bounds.tolist())

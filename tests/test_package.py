@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import mixedwidths
 from mixedwidths import designs, norms, partitions, spread, widths
 
 MODULES = (designs, norms, partitions, spread, widths)
+SOURCES = sorted(Path(mixedwidths.__file__).parent.glob("*.py"))
 
 
 def test_package_exports_every_public_name_of_every_module():
@@ -9,3 +13,36 @@ def test_package_exports_every_public_name_of_every_module():
         for name in module.__all__:
             assert getattr(mixedwidths, name) is getattr(module, name), (module.__name__, name)
     assert set(mixedwidths.__all__) == {name for module in MODULES for name in module.__all__}
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads: not as a name, not as the
+    root of an attribute and not in __all__.  An import on a line marked
+    "# noqa: F401" is kept on purpose; star and __future__ imports are
+    skipped."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*" and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda kv: kv[1]) if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert SOURCES
+    unused = {path.name: _unused_imports(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert {name: lines for name, lines in unused.items() if lines} == {}
+
+
+def test_the_unused_import_check_sees_a_stranded_import():
+    source = "import math\nimport numpy as np  # noqa: F401\nfrom x import (\n    a,\n    b,\n)\n\nprint(a)\n"
+    assert _unused_imports(source) == ["line 1: math", "line 5: b"]

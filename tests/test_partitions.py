@@ -328,3 +328,19 @@ def test_cold_good_partition_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, peak / 2**20
+
+
+def test_construction_caches_stay_within_their_bound():
+    # a sweep over more distinct designs and grids than either cache holds
+    # keeps at most maxsize of each, where an unbounded cache held them all
+    designs = [(r, d) for r in range(2, 24) if is_supported_order(r) for d in range(2, 10) if r**d <= 512]
+    for cache, sweep in (
+        (affine_line_design, lambda: [affine_line_design(r, d) for r, d in designs]),
+        (_good_partition_full, lambda: [good_partition(s, 4, 2) for s in range(4, 40)]),
+    ):
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 16
+        cache.cache_clear()
+        built = sweep()
+        assert len(built) > maxsize
+        assert cache.cache_info().currsize == maxsize

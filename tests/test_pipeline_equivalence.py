@@ -4,9 +4,9 @@
 the implementations the library used before ``approximate`` spread only
 the selected columns: zero the other columns, spread the whole grid,
 subtract.  ``_oracle_sample_ball`` and ``_oracle_extreme_points_inf1``
-are the list samplers the point iterators replaced.  Every float the
-pipeline reports must be bit-identical to theirs, as must every point the
-iterators draw.
+are the point-by-point samplers the chunked streams replaced.  Every
+float the pipeline reports must be bit-identical to theirs, as must every
+point the streams draw.
 """
 
 from dataclasses import replace
@@ -26,22 +26,21 @@ from mixedwidths import (
     approximate,
     block_norm_vector,
     choose_pipeline_params,
-    column_group_operators,
     extreme_points_inf1,
     good_partition,
     grouped_subspace_approximate,
     lq_norm,
     mixed_norm,
-    pipeline_points,
+    pipeline_operators,
     sample_ball,
     sampled_sup,
     transposition_partition,
 )
 from mixedwidths.norms import (
     _CHUNK_CELLS,
-    _ball_points,
+    _ball_chunks,
     _chunk_points,
-    _extreme_points_inf1,
+    _extreme_chunks,
     _row_norms,
     _symmetric_power_sample,
 )
@@ -49,6 +48,7 @@ from mixedwidths.spread import (
     PIPELINE_FIELD_ORDER,
     ApproxResult,
     _Plan,
+    _pipeline_chunks,
     best_k_term,
     ceil_power,
     float_pow,
@@ -228,7 +228,7 @@ def test_approximate_matches_dense_on_transposition_partitions(p1, s, k, seed):
 def test_grouped_matches_dense_on_wide_grids(p1, s, extra_cols, seed):
     b = s + extra_cols
     params = _params(p1, s, b, None)
-    ops = column_group_operators(s, b, params.d)
+    ops = pipeline_operators(s, b, params.d, "good")
     for x in _points(BlockShape(s, b), p1, seed, 3):
         assert_same_result(
             grouped_subspace_approximate(x, params, ops),
@@ -295,28 +295,34 @@ def test_group_sums_depend_on_column_order():
     count=st.integers(1, 6),
     seed=SEEDS,
 )
-def test_point_iterators_draw_the_list_samplers_points(p1, p2, s, b, count, seed):
+def test_samplers_draw_the_oracles_points(p1, p2, s, b, count, seed):
     shape = BlockShape(s, b)
     expected_ball = _oracle_sample_ball(shape, p1, p2, seed, count)
-    assert_same_points(_ball_points(shape, p1, p2, seed, count), expected_ball)
     assert_same_points(sample_ball(shape, p1, p2, seed, count), expected_ball)
     expected_extreme = _oracle_extreme_points_inf1(shape, seed, count)
-    assert_same_points(_extreme_points_inf1(shape, seed, count), expected_extreme)
     assert_same_points(extreme_points_inf1(shape, seed, count), expected_extreme)
 
+    # the pipeline's stream: the ball points, then for (inf, 1) the extreme
+    # points from seed + 1, each chunk of one kind only
     expected = list(expected_ball)
     if Exponent.of(p1).is_inf and Exponent.of(p2) == Exponent.ONE:
         expected += _oracle_extreme_points_inf1(shape, seed + 1, count)
-    assert_same_points(pipeline_points(shape, p1, p2, seed, count), expected)
+    stream = [BlockMatrix(shape, row) for chunk in _pipeline_chunks(shape, p1, p2, seed, count) for row in chunk]
+    assert_same_points(stream, expected)
 
 
-def test_point_iterators_check_count_before_drawing():
+def test_point_streams_check_count_before_drawing():
+    # the chunk generators refuse when called, before their first chunk is asked for
     with pytest.raises(ValueError, match="count"):
-        _ball_points(BlockShape(2, 2), 2, 1, 0, 0)
+        _ball_chunks(BlockShape(2, 2), 2, 1, 0, 0)
     with pytest.raises(ValueError, match="count"):
-        _extreme_points_inf1(BlockShape(2, 2), 0, 0)
+        _extreme_chunks(BlockShape(2, 2), 0, 0)
     with pytest.raises(ValueError, match="count"):
-        pipeline_points(BlockShape(2, 2), "inf", 1, 0, 0)
+        _pipeline_chunks(BlockShape(2, 2), "inf", 1, 0, 0)
+    with pytest.raises(ValueError, match="count"):
+        sample_ball(BlockShape(2, 2), 2, 1, 0, 0)
+    with pytest.raises(ValueError, match="count"):
+        extreme_points_inf1(BlockShape(2, 2), 0, 0)
 
 
 # ------------------------------------------------------------- reduction
@@ -384,7 +390,7 @@ def test_chunked_sampled_sup_matches_a_loop_over_the_points(p1, stream, seed):
     params = _params(p1, s, b, None)
     if kind == "wide":
         assert s < b and b % s
-        ops = column_group_operators(s, b, params.d)
+        ops = pipeline_operators(s, b, params.d, "good")
         run = partial(grouped_subspace_approximate, params=params, ops=ops)
     else:
         partition = transposition_partition(s) if kind == "transposition" else good_partition(
@@ -411,8 +417,7 @@ def test_a_point_outside_the_ball_in_the_middle_of_a_chunk_raises():
     op = SpreadOperator(good_partition(s, b, params.d, field_order=PIPELINE_FIELD_ORDER))
     plan = _Plan(shape, params, b, {b: op}, _chunk_points(shape))
     points = _oracle_sample_ball(shape, "2", 1, 3, 6)
-    chunk = plan.entries
-    chunk[:] = [x.entries for x in points]
+    chunk = np.array([x.entries for x in points])
     chunk[3] *= 2.0  # the sphere point 2 scaled out of the ball
     with pytest.raises(ValueError, match="input lies outside the unit ball"):
         plan.run(chunk)
@@ -433,6 +438,10 @@ def test_lists_drawn_in_chunks_equal_the_list_samplers(p1, p2):
     for points in (ball, extreme):
         for i in range(1, count):
             assert not np.shares_memory(points[i - 1].entries, points[i].entries)
+    # the stream behind them draws every chunk into its one array
+    chunks = list(_ball_chunks(shape, p1, p2, 11, count))
+    assert [len(chunk) for chunk in chunks] == [6] * 7 + [3]
+    assert all(chunk.base is chunks[0].base for chunk in chunks)
 
 
 @pytest.mark.parametrize(
@@ -440,18 +449,17 @@ def test_lists_drawn_in_chunks_equal_the_list_samplers(p1, p2):
 )
 def test_chunks_stay_within_the_cell_budget(s, b):
     shape = BlockShape(s, b)
-    params = _params("inf", s, b, None)
-    if s < b:
-        ops = column_group_operators(s, b, params.d)
-    else:
-        ops = {b: SpreadOperator(good_partition(s, b, params.d, field_order=PIPELINE_FIELD_ORDER))}
-    plan = _Plan(shape, params, min(s, b), ops, _chunk_points(shape))
-    assert plan.entries.shape == (_chunk_points(shape), shape.n)
-    assert plan.entries.size <= max(_CHUNK_CELLS, shape.n)
+    chunk = next(_ball_chunks(shape, "inf", 1, 0, 1))  # one point, in the stream's one array
+    rows = chunk.base
+    assert chunk.shape == (1, shape.n)
+    assert rows.shape == (_chunk_points(shape), shape.n)
+    assert rows.size <= max(_CHUNK_CELLS, shape.n)
     if shape.n <= _CHUNK_CELLS:
-        assert plan.entries.size > _CHUNK_CELLS - shape.n  # one more point would not fit
-    # the chunk is the plan's one array: a chunked stream keeps no approximant
-    assert [name for name, v in vars(plan).items() if isinstance(v, np.ndarray)] == ["entries"]
+        assert rows.size > _CHUNK_CELLS - shape.n  # one more point would not fit
+    # the stream's array is the chunk: the plan keeps no array, so no approximant
+    params = _params("inf", s, b, None)
+    plan = _Plan(shape, params, min(s, b), pipeline_operators(s, b, params.d, "good"), _chunk_points(shape))
+    assert [name for name, v in vars(plan).items() if isinstance(v, np.ndarray)] == []
 
 
 # ------------------------------------------------------------- large budgets
@@ -520,7 +528,7 @@ def test_large_budgets_when_groups_meet_several_columns(p1, s, height, k, seed):
 def test_grouped_matches_dense_with_budget_overrides(p1, s, extra_cols, k, seed):
     b = s + extra_cols
     params = _params(p1, s, b, k)
-    ops = column_group_operators(s, b, params.d)
+    ops = pipeline_operators(s, b, params.d, "good")
     for x in _points(BlockShape(s, b), p1, seed, 2):
         assert_same_result(
             grouped_subspace_approximate(x, params, ops), _oracle_grouped_with_budget(x, params, ops)

@@ -18,7 +18,6 @@ from mixedwidths import (
     ceil_power,
     check_one_column_bound,
     choose_pipeline_params,
-    column_group_operators,
     d0_mixed,
     extreme_points_inf1,
     float_pow,
@@ -27,6 +26,7 @@ from mixedwidths import (
     lq_norm,
     mixed_norm,
     partition_from_sets,
+    pipeline_operators,
     sample_ball,
     sampled_sup,
     singleton_partition,
@@ -111,6 +111,16 @@ class TestSpreadOperator:
         overlapping = Partition(BlockShape(2, 2), groups, r=2, l=1)
         with pytest.raises(ValueError, match="more than one group"):
             SpreadOperator(overlapping)
+
+    def test_empty_group_rejected(self):
+        from mixedwidths import Partition, verify_partition
+
+        # covers the grid, but group 1 is empty: dim would read 4 for a range of dimension 3
+        groups = (((0, 0), (1, 1)), (), ((1, 0),), ((0, 1),))
+        empty = Partition(BlockShape(2, 2), groups, r=2, l=1)
+        assert "group 1 is empty" in verify_partition(empty).violations
+        with pytest.raises(ValueError, match="partition has an empty group"):
+            SpreadOperator(empty)
 
     @pytest.mark.parametrize("cell", [(2, 0), (0, 2), (-1, 0)])
     def test_cell_outside_grid_rejected(self, cell):
@@ -455,7 +465,7 @@ class TestGroupedApproximate:
         # groups of 8 tile 40 columns, but a 36-column point also needs width 4
         s, b = 8, 36
         params = choose_pipeline_params("inf", 1, 1, 2, s, b)
-        ops = column_group_operators(s, 40, params.d)
+        ops = pipeline_operators(s, 40, params.d, "good")
         assert sorted(ops) == [8]
         with pytest.raises(ValueError, match="width 4"):
             grouped_subspace_approximate(BlockMatrix.zeros(BlockShape(s, b)), params, ops)

@@ -11,13 +11,13 @@ from mixedwidths import (
     b1_l2_width,
     choose_pipeline_params,
     classify,
-    column_group_operators,
     d0_mixed,
     extreme_points_inf1,
     good_partition,
     grouped_subspace_approximate,
     nonrigidity_witness,
     pietsch_stesin,
+    pipeline_operators,
     rigidity_certificate,
     sample_ball,
 )
@@ -178,7 +178,7 @@ class TestWitness:
         s, b = 32, 100
         shape = BlockShape(s, b)
         params = choose_pipeline_params("inf", 1, 1, 2, s, b)
-        ops = column_group_operators(s, b, params.d)
+        ops = pipeline_operators(s, b, params.d, "good")
         assert sorted(ops) == [4, 32]
         points = sample_ball(shape, "inf", 1, 0, 4) + extreme_points_inf1(shape, 1, 4)
         sup_error = 0.0
