@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -165,17 +165,7 @@ def _cmd_partition(args) -> int:
         return 3
     _emit(json.dumps(partition.to_json_dict()) + "\n", args.out)
     if report is not None:
-        print(
-            json.dumps(
-                {
-                    "ok": report.ok,
-                    "r_observed": report.r_observed,
-                    "l_observed": report.l_observed,
-                    "cover_ok": report.cover_ok,
-                    "violations": list(report.violations),
-                }
-            )
-        )
+        print(json.dumps(asdict(report)))
         if not report.ok:
             return 3
     return 0

@@ -80,68 +80,38 @@ _IRREDUCIBLE = {
 }
 
 
-# Miller-Rabin with the 13 prime bases up to 41 is exact below this bound,
-# the least strong pseudoprime to all of them (Sorenson and Webster, 2015);
-# larger orders are refused.  The bases up to 37 alone would be exact only
-# below 318665857834031151167461, a strong pseudoprime to each of them.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for n < _MR_LIMIT; a
-    ValueError for larger n."""
-    if n >= _MR_LIMIT:
-        raise ValueError(f"order {n} is too large to test for primality (limit {_MR_LIMIT})")
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    if n < _MR_BASES[-1] ** 2:  # no prime factor up to its square root
-        return True
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+# The field orders field_tables builds, none above MAX_FIELD_ORDER: the
+# primes, whose fields are the integers mod r, and 2^u for each
+# _IRREDUCIBLE degree u.  The other prime powers up to 64 (9, 25, 27, 49)
+# have no tables.
+SUPPORTED_ORDERS = tuple(
+    sorted(
+        {r for r in range(2, MAX_FIELD_ORDER + 1) if all(r % f for f in range(2, r))}
+        | {2**u for u in _IRREDUCIBLE}
+    )
+)
 
 
 def is_supported_order(r: int) -> bool:
-    """True for primes and for 2^u with u <= 6; a ValueError for r at or
-    above 3.3 * 10^24, past the exact range of the primality test.  Any
-    integer type is taken as its int; a float is a TypeError."""
-    r = operator.index(r)
-    if _is_prime(r):
-        return True
-    return r >= 2 and r & (r - 1) == 0 and (r.bit_length() - 1) in _IRREDUCIBLE
+    """True for the orders of SUPPORTED_ORDERS, False for every other
+    integer.  Any integer type is taken as its int; a float is a
+    TypeError."""
+    return operator.index(r) in SUPPORTED_ORDERS
 
 
 def field_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """GF(r)'s addition and multiplication tables, int64 r x r arrays:
-    the integers mod r for a prime r, and for r = 2^u polynomials over
-    GF(2) modulo _IRREDUCIBLE[u], bit-encoded, so that x + y is x XOR y."""
-    if r < 2:
-        raise ValueError(f"field order {r} must be at least 2")
+    """GF(r)'s addition and multiplication tables, int64 r x r arrays, for
+    r in SUPPORTED_ORDERS: the integers mod r for an odd prime r, and for
+    r = 2^u polynomials over GF(2) modulo _IRREDUCIBLE[u], bit-encoded, so
+    that x + y is x XOR y.  Any other r is a ValueError."""
     if r > MAX_FIELD_ORDER:
         raise ValueError(f"field order {r} exceeds {MAX_FIELD_ORDER}, the largest order a design can use")
+    if r not in SUPPORTED_ORDERS:
+        raise ValueError(f"field order {r} is neither a prime nor 2^u with 1 <= u <= 6")
     x = np.arange(r, dtype=np.int64)
-    if _is_prime(r):
+    if r & (r - 1):  # an odd prime
         return np.add.outer(x, x) % r, np.multiply.outer(x, x) % r
-    if r & (r - 1):
-        raise ValueError(f"order {r} is neither prime nor a power of two")
     u = r.bit_length() - 1
-    if u not in _IRREDUCIBLE:
-        raise ValueError(f"GF(2^{u}) not supported (u > 6)")
     mul = np.zeros((r, r), dtype=np.int64)
     shifted = x.copy()  # x * t^k, reduced
     for k in range(u):
@@ -282,8 +252,7 @@ def affine_line_design(r: int, d: int) -> Design:
 
     Bad inputs are ValueErrors raised before anything is built, cheapest
     first: d < 2, r < 2, a grid over either cap (design_size_error), then
-    an order with no field, so a huge r is refused by the cap without a
-    primality test.
+    an order outside SUPPORTED_ORDERS.
     """
     if d < 2:
         raise ValueError(f"dimension {d} must be at least 2")

@@ -447,31 +447,38 @@ def sample_ball(shape: BlockShape, p1, p2, seed: int, count: int) -> list[BlockM
     sample (even indices) sits on the unit sphere; the rest are scaled
     into the interior.  Membership, not exact uniformity, is the contract.
     """
-    return [BlockMatrix(shape, row) for chunk in _ball_chunks(shape, p1, p2, seed, count) for row in chunk]
+    chunks = _draw_chunks(shape, count, _ball_draw(shape, p1, p2, seed))
+    return [BlockMatrix(shape, row) for chunk in chunks for row in chunk]
 
 
-def _ball_chunks(shape: BlockShape, p1, p2, seed: int, count: int) -> Iterator[np.ndarray]:
-    """sample_ball's points drawn chunk by chunk (see _draw_chunks); the
-    arguments are checked here, before the first point is drawn."""
+def _ball_draw(shape: BlockShape, p1, p2, seed: int):
+    """sample_ball's stream as a draw of _draw_chunks; the exponents and
+    the seed are checked here, before the first point is drawn."""
+    p1, p2 = Exponent.of(p1), Exponent.of(p2)
+    return partial(_draw_ball_chunk, np.random.default_rng(seed), shape, p1, p2)
+
+
+def _draw_chunks(shape: BlockShape, count: int, *draws) -> Iterator[np.ndarray]:
+    """count points of each stream of draws in turn, in chunks: (k, n)
+    arrays of k successive points of one stream, k = _chunk_points(shape)
+    but in a stream's last chunk, each filled by draw(chunk, index of its
+    first point).  Every chunk is the first k rows of one array of
+    _chunk_points(shape) rows that all the streams share, so a chunk holds
+    only until the next one is drawn.  count below 1 is a ValueError,
+    raised here, before any point is drawn."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    p1, p2 = Exponent.of(p1), Exponent.of(p2)
-    rng = np.random.default_rng(seed)
-    return _draw_chunks(shape, count, partial(_draw_ball_chunk, rng, shape, p1, p2))
-
-
-def _draw_chunks(shape: BlockShape, count: int, draw) -> Iterator[np.ndarray]:
-    """count points of a stream in chunks: (k, n) arrays of k successive
-    points, k = _chunk_points(shape) but in the last chunk, each filled
-    by draw(chunk, index of its first point).  Every chunk is the first k
-    rows of the stream's one array of _chunk_points(shape) rows, so a
-    chunk holds only until the next one is drawn."""
     per = _chunk_points(shape)
     rows = np.empty((per, shape.n))
-    for first in range(0, count, per):
-        chunk = rows[: min(per, count - first)]
-        draw(chunk, first)
-        yield chunk
+
+    def chunks():
+        for draw in draws:
+            for first in range(0, count, per):
+                chunk = rows[: min(per, count - first)]
+                draw(chunk, first)
+                yield chunk
+
+    return chunks()
 
 
 def _draw_ball_chunk(
@@ -512,16 +519,15 @@ def _draw_ball_chunk(
 
 def extreme_points_inf1(shape: BlockShape, seed: int, count: int) -> list[BlockMatrix]:
     """Extreme points of the (inf, 1) unit ball: one column of +-1 entries."""
-    return [BlockMatrix(shape, row) for chunk in _extreme_chunks(shape, seed, count) for row in chunk]
+    chunks = _draw_chunks(shape, count, _extreme_draw(shape, seed))
+    return [BlockMatrix(shape, row) for chunk in chunks for row in chunk]
 
 
-def _extreme_chunks(shape: BlockShape, seed: int, count: int) -> Iterator[np.ndarray]:
-    """extreme_points_inf1's points drawn chunk by chunk (see _draw_chunks);
-    count is checked here, before the first point is drawn."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+def _extreme_draw(shape: BlockShape, seed: int):
+    """extreme_points_inf1's stream as a draw of _draw_chunks; the seed is
+    checked here, before the first point is drawn."""
     rng = np.random.default_rng(seed)
-    return _draw_chunks(shape, count, lambda chunk, first: _draw_extreme_chunk(rng, shape, chunk))
+    return lambda chunk, first: _draw_extreme_chunk(rng, shape, chunk)
 
 
 def _draw_extreme_chunk(rng: np.random.Generator, shape: BlockShape, chunk: np.ndarray) -> None:

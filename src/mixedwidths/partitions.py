@@ -20,12 +20,13 @@ from itertools import chain
 import numpy as np
 
 from .designs import (
+    MAX_DESIGN_POINTS,
+    SUPPORTED_ORDERS,
     PointSets,
     _pair_multiplicities,
     _Ragged,
     affine_line_design,
     design_size_error,
-    is_supported_order,
 )
 from .norms import BlockShape
 
@@ -41,6 +42,19 @@ __all__ = [
 ]
 
 Cell = tuple[int, int]
+
+# Most cells of a grid the constructions build, one 4096 x 4096 grid:
+# good_partition(4096, 4096, 2) peaks at 266 MiB and
+# transposition_partition(4096) at 576 MiB (tracemalloc), and a
+# SpreadOperator over either at a further 516 or 640 MiB.
+MAX_GRID_CELLS = MAX_DESIGN_POINTS**2
+
+
+def _check_grid(s: int, b: int) -> None:
+    """A ValueError when the grid [s] x [b] has over MAX_GRID_CELLS cells,
+    raised before a construction allocates its arrays."""
+    if s * b > MAX_GRID_CELLS:
+        raise ValueError(f"grid {s}x{b} has {s * b} cells, over {MAX_GRID_CELLS}")
 
 
 class CellGroups(_Ragged):
@@ -204,17 +218,12 @@ _FIELD_ORDERS = ("power_of_two", "smallest")
 
 
 def _field_order(b: int, d: int, field_order: str) -> int:
-    """Least r with r^d >= b among the powers of two ("power_of_two") or
-    among all supported orders, primes and 2^u with u <= 6 ("smallest").
-    The latter is never larger; both satisfy b^(1/d) <= r <= 2*b^(1/d)."""
-    r = 2
-    if field_order == "power_of_two":
-        while r**d < b:
-            r *= 2
-    else:
-        while r**d < b or not is_supported_order(r):
-            r += 1
-    return r
+    """Least r in SUPPORTED_ORDERS with r^d >= b, among its powers of two
+    ("power_of_two") or all of it ("smallest").  The latter is never
+    larger; both satisfy b^(1/d) <= r <= 2*b^(1/d).  Every b up to
+    MAX_DESIGN_POINTS has one, since 64^d >= 4096 for d >= 2."""
+    powers = field_order == "power_of_two"
+    return next(r for r in SUPPORTED_ORDERS if r**d >= b and not (powers and r & (r - 1)))
 
 
 def good_partition(s: int, b: int, d: int, *, field_order: str = "power_of_two") -> Partition:
@@ -226,8 +235,9 @@ def good_partition(s: int, b: int, d: int, *, field_order: str = "power_of_two")
     times, so every point is covered s-fold (row i holds the lines of the
     (i // l)-th direction; the repeat is never built), and restricts to
     the first b columns.  A design grid over MAX_DESIGN_POINTS points or
-    MAX_DESIGN_MEMBERSHIPS line memberships is refused before anything is
-    built.
+    MAX_DESIGN_MEMBERSHIPS line memberships, and a grid [s] x [b'] over
+    MAX_GRID_CELLS cells, are refused before anything is built; b over
+    MAX_DESIGN_POINTS is refused before r is chosen.
 
     field_order picks r: "power_of_two" (the default) takes the least
     r = 2^u with r^d >= b; "smallest" takes the least supported order,
@@ -249,12 +259,14 @@ def good_partition(s: int, b: int, d: int, *, field_order: str = "power_of_two")
         return singleton_partition(s, 1)
     # r = 2 is asked first, so a huge d is refused without searching powers
     too_large = design_size_error(2, d)
+    if too_large is None and b > MAX_DESIGN_POINTS:
+        too_large = f"b = {b} columns exceed the {MAX_DESIGN_POINTS} points of the largest design grid"
     if too_large is None:
         r = _field_order(b, d, field_order)
         too_large = design_size_error(r, d)
     if too_large is not None:
         raise ValueError(too_large)
-
+    _check_grid(s, r**d)
     full = _good_partition_full(s, d, r)
     return restrict(full, s, b)
 
@@ -282,6 +294,7 @@ def restrict(partition: Partition, s: int, b: int) -> Partition:
 
 def singleton_partition(s: int, b: int) -> Partition:
     """Every cell its own group: r = 1, l = 0; the induced map is the identity."""
+    _check_grid(s, b)
     shape = BlockShape(s, b)
     groups = CellGroups._of(
         np.ones(shape.n, dtype=np.int64), np.tile(np.arange(s), b), np.repeat(np.arange(b), s)

@@ -19,7 +19,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -28,9 +27,10 @@ from .norms import (
     BlockShape,
     Exponent,
     _abs_row_norms,
-    _ball_chunks,
+    _ball_draw,
     _chunk_points,
-    _extreme_chunks,
+    _draw_chunks,
+    _extreme_draw,
     _row_norms,
     block_norm_vector,
     ceil_power,
@@ -40,7 +40,7 @@ from .norms import (
     pos_part,
     recip_gap,
 )
-from .partitions import CellGroups, Partition, good_partition
+from .partitions import CellGroups, Partition, _check_grid, good_partition
 
 # Field order of every partition the pipeline builds: the least supported
 # order r with r^d >= b, so the design grid r^d overshoots b the least.
@@ -122,16 +122,17 @@ class SpreadOperator:
         entries are flat, a stack of columns of s entries (one or more
         grids, read in place), and columns is a (count, kept) array: the
         sorted columns kept in each of count copies of the partition's
-        grid, copy c starting at column first[c] of the stack.  Copy c's
-        group ids are offset by c * dim, so one bincount sums every group
-        of every copy, each adding its cells of the columns in flat order,
-        as apply does (its other terms are zeros): the values are
-        bit-identical to apply's.  The cells index entries.
+        grid, copy c starting at column first[c] of the stack, where first
+        strictly increases.  Copy c's group ids are offset by first[c] *
+        dim, so the ids of distinct copies never meet and keep the copies'
+        order, and one bincount sums every group of every copy, each adding
+        its cells of the columns in flat order, as apply does (its other
+        terms are zeros): the values are bit-identical to apply's.  The
+        cells index entries.
         """
-        count = columns.shape[0]
         s = self.partition.shape.s
         group = self._column_groups[columns]  # (count, kept, s)
-        group += (self.dim * np.arange(count))[:, None, None]
+        group += (first * self.dim)[:, None, None]
         weights = entries.reshape(-1, s)[columns + first[:, None]].ravel()
         group = group.ravel()
         # the distinct groups in increasing order, as np.unique gives them
@@ -141,13 +142,13 @@ class SpreadOperator:
         np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
         touched = ordered[starts]
         sums = np.bincount(np.searchsorted(touched, group), weights=weights)
-        copy, touched = np.divmod(touched, self.dim)
+        start, touched = np.divmod(touched, self.dim)  # start: the copy's first column
         sizes = self._group_size[touched]
         # where each touched group's cells sit in _group_cells: the group's
         # start plus 0, 1, ..., size - 1
         offsets = np.cumsum(sizes) - sizes
         at = np.repeat(self._group_start[touched] - offsets, sizes) + np.arange(sizes.sum())
-        cells = self._group_cells[at] + np.repeat(first[copy] * s, sizes)
+        cells = self._group_cells[at] + np.repeat(start * s, sizes)
         return cells, np.repeat(sums, sizes)
 
 
@@ -183,10 +184,7 @@ def check_one_column_bound(op: SpreadOperator, p, q1, q2, x: BlockMatrix) -> One
     nonzero_cols = np.flatnonzero(block_norm_vector(x, Exponent.ONE))
     if nonzero_cols.size > 1:
         raise ValueError(f"support spans columns {nonzero_cols.tolist()}; need one")
-    cells, values = op._spread_columns(x.entries, nonzero_cols.reshape(1, -1), np.zeros(1, dtype=np.int64))
-    residual = x.entries.copy()
-    residual[cells] -= values
-    lhs = mixed_norm(BlockMatrix._adopt(x.shape, residual), (q1, q2))
+    lhs = mixed_norm(x - op.apply(x), (q1, q2))
     rhs = spread_error_coefficient(op.partition, p, q1, q2) * lq_norm(x.entries, p)
     return OneColumnCheck(lhs=lhs, rhs=rhs, ok=lhs <= rhs + 1e-9)
 
@@ -475,8 +473,12 @@ def pipeline_operators(s: int, b: int, d: int, kind: str) -> dict[int, SpreadOpe
     (s and the remainder on a wide grid, b alone when s >= b) through
     that width's good partition.  kind "transposition" gives the
     transposition partition of a square grid; a grid that is not square
-    is a ValueError, and so is any other kind."""
+    is a ValueError, and so is any other kind.  Each partition refuses a
+    grid over partitions.MAX_GRID_CELLS cells; so does a wide grid
+    itself, first, since its points are larger than its partitions."""
     if kind == "good":
+        if s < b:
+            _check_grid(s, b)
         return {
             width: SpreadOperator(good_partition(s, width, d, field_order=PIPELINE_FIELD_ORDER))
             for width in sorted({min(s, b - lo) for lo in range(0, b, s)})
@@ -489,15 +491,15 @@ def pipeline_operators(s: int, b: int, d: int, kind: str) -> dict[int, SpreadOpe
 
 
 def _pipeline_chunks(shape: BlockShape, p1, p2, seed: int, count: int) -> Iterator[np.ndarray]:
-    """The points sweep rows and witnesses sample, in chunks (see
-    norms._draw_chunks): count points of the (p1, p2) ball from seed
+    """The points sweep rows and witnesses sample, in chunks of one array
+    (see norms._draw_chunks): count points of the (p1, p2) ball from seed
     (sample_ball's), then for the (inf, 1) ball count extreme points from
     seed + 1 (extreme_points_inf1's).  A chunk never mixes the two."""
     p1, p2 = Exponent.of(p1), Exponent.of(p2)
-    chunks = _ball_chunks(shape, p1, p2, seed, count)
+    draws = [_ball_draw(shape, p1, p2, seed)]
     if p1.is_inf and p2 == Exponent.ONE:
-        chunks = chain(chunks, _extreme_chunks(shape, seed + 1, count))
-    return chunks
+        draws.append(_extreme_draw(shape, seed + 1))
+    return _draw_chunks(shape, count, *draws)
 
 
 @dataclass(frozen=True)
@@ -546,6 +548,7 @@ def transposition_partition(s: int) -> Partition:
     share exactly one group (their transposition pair)."""
     if s < 1:
         raise ValueError("s must be positive")
+    _check_grid(s, s)
     i, j = np.triu_indices(s, 1)  # the pairs i < j, by i then j
     diagonal = np.arange(s)
     sizes = np.repeat([2, 1], [i.size, s])

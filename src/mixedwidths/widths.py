@@ -11,7 +11,7 @@ condition.  All comparisons run on exact rational reciprocals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .norms import BlockShape, Exponent, d0_mixed, float_pow, recip_gap
@@ -226,14 +226,7 @@ class WitnessRecord:
     detail: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "error_ratio": self.error_ratio,
-            "sup_error": self.sup_error,
-            "d0": self.d0,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def nonrigidity_witness(

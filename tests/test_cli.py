@@ -171,6 +171,30 @@ class TestPartitionCommand:
         assert (rc, out) == (3, "") and err.startswith("error") and "line memberships" in err
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("command", [
+        ["partition", "--s", "1000000000000", "--b", "16", "--d", "2"],  # 1.46 TiB of rows
+        ["bound", "--p1", "inf", "--p2", "1", "--q1", "1", "--q2", "2", "--s", "100000000", "--b", "16"],
+        ["partition", "--s", "100000", "--b", "100000", "--transpose"],
+        ["partition", "--s", "100000000000", "--b", "1"],
+        # a wide grid: its partitions are small, its sampled points are not
+        ["bound", "--p1", "inf", "--p2", "1", "--q1", "1", "--q2", "2", "--s", "2", "--b", "20000000"],
+    ])
+    def test_grid_over_the_cell_cap_exits_3(self, command):
+        # refused before any cell array is allocated
+        start = time.perf_counter()
+        rc, out, err = run_cli(command)
+        assert (rc, out) == (3, "") and err.startswith("error: ") and "over 16777216" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_columns_over_the_cap_exit_3_before_any_search(self):
+        start = time.perf_counter()
+        rc, out, err = run_cli([
+            "bound", "--p1", "inf", "--p2", "1", "--q1", "1", "--q2", "2",
+            "--s", str(10**20), "--b", str(10**20), "--d", "2",
+        ])
+        assert (rc, out) == (3, "") and err.startswith("error: ") and "4096" in err
+        assert time.perf_counter() - start < 1.0
+
     def test_tuple_with_d_12_exits_3(self):
         # the pipeline's d for (6/5, 1, 1, 2) is 12, and 2^12 is refused at every width
         start = time.perf_counter()

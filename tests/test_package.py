@@ -46,3 +46,37 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_the_unused_import_check_sees_a_stranded_import():
     source = "import math\nimport numpy as np  # noqa: F401\nfrom x import (\n    a,\n    b,\n)\n\nprint(a)\n"
     assert _unused_imports(source) == ["line 1: math", "line 5: b"]
+
+
+def _stranded_private_names(sources: list[str]) -> list[str]:
+    """Private names defined at the top level of a module (functions,
+    classes and assigned names; dunders aside) that no module reads: as a
+    name, as an attribute or in an import."""
+    defined, used = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted(n for n in defined - used if n.startswith("_") and not n.startswith("__"))
+
+
+def test_every_private_name_is_used():
+    assert _stranded_private_names([path.read_text(encoding="utf-8") for path in SOURCES]) == []
+
+
+def test_the_private_name_check_sees_a_stranded_helper():
+    helpers = "def _used():\n    pass\n\n\ndef _stranded(n):\n    return _used()\n\n\n_LIMIT = 3\n_SHARED: int = 4\n"
+    reader = "from helpers import _SHARED\n\nx = _LIMIT\n"
+    assert _stranded_private_names([helpers, reader]) == ["_stranded"]
+    assert _stranded_private_names([helpers]) == ["_LIMIT", "_SHARED", "_stranded"]

@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -293,6 +294,15 @@ def test_design_grid_over_the_cap_refused():
         good_partition(8, 8, 13)
     with pytest.raises(ValueError, match="4096"):
         good_partition(3200, 3200, 5, field_order="smallest")  # 7^5 points
+
+
+@pytest.mark.parametrize("field_order", ["power_of_two", "smallest"])
+def test_columns_over_the_cap_refused_before_any_search(field_order):
+    # stepping r up to 10^10 would take hours
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceed the 4096 points"):
+        good_partition(10**20, 10**20, 2, field_order=field_order)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_design_memberships_over_the_cap_refused():

@@ -38,9 +38,10 @@ from mixedwidths import (
 )
 from mixedwidths.norms import (
     _CHUNK_CELLS,
-    _ball_chunks,
+    _ball_draw,
     _chunk_points,
-    _extreme_chunks,
+    _draw_chunks,
+    _extreme_draw,
     _row_norms,
     _symmetric_power_sample,
 )
@@ -314,9 +315,9 @@ def test_samplers_draw_the_oracles_points(p1, p2, s, b, count, seed):
 def test_point_streams_check_count_before_drawing():
     # the chunk generators refuse when called, before their first chunk is asked for
     with pytest.raises(ValueError, match="count"):
-        _ball_chunks(BlockShape(2, 2), 2, 1, 0, 0)
+        _draw_chunks(BlockShape(2, 2), 0, _ball_draw(BlockShape(2, 2), 2, 1, 0))
     with pytest.raises(ValueError, match="count"):
-        _extreme_chunks(BlockShape(2, 2), 0, 0)
+        _draw_chunks(BlockShape(2, 2), 0, _extreme_draw(BlockShape(2, 2), 0))
     with pytest.raises(ValueError, match="count"):
         _pipeline_chunks(BlockShape(2, 2), "inf", 1, 0, 0)
     with pytest.raises(ValueError, match="count"):
@@ -439,8 +440,12 @@ def test_lists_drawn_in_chunks_equal_the_list_samplers(p1, p2):
         for i in range(1, count):
             assert not np.shares_memory(points[i - 1].entries, points[i].entries)
     # the stream behind them draws every chunk into its one array
-    chunks = list(_ball_chunks(shape, p1, p2, 11, count))
+    chunks = list(_draw_chunks(shape, count, _ball_draw(shape, p1, p2, 11)))
     assert [len(chunk) for chunk in chunks] == [6] * 7 + [3]
+    assert all(chunk.base is chunks[0].base for chunk in chunks)
+    # and so does the pipeline's, through both of its streams for (inf, 1)
+    chunks = list(_pipeline_chunks(shape, p1, p2, 11, count))
+    assert len(chunks) == (16 if p1 == "inf" and p2 == "1" else 8)
     assert all(chunk.base is chunks[0].base for chunk in chunks)
 
 
@@ -449,7 +454,7 @@ def test_lists_drawn_in_chunks_equal_the_list_samplers(p1, p2):
 )
 def test_chunks_stay_within_the_cell_budget(s, b):
     shape = BlockShape(s, b)
-    chunk = next(_ball_chunks(shape, "inf", 1, 0, 1))  # one point, in the stream's one array
+    chunk = next(_draw_chunks(shape, 1, _ball_draw(shape, "inf", 1, 0)))  # one point, in the stream's one array
     rows = chunk.base
     assert chunk.shape == (1, shape.n)
     assert rows.shape == (_chunk_points(shape), shape.n)
