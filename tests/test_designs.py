@@ -98,14 +98,31 @@ class TestGaloisField:
         for r in SMALL_ORDERS + [32, 64]:
             assert is_supported_order(r)
 
-    def test_supported_orders_are_exactly_the_tabled_ones(self):
+    def test_primality_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+        # the supported orders are exactly the primes and powers of two
+        # from 2 to 64, and no order outside that range is supported
         assert [r for r in range(-5, 5000) if is_supported_order(r)] == list(TABLE_DIGESTS)
+        for lo in (0, 10**4, 10**6):
+            orders = [n for n in range(lo, lo + 1000) if n & (n - 1)]
+            assert [is_supported_order(n) for n in orders] == [trial(n) and n <= 64 for n in orders]
+
+    def test_large_orders_are_tested_at_once(self):
         start = time.perf_counter()
-        # a prime just past the cap, a Mersenne prime, and strong
-        # pseudoprimes to every prime base up to 37 and up to 41
-        for r in (67, 2**61 - 1, 318665857834031151167461, 3317044064679887385961981):
+        # a prime just past the cap, a Mersenne prime, its odd neighbour,
+        # and a strong pseudoprime to every prime base up to 37
+        for r in (67, 2**61 - 1, 2**61 + 1, 318665857834031151167461):
             assert is_supported_order(r) is False
         assert time.perf_counter() - start < 0.1
+
+    def test_orders_past_the_exact_range_refused(self):
+        # a strong pseudoprime to every prime base up to 41: refused by
+        # returning False, not by an exception
+        assert is_supported_order(3317044064679887385961981) is False
+        with pytest.raises(ValueError, match="exceeds 64"):
+            field_tables(3317044064679887385961981)
 
     @pytest.mark.parametrize("r, supported", [(np.int64(8), True), (np.int64(6), False), (np.int64(7), True)])
     def test_numpy_integer_orders_read_as_ints(self, r, supported):
