@@ -34,8 +34,8 @@ __all__ = [
 ]
 
 # Largest ground set r^d the toolkit builds a design on.  Of the designs
-# both caps admit, verify_design peaks highest at 4^6 (about 391 MiB), then
-# 2^11 (252 MiB); 64^2 takes about 147 MiB.
+# both caps admit, verify_design peaks highest at 4^6 (about 220 MiB), then
+# 8^4 (164 MiB); 64^2 takes about 138 MiB and 2^11 124 MiB.
 MAX_DESIGN_POINTS = 4096
 
 # Largest field order a design within MAX_DESIGN_POINTS can use (d >= 2);
@@ -45,7 +45,7 @@ MAX_FIELD_ORDER = math.isqrt(MAX_DESIGN_POINTS)
 # Largest number of (line, point) memberships m*r of a design the toolkit
 # builds.  Of the designs within MAX_DESIGN_POINTS only 2^12 (16.8 million)
 # is over it: four times 2^11 (4.2 million), built cold in about 0.8 s
-# (peak 80 MiB) and verified in 0.5 s (250 MiB); 4^6 (5.6 million) in 0.5 s.
+# (peak 80 MiB) and verified in 0.2 s (124 MiB); 4^6 (5.6 million) in 0.4 s.
 MAX_DESIGN_MEMBERSHIPS = 6_000_000
 
 
@@ -298,27 +298,41 @@ class DesignReport:
     violations: tuple[str, ...]
 
 
-def _pair_multiplicities(keys: np.ndarray, n: int) -> np.ndarray:
+def _owner_points(sizes: np.ndarray, points: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Each owner's size and points in [0, n), strictly increasing within
+    each owner, and the owners that held a point more than once.  Input in
+    that order (affine-line designs, good partitions) is returned as it is;
+    other input is sorted by the keys owner*n + point, below 2^63."""
+    later = points[1:] > points[:-1]
+    starts = np.cumsum(sizes)[:-1]
+    later[starts[(starts > 0) & (starts < points.size)] - 1] = True  # no order across owners
+    if later.all():
+        return sizes, points, []
+    keys = np.repeat(np.arange(sizes.size) * n, sizes) + points
+    keys.sort()
+    repeat = np.diff(keys, prepend=-1) == 0
+    repeated = np.unique(keys[repeat] // n).tolist()
+    owner, points = np.divmod(keys[~repeat], n)
+    return np.bincount(owner, minlength=sizes.size), points, repeated
+
+
+def _pair_multiplicities(sizes: np.ndarray, points: np.ndarray, n: int) -> np.ndarray:
     """How many owners hold each pair of points that some owner holds,
     in the order of the pair keys lower*n + upper.
 
-    keys are the sorted keys owner*n + point, with points in [0, n);
-    repeats are ignored.  Owners are taken one size class at a time, and
-    a run of owners with the same points, as a repeated design has, is
-    counted once with the run length as its weight.  The pair keys are
-    sorted, and the weights summed run by run.  When no two adjacent
-    owners are equal, as in an affine-line design, every weight is 1: the
-    keys are then sorted in place and the multiplicities are the lengths
-    of the runs of equal keys, with no weight or order array.
+    sizes and points are as _owner_points returns them.  Owners are taken
+    one size class at a time, and a run of owners with the same points, as
+    a repeated design has, is counted once with the run length as its
+    weight.  The pair keys are sorted, and the weights summed run by run.
+    When no two adjacent owners are equal, as in an affine-line design,
+    every weight is 1: the keys are then sorted in place and the
+    multiplicities are the lengths of the runs of equal keys, with no
+    weight or order array.
     """
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    owner = keys // n
-    size = np.bincount(owner)[owner]
-    del owner
-    point = np.remainder(keys, n, out=keys)
+    present = (np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist()  # empty owners hold no points
     classes = []
-    for c in np.flatnonzero(np.bincount(size)).tolist():
-        members = point[size == c].reshape(-1, c)
+    for c in present:
+        members = (points if len(present) == 1 else points[np.repeat(sizes == c, sizes)]).reshape(-1, c)
         first = np.flatnonzero(np.r_[True, (members[1:] != members[:-1]).any(axis=1)])
         classes.append((c, members[first], np.diff(first, append=members.shape[0])))
     weighted = any((run > 1).any() for _, _, run in classes)
@@ -352,26 +366,29 @@ def verify_design(design: Design) -> DesignReport:
     """Exhaustive check of set sizes and pair-coverage multiplicity.
 
     Violations are collected, never raised.  The design's arrays are read
-    as they are: sizes and range checks are elementwise, repeated points
-    come from one sort of the (set, point) keys, and the pair coverage
+    as they are: sizes and range checks are elementwise; the (set, point)
+    keys are sorted, for the repeated points, only when some set's points
+    do not increase (_owner_points); and the pair coverage comes
     from one array with an entry per pair inside each set, r*(r-1)/2 per
     set (a run of equal sets counted once), summed after one sort.  Time
-    and memory grow with m*r^2 pairs and m*r memberships: about 19 bytes
+    and memory grow with m*r^2 pairs and m*r memberships: about 17 bytes
     per pair when the sets are large (r = 64, d = 2: 8.4 million pairs, a
-    peak of about 147 MiB), more when the per-set arrays dominate.  Of the
+    peak of about 138 MiB), more when the per-set arrays dominate.  Of the
     affine-line designs affine_line_design admits, 4^6 peaks highest, at
-    about 391 MiB, then 2^11 at about 252 MiB.
+    about 220 MiB, then 8^4 at about 164 MiB and 2^11 at about 124 MiB
+    (tracemalloc).
     """
     sizes, points = design.sets.sizes, design.sets.points
-    owner = np.repeat(np.arange(sizes.size), sizes)
     inside = (points >= 0) & (points < design.b)
     fits = inside.all() and max(design.b, sizes.size) * design.b < 2**63  # no relabelling needed
     labels, point_id = (np.arange(design.b), points) if fits else np.unique(points, return_inverse=True)
-    keys = np.sort(owner * labels.size + point_id)
+    held, point_id, repeated = _owner_points(sizes, point_id, labels.size)
     repeats = np.zeros(sizes.size, dtype=bool)
-    repeats[keys[np.diff(keys, prepend=-1) == 0] // labels.size] = True
+    repeats[repeated] = True
     wrong_size = sizes != design.r
-    outside = np.bincount(owner[~inside], minlength=sizes.size) > 0
+    outside = np.zeros(sizes.size, dtype=bool)
+    if not fits:
+        outside[np.repeat(np.arange(sizes.size), sizes)[~inside]] = True
 
     violations = []
     for k in np.flatnonzero(repeats | wrong_size | outside).tolist():
@@ -382,7 +399,7 @@ def verify_design(design: Design) -> DesignReport:
         if outside[k]:
             violations.append(f"set {k} leaves the ground set [0, {design.b})")
 
-    counts = _pair_multiplicities(keys, labels.size)
+    counts = _pair_multiplicities(held, point_id, labels.size)
 
     n_pairs = design.b * (design.b - 1) // 2
     l_observed: int | None

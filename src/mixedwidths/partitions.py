@@ -23,6 +23,7 @@ from .designs import (
     MAX_DESIGN_POINTS,
     SUPPORTED_ORDERS,
     PointSets,
+    _owner_points,
     _pair_multiplicities,
     _Ragged,
     affine_line_design,
@@ -45,8 +46,8 @@ Cell = tuple[int, int]
 
 # Most cells of a grid the constructions build, one 4096 x 4096 grid:
 # good_partition(4096, 4096, 2) peaks at 266 MiB and
-# transposition_partition(4096) at 576 MiB (tracemalloc), and a
-# SpreadOperator over either at a further 516 or 640 MiB.
+# transposition_partition(4096) at its arrays' 320 MiB (tracemalloc), and
+# a SpreadOperator over either at a further 516 or 640 MiB.
 MAX_GRID_CELLS = MAX_DESIGN_POINTS**2
 
 
@@ -138,9 +139,10 @@ def partition_from_sets(sets: Sequence[Sequence[int]], s: int, b: int) -> Partit
     containing any single pair of points.
 
     A stable argsort of the flattened sets lists each point's sets in
-    order, so a cell's row is its rank there; cells are then grouped by
-    one stable sort of the (set, point) keys, whose distinct values also
-    give the pairs counted for l.
+    order, so a cell's row is its rank there; cells are then put in
+    (set, point) order, by one stable sort of those keys unless every
+    set's points already increase.  The pairs counted for l are those of
+    each set's distinct points (designs._owner_points).
     """
     sets = sets if isinstance(sets, PointSets) else PointSets(sets)
     sizes, points = sets.sizes, sets.points
@@ -160,16 +162,18 @@ def partition_from_sets(sets: Sequence[Sequence[int]], s: int, b: int) -> Partit
 
     # Each temporary is dropped once used, to keep peak memory near one
     # int64 per membership times a few.
+    held, distinct, _ = _owner_points(sizes, points, b)
+    l_bound = int(_pair_multiplicities(held, distinct, b).max(initial=0))
+    del held
     by_point = np.argsort(points, kind="stable")
     rank = np.empty_like(points)
     rank[by_point] = np.arange(points.size) - np.repeat(np.cumsum(counts) - counts, counts)
     del by_point
     keys = np.repeat(np.arange(sizes.size) * b, sizes) + points
-    del points
-    by_key = np.argsort(keys, kind="stable")
+    by_key = slice(None) if distinct is points else np.argsort(keys, kind="stable")
+    del points, distinct
     keys, rank = keys[by_key], rank[by_key]
     del by_key
-    l_bound = int(_pair_multiplicities(keys, b).max(initial=0))
     keep = rank < s
     group, col = np.divmod(keys[keep], b)
     row = rank[keep]
@@ -314,15 +318,17 @@ class PartitionReport:
 def verify_partition(partition: Partition) -> PartitionReport:
     """Exhaustive check of the cover and all three structural bounds.
 
-    The check reads the partition's cell arrays: the cover comes from
-    one bincount over the s*b cells, repeated columns from one sort of
-    the (group, column) keys, and column sharing from an entry per pair
-    of columns inside each group (a run of groups on the same columns
-    counted once), summed after one sort.  The cost is a few int64
-    arrays per cell plus one entry per column pair.
+    The check reads the partition's cell arrays (copied only when some
+    cell is outside the grid): the cover comes from one bincount over the
+    s*b cells, repeated columns from a sort of the (group, column) keys
+    made only when some group's columns do not increase, and column
+    sharing from an entry per pair of columns inside each group (a run of
+    groups on the same columns counted once), summed after one sort.  The
+    cost is a few int64 arrays per cell plus one entry per column pair.
 
     Grids above 10^6 cells are still refused.  Nothing in the check needs
-    the bound, but its peak memory above that size has not been measured.
+    the bound; at it, good_partition(1000, 1000, d) for d = 2 and 3 peaks
+    at about 32 MiB (tracemalloc), and above it the peak is unmeasured.
     """
     s, b = partition.shape.s, partition.shape.b
     if s * b > 10**6:
@@ -330,22 +336,22 @@ def verify_partition(partition: Partition) -> PartitionReport:
 
     groups = partition.groups
     sizes, rows, cols = groups.sizes, groups.rows, groups.cols
-    group = np.repeat(np.arange(sizes.size), sizes)
     inside = (rows >= 0) & (rows < s) & (cols >= 0) & (cols < b)
 
     # (group, place in group, message), sorted into the order of a scan
     # over the groups and their cells
     found = [(int(k), -1, f"group {k} is empty") for k in np.flatnonzero(sizes == 0)]
-    found += [
-        (int(group[c]), int(c), f"group {group[c]} has cell ({rows[c]}, {cols[c]}) outside the grid")
-        for c in np.flatnonzero(~inside)
-    ]
-    rows, cols, group = rows[inside], cols[inside], group[inside]
+    held = sizes
+    if not inside.all():
+        group = np.repeat(np.arange(sizes.size), sizes)
+        found += [
+            (int(group[c]), int(c), f"group {group[c]} has cell ({rows[c]}, {cols[c]}) outside the grid")
+            for c in np.flatnonzero(~inside)
+        ]
+        held = np.bincount(group[inside], minlength=sizes.size)
+        rows, cols = rows[inside], cols[inside]
     seen = np.bincount(cols * s + rows, minlength=s * b)
-    keys = group * b + cols
-    del rows, cols, group
-    keys.sort()
-    repeated = set((keys[np.diff(keys, prepend=-1) == 0] // b).tolist())
+    held, cols, repeated = _owner_points(held, cols, b)
     found += [(k, inside.size, f"group {k} meets some column more than once") for k in repeated]
     violations = [message for _, _, message in sorted(found)]
 
@@ -356,7 +362,7 @@ def verify_partition(partition: Partition) -> PartitionReport:
         violations.append(f"cover broken: {missing} cells missing, {doubled} duplicated")
 
     r_observed = int(sizes.max(initial=0))
-    l_observed = int(_pair_multiplicities(keys, b).max(initial=0))
+    l_observed = int(_pair_multiplicities(held, cols, b).max(initial=0))
     if r_observed > partition.r:
         violations.append(
             f"observed group size {r_observed} exceeds declared bound {partition.r}"

@@ -549,9 +549,14 @@ def transposition_partition(s: int) -> Partition:
     if s < 1:
         raise ValueError("s must be positive")
     _check_grid(s, s)
-    i, j = np.triu_indices(s, 1)  # the pairs i < j, by i then j
-    diagonal = np.arange(s)
-    sizes = np.repeat([2, 1], [i.size, s])
-    rows = np.concatenate([np.column_stack([i, j]).ravel(), diagonal])
-    cols = np.concatenate([np.column_stack([j, i]).ravel(), diagonal])
+    sizes = np.repeat([2, 1], [s * (s - 1) // 2, s])
+    rows, cols = np.empty(s * s, dtype=np.int64), np.empty(s * s, dtype=np.int64)
+    at = 0
+    for i in range(s):  # the pairs i < j, by i then j: cell (i, j), then (j, i)
+        later = np.arange(i + 1, s)
+        end = at + 2 * later.size
+        rows[at:end:2] = cols[at + 1 : end : 2] = i
+        rows[at + 1 : end : 2] = cols[at:end:2] = later
+        at = end
+    rows[at:] = cols[at:] = np.arange(s)  # the diagonal
     return Partition(BlockShape(s, s), CellGroups._of(sizes, rows, cols), r=2, l=1)

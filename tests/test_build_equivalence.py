@@ -41,7 +41,7 @@ from mixedwidths import (
     verify_design,
     verify_partition,
 )
-from mixedwidths.designs import design_size_error
+from mixedwidths.designs import _owner_points, design_size_error
 from mixedwidths.partitions import _good_partition_full
 
 # Fixed example sequence, no example database: the suite stays deterministic.
@@ -569,3 +569,81 @@ def test_large_grids_match_loops():
     assert_same(verify_design(sparse), _oracle_verify_design(sparse))
     cut = replace(good_partition(64, 64, 2), r=3, l=1)
     assert_same(verify_partition(cut), _oracle_verify_partition(cut))
+
+
+# ------------------------------------------- in-order input and its order
+
+
+@EXAMPLES
+@given(st.lists(st.lists(st.integers(0, 7), max_size=5), max_size=8))
+def test_owner_points_sorts_only_out_of_order_input(sets):
+    sizes = np.array([len(a) for a in sets], dtype=np.int64)
+    points = np.array([p for a in sets for p in a], dtype=np.int64)
+    held, distinct, repeated = _owner_points(sizes, points, 8)
+    assert (distinct is points) == all(list(a) == sorted(set(a)) for a in sets)
+    assert held.tolist() == [len(set(a)) for a in sets]
+    assert distinct.tolist() == [p for a in sets for p in sorted(set(a))]
+    assert repeated == [k for k, a in enumerate(sets) if len(set(a)) < len(a)]
+
+
+@EXAMPLES
+@given(malformed_partitions(), st.randoms(use_true_random=False))
+def test_verify_partition_ignores_the_order_of_cells_in_a_group(case, rnd):
+    # the in-grid cells of each group sorted by column (the in-order path
+    # unless a column repeats) and shuffled (the sorting path); cells
+    # outside the grid keep their places, since their messages name them
+    part, _, _ = case
+    s, b = part.shape.s, part.shape.b
+
+    def reordered(arrange):
+        groups = []
+        for g in part.groups:
+            at = [k for k, (i, j) in enumerate(g) if 0 <= i < s and 0 <= j < b]
+            cells = list(g)
+            for k, cell in zip(at, arrange([g[k] for k in at])):
+                cells[k] = cell
+            groups.append(tuple(cells))
+        return replace(part, groups=tuple(groups))
+
+    report = verify_partition(part)
+    for arrange in (lambda cells: sorted(cells, key=lambda c: c[1]), lambda cells: rnd.sample(cells, len(cells))):
+        other = reordered(arrange)
+        assert_same(verify_partition(other), report)
+        assert_same(verify_partition(other), _oracle_verify_partition(other))
+
+
+@EXAMPLES
+@given(malformed_designs(), st.randoms(use_true_random=False))
+def test_verify_design_ignores_the_order_of_points_in_a_set(design, rnd):
+    report = verify_design(design)
+    for arrange in (sorted, lambda a: rnd.sample(a, len(a))):
+        other = replace(design, sets=tuple(tuple(arrange(list(a))) for a in design.sets))
+        assert_same(verify_design(other), report)
+        assert_same(verify_design(other), _oracle_verify_design(other))
+
+
+# The verifiers skip their sort because the constructions emit each set's
+# points and each group's columns in increasing order; if a construction
+# stops doing so, these fail, where the verifiers would only slow down.
+
+
+@pytest.mark.parametrize("r,d", DESIGN_GRIDS)
+def test_affine_line_designs_hold_each_set_increasing(r, d):
+    sets = affine_line_design(r, d).sets
+    assert _owner_points(sets.sizes, sets.points, r**d)[1] is sets.points
+
+
+# grids of the build benchmark's skeleton: for each (d, b') the ends of its
+# s window, with b at b' (when s >= b') and at the ends of its unaligned window
+BUILD_GRIDS = [
+    (256, 160, 2), (272, 255, 2), (272, 256, 2), (64, 40, 2), (72, 63, 2), (64, 64, 2),
+    (293, 178, 3), (320, 320, 3), (64, 36, 3), (84, 63, 3), (84, 64, 3),
+    (256, 136, 4), (320, 255, 4), (320, 256, 4), (64, 8, 4), (75, 15, 4), (75, 16, 4),
+]
+
+
+@pytest.mark.parametrize("field_order", ["power_of_two", "smallest"])
+@pytest.mark.parametrize("s,b,d", BUILD_GRIDS)
+def test_good_partitions_hold_each_group_increasing(s, b, d, field_order):
+    groups = good_partition(s, b, d, field_order=field_order).groups
+    assert _owner_points(groups.sizes, groups.cols, b)[1] is groups.cols

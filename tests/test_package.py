@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mixedwidths
@@ -80,3 +83,15 @@ def test_the_private_name_check_sees_a_stranded_helper():
     reader = "from helpers import _SHARED\n\nx = _LIMIT\n"
     assert _stranded_private_names([helpers, reader]) == ["_stranded"]
     assert _stranded_private_names([helpers]) == ["_LIMIT", "_SHARED", "_stranded"]
+
+
+def test_import_loads_no_heavy_or_concurrency_module():
+    # the package is imported by every entry point and by the benchmark's
+    # set-up time; scipy.special alone takes about a third of a second
+    banned = {"scipy", "numba", "concurrent", "multiprocessing", "asyncio", "subprocess"}
+    code = "import sys, mixedwidths; print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))"
+    src = str(Path(mixedwidths.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert "mixedwidths" in loaded.stdout.split()
+    assert banned & set(loaded.stdout.split()) == set()

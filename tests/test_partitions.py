@@ -340,6 +340,23 @@ def test_cold_good_partition_peak_memory():
     assert peak < 8 * 2**20, peak / 2**20
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_verify_partition_peak_memory_at_the_grid_guard(d):
+    # the check on a 10^6-cell grid peaked at about 32 MiB for d = 2 and 3
+    # (55 MiB while it sorted every (group, column) key); the bound leaves
+    # a 25 % margin.  Lifting the 10^6-cell guard needs such a figure above it.
+    part = good_partition(1000, 1000, d)
+    verify_partition(good_partition(8, 8, d))  # first-call imports
+    tracemalloc.start()
+    try:
+        report = verify_partition(part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.l_observed == part.l
+    assert peak < 40 * 2**20, peak / 2**20
+
+
 def test_construction_caches_stay_within_their_bound():
     # a sweep over more distinct designs and grids than either cache holds
     # keeps at most maxsize of each, where an unbounded cache held them all

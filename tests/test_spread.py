@@ -497,3 +497,22 @@ class TestTranspositionPartition:
     def test_positive_size_required(self):
         with pytest.raises(ValueError):
             transposition_partition(0)
+
+    @pytest.mark.parametrize("s", range(1, 8))
+    def test_groups_in_pair_order_then_the_diagonal(self, s):
+        pairs = [((i, j), (j, i)) for i in range(s) for j in range(i + 1, s)]
+        assert transposition_partition(s).groups == tuple(pairs) + tuple(((i, i),) for i in range(s))
+
+    def test_peak_memory_is_its_arrays(self):
+        # rows and columns are written pair by pair into their s^2 arrays:
+        # about 1.0 times the three arrays' bytes, where the upper-triangle
+        # indices and their stacked copies took 1.8 times
+        transposition_partition(2)  # first-call imports
+        tracemalloc.start()
+        try:
+            groups = transposition_partition(1024).groups
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = groups.sizes.nbytes + groups.rows.nbytes + groups.cols.nbytes
+        assert peak < 1.25 * held, peak / held
