@@ -34,8 +34,8 @@ __all__ = [
 ]
 
 # Largest ground set r^d the toolkit builds a design on.  Of the designs
-# both caps admit, verify_design peaks highest at 4^6 (about 220 MiB), then
-# 8^4 (164 MiB); 64^2 takes about 138 MiB and 2^11 124 MiB.
+# both caps admit, verify_design peaks highest at 4^6 (about 139 MiB), then
+# 8^4 (131 MiB), 16^3 (129 MiB) and 64^2 (128 MiB); 2^11 takes 44 MiB.
 MAX_DESIGN_POINTS = 4096
 
 # Largest field order a design within MAX_DESIGN_POINTS can use (d >= 2);
@@ -45,7 +45,7 @@ MAX_FIELD_ORDER = math.isqrt(MAX_DESIGN_POINTS)
 # Largest number of (line, point) memberships m*r of a design the toolkit
 # builds.  Of the designs within MAX_DESIGN_POINTS only 2^12 (16.8 million)
 # is over it: four times 2^11 (4.2 million), built cold in about 0.8 s
-# (peak 80 MiB) and verified in 0.2 s (124 MiB); 4^6 (5.6 million) in 0.4 s.
+# (peak 80 MiB) and verified in 0.1 s (44 MiB); 4^6 (5.6 million) in 0.3 s.
 MAX_DESIGN_MEMBERSHIPS = 6_000_000
 
 
@@ -308,45 +308,72 @@ def _owner_points(sizes: np.ndarray, points: np.ndarray, n: int) -> tuple[np.nda
     later[starts[(starts > 0) & (starts < points.size)] - 1] = True  # no order across owners
     if later.all():
         return sizes, points, []
-    keys = np.repeat(np.arange(sizes.size) * n, sizes) + points
+    del later, starts
+    keys = np.repeat(np.arange(sizes.size) * n, sizes)
+    keys += points
     keys.sort()
-    repeat = np.diff(keys, prepend=-1) == 0
-    repeated = np.unique(keys[repeat] // n).tolist()
-    owner, points = np.divmod(keys[~repeat], n)
-    return np.bincount(owner, minlength=sizes.size), points, repeated
+    repeat = keys[1:] == keys[:-1]
+    repeated = np.unique(keys[1:][repeat] // n).tolist()
+    if repeated:
+        keys = keys[np.r_[True, ~repeat]]
+    del repeat
+    points = keys % n
+    keys //= n  # each key's owner
+    return np.bincount(keys, minlength=sizes.size), points, repeated
 
 
 def _pair_multiplicities(sizes: np.ndarray, points: np.ndarray, n: int) -> np.ndarray:
-    """How many owners hold each pair of points that some owner holds,
-    in the order of the pair keys lower*n + upper.
+    """How many owners hold each pair of points, by the pair key
+    upper*(upper-1)//2 + lower.
 
     sizes and points are as _owner_points returns them.  Owners are taken
     one size class at a time, and a run of owners with the same points, as
     a repeated design has, is counted once with the run length as its
-    weight.  The pair keys are sorted, and the weights summed run by run.
-    When no two adjacent owners are equal, as in an affine-line design,
-    every weight is 1: the keys are then sorted in place and the
-    multiplicities are the lengths of the runs of equal keys, with no
-    weight or order array.
+    weight.  When the n*(n-1)/2 keys are at most twice the pair entries
+    the count is dense, one per key with zeros included: an np.bincount of
+    the keys, or np.add.at with the weights when some run is longer than
+    1.  Sparser pairs are counted without zeros: the keys are sorted and
+    the weights summed run by run, or, with no run longer than 1 (an
+    affine-line design), the keys sorted in place and the runs of equal
+    keys measured, with no weight or order array.
     """
-    present = (np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist()  # empty owners hold no points
+    per_size = np.bincount(sizes)
+    whole = np.count_nonzero(per_size[1:]) == 1  # one size class, taken without a copy
     classes = []
-    for c in present:
-        members = (points if len(present) == 1 else points[np.repeat(sizes == c, sizes)]).reshape(-1, c)
-        first = np.flatnonzero(np.r_[True, (members[1:] != members[:-1]).any(axis=1)])
-        classes.append((c, members[first], np.diff(first, append=members.shape[0])))
-    weighted = any((run > 1).any() for _, _, run in classes)
+    for c in (np.flatnonzero(per_size[2:]) + 2).tolist():  # fewer than 2 points hold no pair
+        members = (points if whole else points[np.repeat(sizes == c, sizes)]).reshape(-1, c)
+        new = np.zeros(len(members) - 1, dtype=bool)  # owner k+1 differs from owner k
+        for column in members.T:  # column by column: faster than any(axis=1) on narrow rows
+            new |= column[1:] != column[:-1]
+        if new.all():
+            classes.append((c, members, None))
+        else:
+            first = np.flatnonzero(np.r_[True, new])
+            classes.append((c, members[first], np.diff(first, append=members.shape[0])))
+    weighted = any(run is not None for _, _, run in classes)
     total = sum(len(members) * (c * (c - 1) // 2) for c, members, _ in classes)
     pairs = np.empty(total, dtype=np.int64)
     weights = np.empty(total, dtype=np.int64) if weighted else None
     at = 0
     for c, members, run in classes:
+        above = members[:, 1:] - 1  # the upper part of the keys, per later point
+        above *= members[:, 1:]
+        above //= 2
         for p in range(c - 1):
-            block = (members[:, p, None] * n + members[:, p + 1 :]).ravel()
-            pairs[at : at + block.size] = block
+            end = at + len(members) * (c - 1 - p)
+            np.add(above[:, p:], members[:, p, None], out=pairs[at:end].reshape(len(members), -1))
             if weighted:
-                weights[at : at + block.size] = np.repeat(run, c - 1 - p)
-            at += block.size
+                weights[at:end].reshape(len(members), -1)[:] = 1 if run is None else run[:, None]
+            at = end
+    classes = members = above = None  # freed before the count
+    slots = n * (n - 1) // 2
+    if slots <= 2 * total:
+        if weighted:
+            counts = np.zeros(slots, dtype=np.int64)
+            np.add.at(counts, pairs, weights)
+        else:
+            counts = np.bincount(pairs, minlength=slots)
+        return counts
     if weighted:
         order = np.argsort(pairs)
         starts = np.flatnonzero(np.diff(pairs[order], prepend=-1))
@@ -368,15 +395,17 @@ def verify_design(design: Design) -> DesignReport:
     Violations are collected, never raised.  The design's arrays are read
     as they are: sizes and range checks are elementwise; the (set, point)
     keys are sorted, for the repeated points, only when some set's points
-    do not increase (_owner_points); and the pair coverage comes
-    from one array with an entry per pair inside each set, r*(r-1)/2 per
-    set (a run of equal sets counted once), summed after one sort.  Time
-    and memory grow with m*r^2 pairs and m*r memberships: about 17 bytes
-    per pair when the sets are large (r = 64, d = 2: 8.4 million pairs, a
-    peak of about 138 MiB), more when the per-set arrays dominate.  Of the
-    affine-line designs affine_line_design admits, 4^6 peaks highest, at
-    about 220 MiB, then 8^4 at about 164 MiB and 2^11 at about 124 MiB
-    (tracemalloc).
+    do not increase (_owner_points); and the pair coverage comes from one
+    array with an entry per pair inside each set, r*(r-1)/2 per set (a run
+    of equal sets counted once), counted by an np.bincount over the
+    b*(b-1)/2 pairs, which an affine-line design covers once each, or,
+    for sparser sets, after one sort (_pair_multiplicities).  Time and
+    memory grow with m*r^2 pairs and m*r memberships: about 16 bytes per
+    pair, the entry and its count, when the sets are large (r = 64, d = 2:
+    8.4 million pairs, a peak of about 128 MiB), more when the per-set
+    arrays dominate.  Of the affine-line designs affine_line_design
+    admits, 4^6 peaks highest, at about 139 MiB, then 8^4 at about
+    131 MiB and 16^3 at about 129 MiB (tracemalloc).
     """
     sizes, points = design.sets.sizes, design.sets.points
     inside = (points >= 0) & (points < design.b)
@@ -409,7 +438,8 @@ def verify_design(design: Design) -> DesignReport:
         values = {int(counts.min()), int(counts.max())} if counts.size else set()
         if len(values) > 1:  # np.unique only for coverage that is not constant
             values = set(np.unique(counts).tolist())
-        if counts.size < n_pairs:
+        values.discard(0)  # a dense count's keys include pairs no set holds
+        if np.count_nonzero(counts) < n_pairs:
             values.add(0)
         if len(values) == 1:
             l_observed = values.pop()

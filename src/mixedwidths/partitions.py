@@ -44,10 +44,11 @@ __all__ = [
 
 Cell = tuple[int, int]
 
-# Most cells of a grid the constructions build, one 4096 x 4096 grid:
-# good_partition(4096, 4096, 2) peaks at 266 MiB and
-# transposition_partition(4096) at its arrays' 320 MiB (tracemalloc), and
-# a SpreadOperator over either at a further 516 or 640 MiB.
+# Most cells of a grid the constructions build and verify_partition checks,
+# one 4096 x 4096 grid: good_partition(4096, 4096, 2) peaks at 266 MiB and
+# transposition_partition(4096) at its arrays' 320 MiB (tracemalloc), a
+# SpreadOperator over either at a further 516 or 640 MiB, and
+# verify_partition of either at about 206 or 472 MiB.
 MAX_GRID_CELLS = MAX_DESIGN_POINTS**2
 
 
@@ -319,20 +320,24 @@ def verify_partition(partition: Partition) -> PartitionReport:
     """Exhaustive check of the cover and all three structural bounds.
 
     The check reads the partition's cell arrays (copied only when some
-    cell is outside the grid): the cover comes from one bincount over the
-    s*b cells, repeated columns from a sort of the (group, column) keys
-    made only when some group's columns do not increase, and column
-    sharing from an entry per pair of columns inside each group (a run of
-    groups on the same columns counted once), summed after one sort.  The
-    cost is a few int64 arrays per cell plus one entry per column pair.
+    cell is outside the grid).  The cover takes one byte per cell of the
+    grid: it holds when there are s*b cells and each is hit, and only a
+    broken cover is counted cell by cell, for its message.  Repeated
+    columns come from a sort of the (group, column) keys made only when
+    some group's columns do not increase, and column sharing from an
+    entry per pair of columns inside each group (a run of groups on the
+    same columns counted once), counted by designs._pair_multiplicities.
 
-    Grids above 10^6 cells are still refused.  Nothing in the check needs
-    the bound; at it, good_partition(1000, 1000, d) for d = 2 and 3 peaks
-    at about 32 MiB (tracemalloc), and above it the peak is unmeasured.
+    Every grid up to MAX_GRID_CELLS is checked; larger ones are refused.
+    At 4096 x 4096, good_partition(4096, 4096, d) for d = 2, 3 and 4
+    peaks at about 200 MiB, 12.4 to 12.9 bytes a cell (tracemalloc), in
+    about 0.5 to 0.8 s, and transposition_partition(4096), whose groups'
+    columns decrease and so are sorted, at about 472 MiB, 29.5 bytes a
+    cell, in about 1.6 s.
     """
     s, b = partition.shape.s, partition.shape.b
-    if s * b > 10**6:
-        raise ValueError("grid too large for exhaustive verification")
+    if s * b > MAX_GRID_CELLS:
+        raise ValueError(f"grid {s}x{b} has {s * b} cells, over {MAX_GRID_CELLS}: too large to verify")
 
     groups = partition.groups
     sizes, rows, cols = groups.sizes, groups.rows, groups.cols
@@ -350,16 +355,22 @@ def verify_partition(partition: Partition) -> PartitionReport:
         ]
         held = np.bincount(group[inside], minlength=sizes.size)
         rows, cols = rows[inside], cols[inside]
-    seen = np.bincount(cols * s + rows, minlength=s * b)
+    # s*b cells held, each hit at least once, means each exactly once
+    cells = cols * s + rows
+    hit = np.zeros(s * b, dtype=np.uint8)
+    hit[cells] = 1
+    cover_ok = cells.size == s * b and bool(hit.all())
+    del hit
+    if not cover_ok:
+        seen = np.bincount(cells, minlength=s * b)
+        missing = int((seen == 0).sum())
+        doubled = int((seen > 1).sum())
+        # reported after every group's violations
+        found.append((sizes.size, 0, f"cover broken: {missing} cells missing, {doubled} duplicated"))
+    del cells
     held, cols, repeated = _owner_points(held, cols, b)
     found += [(k, inside.size, f"group {k} meets some column more than once") for k in repeated]
     violations = [message for _, _, message in sorted(found)]
-
-    cover_ok = bool((seen == 1).all())
-    if not cover_ok:
-        missing = int((seen == 0).sum())
-        doubled = int((seen > 1).sum())
-        violations.append(f"cover broken: {missing} cells missing, {doubled} duplicated")
 
     r_observed = int(sizes.max(initial=0))
     l_observed = int(_pair_multiplicities(held, cols, b).max(initial=0))

@@ -1,6 +1,9 @@
 """The benchmark's self-test runs clean, so a refactor that renames or
-drops a function the benchmark looks up fails here."""
+drops a function the benchmark looks up fails here, and the build
+workload's outputs keep their recorded digest, so a verifier change that
+shifts any report fails here too."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -14,3 +17,19 @@ def test_benchmark_selftest_passes():
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# outputs_sha256 of `build --seed 1`: every round's reports and partition
+# summaries, recorded before the pair count was made dense
+BUILD_SEED_1_DIGEST = "26e27ff9d5188d859724217284be27598b13acec5121a11040f14d725a4cb6d6"
+
+
+def test_build_outputs_digest():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "build", "--seed", "1", "--seconds", "0.1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result
+    assert f"outputs_sha256={BUILD_SEED_1_DIGEST}" in proc.stderr, proc.stderr

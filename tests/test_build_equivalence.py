@@ -41,7 +41,7 @@ from mixedwidths import (
     verify_design,
     verify_partition,
 )
-from mixedwidths.designs import _owner_points, design_size_error
+from mixedwidths.designs import _owner_points, _pair_multiplicities, design_size_error
 from mixedwidths.partitions import _good_partition_full
 
 # Fixed example sequence, no example database: the suite stays deterministic.
@@ -620,6 +620,79 @@ def test_verify_design_ignores_the_order_of_points_in_a_set(design, rnd):
         other = replace(design, sets=tuple(tuple(arrange(list(a))) for a in design.sets))
         assert_same(verify_design(other), report)
         assert_same(verify_design(other), _oracle_verify_design(other))
+
+
+# ------------------------------------------------------- the pair count
+
+
+def _pair_entries(owners):
+    """The pair entries _pair_multiplicities counts: per size class, in the
+    order of the owners, a run of equal owners once."""
+    entries = 0
+    for c in {len(a) for a in owners}:
+        of_c = [a for a in owners if len(a) == c]
+        runs = sum(1 for k, a in enumerate(of_c) if k == 0 or a != of_c[k - 1])
+        entries += runs * (c * (c - 1) // 2)
+    return entries
+
+
+@st.composite
+def owner_points(draw):
+    """(owners, n): owners as _owner_points returns them, each a tuple of
+    increasing points, in runs of equal owners, some empty, of one size
+    or of mixed sizes; n is the last ground-set size on the dense side of
+    the switch (at most twice as many pair keys as pair entries) or the
+    first past it, and never below the points' range."""
+    u = draw(st.integers(1, 12))
+    one_size = draw(st.booleans())
+    c = draw(st.integers(0, u))
+    size = st.just(c) if one_size else st.integers(0, u)
+    owners = []
+    for k in draw(st.lists(size, min_size=1, max_size=14)):
+        owner = tuple(sorted(draw(st.permutations(range(u)))[:k]))
+        owners += [owner] * draw(st.sampled_from([1, 1, 2, 3]))
+    entries = _pair_entries(owners)
+    dense_end = 1
+    while (dense_end + 1) * dense_end // 2 <= 2 * entries:
+        dense_end += 1  # n(n-1)/2 <= 2*entries for every n up to dense_end
+    return owners, max(u, dense_end + draw(st.integers(0, 1)))
+
+
+@EXAMPLES
+@given(owner_points())
+def test_pair_multiplicities_counts_every_owners_pairs(case):
+    owners, n = case
+    sizes = np.array([len(a) for a in owners], dtype=np.int64)
+    points = np.array([p for a in owners for p in a], dtype=np.int64)
+    counts = _pair_multiplicities(sizes, points, n)
+    held = Counter(pair for a in owners for pair in combinations(a, 2))
+    assert counts.dtype == np.int64
+    assert sorted(counts[counts > 0].tolist()) == sorted(held.values())
+    slots = n * (n - 1) // 2
+    if slots <= 2 * _pair_entries(owners):  # dense: one count per key, zeros included
+        assert counts.size == slots
+        assert all(counts[upper * (upper - 1) // 2 + lower] == k for (lower, upper), k in held.items())
+    else:  # sorted: only the pairs some owner holds
+        assert counts.size == len(held)
+
+
+@st.composite
+def designs_beyond_the_ground_set(draw):
+    """Designs whose points, relabelled by np.unique, outnumber b: every
+    pair of the labels is often held, so the pair count is dense over
+    labels outside [0, b) too."""
+    b = draw(st.integers(0, 5))
+    labels = sorted(draw(st.sets(st.integers(-3, b + 3), min_size=2, max_size=8)) | {b})
+    sets = [tuple(labels)] * draw(st.integers(0, 2))
+    sets += [tuple(draw(st.permutations(labels))[: draw(st.integers(0, len(labels)))]) for _ in range(3)]
+    sets = draw(st.permutations(sets + list(combinations(labels, 2)) * draw(st.integers(0, 2))))
+    return Design(b=b, r=draw(st.integers(0, 3)), l=draw(st.integers(0, 2)), sets=tuple(sets))
+
+
+@EXAMPLES
+@given(designs_beyond_the_ground_set())
+def test_verify_design_counts_only_held_pairs_beyond_the_ground_set(design):
+    assert_same(verify_design(design), _oracle_verify_design(design))
 
 
 # The verifiers skip their sort because the constructions emit each set's

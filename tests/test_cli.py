@@ -140,11 +140,22 @@ class TestPartitionCommand:
         assert rc == 3
 
     def test_verify_of_oversized_grid_exits_3(self, tmp_path):
+        # a grid over MAX_GRID_CELLS is refused before it is built or verified
         target = tmp_path / "partition.json"
         rc, out, err = run_cli(
-            ["partition", "--s", "1001", "--b", "1001", "--transpose", "--verify", "--out", str(target)]
+            ["partition", "--s", "4097", "--b", "4097", "--transpose", "--verify", "--out", str(target)]
         )
-        assert (rc, out) == (3, "") and err.startswith("error: ") and "too large" in err
+        assert (rc, out) == (3, "") and err.startswith("error: ") and "over 16777216" in err
+        assert not target.exists()
+
+    def test_verify_of_a_grid_over_a_million_cells(self, tmp_path):
+        # 2048^2 cells: the exhaustive check runs at every grid the toolkit builds
+        target = tmp_path / "partition.json"
+        rc, out, _ = run_cli(["partition", "--s", "2048", "--b", "2048", "--d", "2", "--verify", "--out", str(target)])
+        report = json.loads(out)
+        assert rc == 0 and report["ok"] and report["cover_ok"]
+        with open(target, encoding="utf-8") as fh:
+            assert report["l_observed"] == json.loads(fh.readline())["l"] == 32
 
     @pytest.mark.parametrize("command", [
         ["partition", "--s", "8", "--b", "8"],

@@ -20,6 +20,7 @@ from mixedwidths import (
 )
 from mixedwidths.designs import MAX_DESIGN_POINTS, design_size_error, is_supported_order
 from mixedwidths.partitions import _good_partition_full
+from mixedwidths.spread import transposition_partition
 
 
 class TestPartitionFromSets:
@@ -184,8 +185,9 @@ class TestVerifyPartition:
         assert report.ok and report.r_observed == 1 and report.l_observed == 0
 
     def test_grid_size_guard(self):
-        huge = Partition(shape=BlockShape(1001, 1001), groups=(((0, 0),),), r=1, l=0)
-        with pytest.raises(ValueError):
+        # one column over MAX_GRID_CELLS = 2^24 cells, refused before anything is allocated
+        huge = Partition(shape=BlockShape(2**12, 2**12 + 1), groups=(((0, 0),),), r=1, l=0)
+        with pytest.raises(ValueError, match="over 16777216"):
             verify_partition(huge)
 
 
@@ -355,6 +357,32 @@ def test_verify_partition_peak_memory_at_the_grid_guard(d):
         tracemalloc.stop()
     assert report.ok and report.l_observed == part.l
     assert peak < 40 * 2**20, peak / 2**20
+
+
+def _verify_bytes_per_cell(part):
+    verify_partition(good_partition(8, 8, 2))  # first-call imports
+    tracemalloc.start()
+    try:
+        report = verify_partition(part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.l_observed == part.l
+    return peak / (part.shape.s * part.shape.b)
+
+
+def test_verify_partition_bytes_per_cell_of_a_good_partition():
+    # a one-byte hit per cell for the cover and a dense pair count: about
+    # 13 bytes a cell at 2048^2, where an int64 cover bincount and a sorted
+    # pair count took 33
+    assert _verify_bytes_per_cell(good_partition(2048, 2048, 2)) < 16
+
+
+def test_verify_partition_bytes_per_cell_of_a_transposition_partition():
+    # each group's two columns are out of order, so the (group, column)
+    # keys are sorted: about 30 bytes a cell at s = 2048, where the sort's
+    # copies and a sorted pair count took 50
+    assert _verify_bytes_per_cell(transposition_partition(2048)) < 36
 
 
 def test_construction_caches_stay_within_their_bound():
