@@ -458,25 +458,24 @@ def _ball_draw(shape: BlockShape, p1, p2, seed: int):
     return partial(_draw_ball_chunk, np.random.default_rng(seed), shape, p1, p2)
 
 
-def _draw_chunks(shape: BlockShape, count: int, *draws) -> Iterator[np.ndarray]:
-    """count points of each stream of draws in turn, in chunks: (k, n)
-    arrays of k successive points of one stream, k = _chunk_points(shape)
-    but in a stream's last chunk, each filled by draw(chunk, index of its
-    first point).  Every chunk is the first k rows of one array of
-    _chunk_points(shape) rows that all the streams share, so a chunk holds
-    only until the next one is drawn.  count below 1 is a ValueError,
-    raised here, before any point is drawn."""
+def _draw_chunks(shape: BlockShape, count: int, draw) -> Iterator[np.ndarray]:
+    """count points of one stream in chunks: (k, n) arrays of k successive
+    points, k = _chunk_points(shape) but in the last chunk, each filled by
+    draw(chunk, index of its first point).  Every chunk is the first k
+    rows of the stream's one array of _chunk_points(shape) rows, so a
+    chunk holds only until the next one is drawn, and the array is freed
+    once the stream and its last chunk are dropped.  count below 1 is a
+    ValueError, raised here, before any point is drawn."""
     if count < 1:
         raise ValueError("count must be >= 1")
     per = _chunk_points(shape)
     rows = np.empty((per, shape.n))
 
     def chunks():
-        for draw in draws:
-            for first in range(0, count, per):
-                chunk = rows[: min(per, count - first)]
-                draw(chunk, first)
-                yield chunk
+        for first in range(0, count, per):
+            chunk = rows[: min(per, count - first)]
+            draw(chunk, first)
+            yield chunk
 
     return chunks()
 
@@ -530,11 +529,21 @@ def _extreme_draw(shape: BlockShape, seed: int):
     return lambda chunk, first: _draw_extreme_chunk(rng, shape, chunk)
 
 
+def _extreme_columns(
+    rng: np.random.Generator, shape: BlockShape, count: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The next count extreme points of rng's stream, each as its column j
+    and its s sign bits (0 for -1, 1 for +1), the column drawn first: the
+    one definition of the draw, which the pipeline also reads without
+    writing a grid."""
+    for _ in range(count):
+        j = int(rng.integers(0, shape.b))
+        yield j, rng.integers(0, 2, size=shape.s)
+
+
 def _draw_extreme_chunk(rng: np.random.Generator, shape: BlockShape, chunk: np.ndarray) -> None:
-    """Each row of chunk: zero but one column of random signs, the column
-    drawn first."""
+    """Each row of chunk: zero but one column of random signs."""
     s = shape.s
     chunk.fill(0.0)
-    for row in chunk:
-        j = int(rng.integers(0, shape.b))
-        row[j * s : (j + 1) * s] = rng.integers(0, 2, size=s) * 2 - 1
+    for row, (j, bits) in zip(chunk, _extreme_columns(rng, shape, len(chunk))):
+        row[j * s : (j + 1) * s] = bits * 2 - 1

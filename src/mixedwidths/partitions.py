@@ -110,6 +110,17 @@ class Partition:
         return len(self.groups)
 
     def to_json_dict(self) -> dict:
+        """The partition as JSON types.  The [row, col] lists of the cells
+        are made from the cell arrays in one tolist, sharing one Python
+        int per index when every cell lies in the grid, and each group
+        is a slice of them."""
+        groups = self.groups
+        cells = np.stack([groups.rows, groups.cols], axis=1)
+        n = max(self.shape.s, self.shape.b)
+        if cells.size and cells.min() >= 0 and cells.max() < n:
+            cells = np.arange(n, dtype=object)[cells]
+        cells = cells.tolist()
+        ends = np.cumsum(groups.sizes).tolist()
         return {
             "s": self.shape.s,
             "b": self.shape.b,
@@ -117,7 +128,7 @@ class Partition:
             "r": self.r,
             "l": self.l,
             "dropped_empty": self.dropped_empty,
-            "groups": [[[i, j] for (i, j) in g] for g in self.groups],
+            "groups": [cells[start:end] for start, end in zip([0, *ends], ends)],
         }
 
     @classmethod
@@ -287,7 +298,13 @@ def restrict(partition: Partition, s: int, b: int) -> Partition:
         return partition
     old = partition.groups
     keep = (old.rows < s) & (old.cols < b)
-    kept = np.bincount(np.repeat(np.arange(old.sizes.size), old.sizes)[keep], minlength=old.sizes.size)
+    # kept cells per group: reduceat sums the keep mask from each nonempty
+    # group's start to the next one's, and empty groups keep none
+    nonempty = old.sizes > 0
+    kept = np.zeros(old.sizes.size, dtype=np.int64)
+    if keep.size:
+        starts = (np.cumsum(old.sizes) - old.sizes)[nonempty]
+        kept[nonempty] = np.add.reduceat(keep, starts, dtype=np.int64)
     groups = CellGroups._of(kept[kept > 0], old.rows[keep], old.cols[keep])
     return replace(
         partition,

@@ -26,10 +26,12 @@ from .norms import (
     BlockMatrix,
     BlockShape,
     Exponent,
+    _SLAB_CELLS,
     _abs_row_norms,
     _ball_draw,
     _chunk_points,
     _draw_chunks,
+    _extreme_columns,
     _extreme_draw,
     _row_norms,
     block_norm_vector,
@@ -143,13 +145,18 @@ class SpreadOperator:
         touched = ordered[starts]
         sums = np.bincount(np.searchsorted(touched, group), weights=weights)
         start, touched = np.divmod(touched, self.dim)  # start: the copy's first column
-        sizes = self._group_size[touched]
-        # where each touched group's cells sit in _group_cells: the group's
-        # start plus 0, 1, ..., size - 1
+        cells, sizes = self._cells_of(touched)
+        return cells + np.repeat(start * s, sizes), np.repeat(sums, sizes)
+
+    def _cells_of(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cells of the given groups, group after group, each in its
+        order in _group_cells, and the groups' sizes."""
+        sizes = self._group_size[groups]
+        # where each group's cells sit in _group_cells: the group's start
+        # plus 0, 1, ..., size - 1
         offsets = np.cumsum(sizes) - sizes
-        at = np.repeat(self._group_start[touched] - offsets, sizes) + np.arange(sizes.sum())
-        cells = self._group_cells[at] + np.repeat(start * s, sizes)
-        return cells, np.repeat(sums, sizes)
+        at = np.repeat(self._group_start[groups] - offsets, sizes) + np.arange(sizes.sum())
+        return self._group_cells[at], sizes
 
 
 def spread_error_coefficient(partition: Partition, p, q1, q2) -> float:
@@ -312,22 +319,19 @@ class _ColumnGroups:
     ):
         self.op, self.width, self.count, self.kept, self.coeff = op, width, count, kept, coeff
         self.lo, self.hi = lo, lo + count * width
+        self.starts = lo + width * np.arange(count)  # each group's first column
         # the groups of a chunk, point by point: each one's first column in
-        # its grid, and in the chunk's stack of points * b columns
-        starts = np.tile(lo + width * np.arange(count), points)
-        self.starts = starts[:, None]
-        self.first = starts + np.repeat(b * np.arange(points), count)
-        self.rows = np.arange(points * count)[:, None]
+        # the chunk's stack of points * b columns
+        self.first = np.tile(self.starts, points) + np.repeat(b * np.arange(points), count)
 
-    def run(self, y: np.ndarray, entries: np.ndarray, q2: Exponent, tail_factor: float):
-        """(selected columns, bounds, tails, cells, values) of these groups
-        for the (k, b) block norms y of k points and their flat entries: the
-        selected columns, bounds and tails of each point's groups as its
-        row, and the cells of the entries the spread writes with their
-        values."""
+    def select(self, y: np.ndarray, q2: Exponent, tail_factor: float):
+        """(support, selected columns, bounds, tails) of these groups for
+        the (k, b) block norms y of k points: the kept columns of every
+        group, a row per group, then the selected columns, bounds and
+        tails of each point's groups as its row."""
         k = y.shape[0]
         groups, width, kept = k * self.count, self.width, self.kept
-        rows = self.rows[:groups]
+        rows = np.arange(groups)[:, None]
         norms = y[:, self.lo : self.hi].reshape(groups, width)
         order = np.argsort(-norms, axis=1, kind="stable")  # norms are >= 0: -|y|
         support = np.sort(order[:, :kept], axis=1)
@@ -342,9 +346,37 @@ class _ColumnGroups:
         for c in range(kept):
             spread_sum += kept_norms[:, c]
         bounds = tails * tail_factor + self.coeff * spread_sum
-        cells, values = self.op._spread_columns(entries, support, self.first[:groups])
-        selected = (support + self.starts[:groups]).reshape(k, self.count * kept)
-        return selected, bounds.reshape(k, self.count), tails.reshape(k, self.count), cells, values
+        selected = (support.reshape(k, self.count, kept) + self.starts[:, None]).reshape(k, self.count * kept)
+        return support, selected, bounds.reshape(k, self.count), tails.reshape(k, self.count)
+
+    def pair_counts(self, columns: np.ndarray) -> np.ndarray | None:
+        """The column sums of |x - Dx| for extreme points x of the (inf, 1)
+        ball on the given columns of these groups, a row of width per
+        column: for column j, how many of the s groups through j meet each
+        other column of j's group, and 0 at j (the residual is x itself,
+        s at j, when kept is 0).  None when some column's s groups are not
+        distinct: then x - Dx depends on the signs.
+
+        Every group through j holds one entry +-1 of x, so the spread
+        writes its sign on each of its cells and the residual is -+1 on
+        those off column j and 0 on column j: these exact integers are
+        the sums of the 0/1 residual the chunked pipeline takes with
+        q1 = 1, and j's group selects j whenever kept >= 1."""
+        k, width, s = columns.size, self.width, self.op.partition.shape.s
+        local = (columns - self.lo) % width
+        at_j = (np.arange(k), local)
+        if self.kept == 0:
+            counts = np.zeros((k, width), dtype=np.int64)
+            counts[at_j] = s
+            return counts
+        cells, sizes = self.op._cells_of(self.op._column_groups[local].ravel())
+        cols = cells // s + np.repeat(np.repeat(width * np.arange(k), s), sizes)
+        counts = np.bincount(cols, minlength=k * width).reshape(k, width)
+        # the groups through j cover column j once each iff they are distinct
+        if (counts[at_j] != s).any():
+            return None
+        counts[at_j] = 0
+        return counts
 
 
 class _Plan:
@@ -372,6 +404,13 @@ class _Plan:
         self.tail_factor = float_pow(s, recip_gap(params.q1, params.p1))
         self.dim = sum(g.op.dim * g.count for g in self.groups)
 
+    def _select(self, y: np.ndarray):
+        """(supports, selected, bounds, tails) of every column group for the
+        block norms y: the supports one per width, the others with a row
+        per point."""
+        supports, *rest = zip(*(g.select(y, self.params.q2, self.tail_factor) for g in self.groups))
+        return supports, *(p[0] if len(p) == 1 else np.concatenate(p, axis=-1) for p in rest)
+
     def run(self, chunk: np.ndarray):
         """The pipeline on the k points in the rows of chunk, a (k, n) array
         that it overwrites: (selected, measured, bounds, tails, cells,
@@ -388,15 +427,75 @@ class _Plan:
         if (_row_norms(y, params.p2) > 1 + 1e-9).any():
             raise ValueError("input lies outside the unit ball")
         entries = chunk.reshape(-1)
-        runs = (g.run(y, entries, params.q2, self.tail_factor) for g in self.groups)
-        selected, bounds, tails, cells, values = (
-            parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1) for parts in zip(*runs)
-        )
+        supports, selected, bounds, tails = self._select(y)
+        spreads = [
+            g.op._spread_columns(entries, support, g.first[: support.shape[0]])
+            for g, support in zip(self.groups, supports)
+        ]
+        cells, values = (parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in zip(*spreads))
         entries[cells] -= values
         np.abs(entries, out=entries)
         q2 = params.q2
         measured = _row_norms(_abs_row_norms(rows, params.q1).reshape(k, shape.b), q2)
         return selected, measured, _row_norms(bounds, q2), _row_norms(tails, q2), cells, values
+
+    def run_columns(self, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """(measured, bounds) of the pipeline on extreme points of the
+        (inf, 1) ball, one for each of the given columns, for q1 = 1, as
+        run gives them for any signs on the column; None when some
+        column's groups are not distinct (see _ColumnGroups.pair_counts).
+
+        No grid is written: the bounds come from the selection on each
+        point's block norms, 1.0 at its column, and the measured error is
+        the q2-norm of the pair counts, placed at the columns of the
+        column's group in a row of b.  Columns are taken in batches whose
+        gathered cells, and whose rows of b, stay within _SLAB_CELLS, or
+        one at a time where one column alone exceeds it."""
+        s, b = self.shape.s, self.shape.b
+        q2 = self.params.q2
+        measured, bounds = [], []
+        for g in self.groups:
+            mine = columns[(columns >= g.lo) & (columns < g.hi)]
+            per = max(1, _SLAB_CELLS // max(b, s * int(g.op._group_size.max())))
+            for at in range(0, mine.size, per):
+                batch = mine[at : at + per]
+                counts = g.pair_counts(batch)
+                if counts is None:
+                    return None
+                at_j = (np.arange(batch.size), batch)
+                rows = np.zeros((batch.size, b))
+                rows[at_j] = 1.0  # the block norms; then the residual's column sums
+                bounds.append(_row_norms(self._select(rows)[2], q2))
+                rows[at_j] = 0.0
+                start = batch - (batch - g.lo) % g.width  # the first column of each one's group
+                rows[at_j[0][:, None], start[:, None] + np.arange(g.width)] = counts
+                measured.append(_row_norms(rows, q2))
+        return np.concatenate(measured), np.concatenate(bounds)
+
+    def scores(self, seed: int, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(measured, bounds) arrays over the points sampled_sup takes, a
+        chunk or the distinct extreme columns at a time.  Each stream's
+        array ends with its chunks, so the ball stream's is freed before
+        the extreme points are scored."""
+        shape, params = self.shape, self.params
+
+        def chunked(draw):
+            for chunk in _draw_chunks(shape, count, draw):
+                yield self.run(chunk)[1:3]
+
+        yield from chunked(_ball_draw(shape, params.p1, params.p2, seed))
+        if not (params.p1.is_inf and params.p2 == Exponent.ONE):
+            return
+        scored = None
+        if params.q1 == Exponent.ONE:
+            drawn = np.zeros(shape.b, dtype=bool)
+            for j, _ in _extreme_columns(np.random.default_rng(seed + 1), shape, count):
+                drawn[j] = True
+            scored = self.run_columns(np.flatnonzero(drawn))
+        if scored is None:
+            yield from chunked(_extreme_draw(shape, seed + 1))
+        else:
+            yield scored
 
 
 def _pipeline(x: BlockMatrix, params: PipelineParams, width: int, ops: dict) -> ApproxResult:
@@ -490,18 +589,6 @@ def pipeline_operators(s: int, b: int, d: int, kind: str) -> dict[int, SpreadOpe
     raise ValueError(f"unknown partition kind {kind!r}")
 
 
-def _pipeline_chunks(shape: BlockShape, p1, p2, seed: int, count: int) -> Iterator[np.ndarray]:
-    """The points sweep rows and witnesses sample, in chunks of one array
-    (see norms._draw_chunks): count points of the (p1, p2) ball from seed
-    (sample_ball's), then for the (inf, 1) ball count extreme points from
-    seed + 1 (extreme_points_inf1's).  A chunk never mixes the two."""
-    p1, p2 = Exponent.of(p1), Exponent.of(p2)
-    draws = [_ball_draw(shape, p1, p2, seed)]
-    if p1.is_inf and p2 == Exponent.ONE:
-        draws.append(_extreme_draw(shape, seed + 1))
-    return _draw_chunks(shape, count, *draws)
-
-
 @dataclass(frozen=True)
 class SampledSup:
     """What a sweep row or witness keeps of a stream of points: the suprema of
@@ -518,28 +605,35 @@ def sampled_sup(
     shape: BlockShape, params: PipelineParams, ops: dict[int, SpreadOperator], seed: int, count: int
 ) -> SampledSup:
     """The suprema of the pipeline's measured error and certified bound
-    over _pipeline_chunks(shape, params.p1, params.p2, seed, count), the
-    pipeline taking column groups of min(s, b) columns: approximate's
-    for s >= b (ops = {b: op}), grouped_subspace_approximate's for s < b
-    (ops as pipeline_operators gives them).  The floats are those of
-    a loop of approximate or grouped_subspace_approximate over the points.
+    over count points of the (p1, p2) ball from seed (sample_ball's) and,
+    for the (inf, 1) ball, count extreme points from seed + 1
+    (extreme_points_inf1's), the pipeline taking column groups of
+    min(s, b) columns: approximate's for s >= b (ops = {b: op}),
+    grouped_subspace_approximate's for s < b (ops as pipeline_operators
+    gives them).  The floats are those of a loop of approximate or
+    grouped_subspace_approximate over the points.
 
-    The points are drawn and evaluated in chunks of _chunk_points(shape)
-    points, at most 2^16 cells (one 256 x 256 grid) unless one grid alone
-    is larger: each chunk is drawn into the stream's one array,
-    normalised at once and run through the pipeline in one pass
-    (_Plan.run), and only the running suprema are kept, so memory does
-    not grow with count.  count below 1 is a ValueError, raised before
-    any point is drawn."""
+    The ball points are drawn and evaluated in chunks of
+    _chunk_points(shape) points, at most 2^16 cells (one 256 x 256 grid)
+    unless one grid alone is larger: each chunk is drawn into the
+    stream's one array (norms._draw_chunks), normalised at once and run
+    through the pipeline in one pass (_Plan.run), and only the running
+    suprema are kept, so memory does not grow with count (_Plan.scores).
+    That array is freed before the extreme points are scored.  With
+    q1 = 1 an extreme point's error and bound depend on its column alone,
+    so their stream is read as columns (norms._extreme_columns) and each
+    distinct column is scored once from its pair counts
+    (_Plan.run_columns), with no grid written; with another q1, or when
+    the groups through some drawn column are not distinct, the extreme
+    points run through the pipeline in chunks like the ball points.
+    count below 1 is a ValueError, raised before any point is drawn."""
     plan = _Plan(shape, params, min(shape.s, shape.b), ops, _chunk_points(shape))
     sup_error = sup_bound = -math.inf
-    seen = 0
-    for chunk in _pipeline_chunks(shape, params.p1, params.p2, seed, count):
-        _, measured, bounds, *_ = plan.run(chunk)
+    for measured, bounds in plan.scores(seed, count):
         sup_error = max(sup_error, *measured.tolist())
         sup_bound = max(sup_bound, *bounds.tolist())
-        seen += len(chunk)
-    return SampledSup(sup_error=sup_error, sup_bound=sup_bound, dim=plan.dim, count=seen)
+    extreme = params.p1.is_inf and params.p2 == Exponent.ONE
+    return SampledSup(sup_error=sup_error, sup_bound=sup_bound, dim=plan.dim, count=count * (1 + extreme))
 
 
 def transposition_partition(s: int) -> Partition:

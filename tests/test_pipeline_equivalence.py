@@ -41,6 +41,7 @@ from mixedwidths.norms import (
     _ball_draw,
     _chunk_points,
     _draw_chunks,
+    _extreme_columns,
     _extreme_draw,
     _row_norms,
     _symmetric_power_sample,
@@ -49,7 +50,6 @@ from mixedwidths.spread import (
     PIPELINE_FIELD_ORDER,
     ApproxResult,
     _Plan,
-    _pipeline_chunks,
     best_k_term,
     ceil_power,
     float_pow,
@@ -303,13 +303,11 @@ def test_samplers_draw_the_oracles_points(p1, p2, s, b, count, seed):
     expected_extreme = _oracle_extreme_points_inf1(shape, seed, count)
     assert_same_points(extreme_points_inf1(shape, seed, count), expected_extreme)
 
-    # the pipeline's stream: the ball points, then for (inf, 1) the extreme
-    # points from seed + 1, each chunk of one kind only
-    expected = list(expected_ball)
-    if Exponent.of(p1).is_inf and Exponent.of(p2) == Exponent.ONE:
-        expected += _oracle_extreme_points_inf1(shape, seed + 1, count)
-    stream = [BlockMatrix(shape, row) for chunk in _pipeline_chunks(shape, p1, p2, seed, count) for row in chunk]
-    assert_same_points(stream, expected)
+    # the extreme stream read as columns, as the pipeline scores it: each
+    # point's column and sign bits, without a grid
+    columns = _extreme_columns(np.random.default_rng(seed), shape, count)
+    stream = [BlockMatrix.one_column(shape, j, bits * 2.0 - 1.0) for j, bits in columns]
+    assert_same_points(stream, expected_extreme)
 
 
 def test_point_streams_check_count_before_drawing():
@@ -319,7 +317,7 @@ def test_point_streams_check_count_before_drawing():
     with pytest.raises(ValueError, match="count"):
         _draw_chunks(BlockShape(2, 2), 0, _extreme_draw(BlockShape(2, 2), 0))
     with pytest.raises(ValueError, match="count"):
-        _pipeline_chunks(BlockShape(2, 2), "inf", 1, 0, 0)
+        sampled_sup(BlockShape(2, 2), _params("inf", 2, 2, None), {2: SpreadOperator(transposition_partition(2))}, 0, 0)
     with pytest.raises(ValueError, match="count"):
         sample_ball(BlockShape(2, 2), 2, 1, 0, 0)
     with pytest.raises(ValueError, match="count"):
@@ -382,33 +380,108 @@ def _chunked_streams(draw):
     return kind, s, b, count
 
 
-@EXAMPLES
-@given(p1=st.sampled_from(P1_VALUES), stream=_chunked_streams(), seed=SEEDS)
-def test_chunked_sampled_sup_matches_a_loop_over_the_points(p1, stream, seed):
-    kind, s, b, count = stream
-    shape = BlockShape(s, b)
-    assert 2 <= _chunk_points(shape) <= 16 and s * b <= _CHUNK_CELLS // 2
-    params = _params(p1, s, b, None)
+def _stream_ops(kind, s, b, params):
+    """The operators of a good or transposition partition of a square
+    grid, or of a wide grid's column groups."""
     if kind == "wide":
-        assert s < b and b % s
-        ops = pipeline_operators(s, b, params.d, "good")
-        run = partial(grouped_subspace_approximate, params=params, ops=ops)
-    else:
-        partition = transposition_partition(s) if kind == "transposition" else good_partition(
-            s, b, params.d, field_order=PIPELINE_FIELD_ORDER
-        )
-        ops = {b: SpreadOperator(partition)}
-        run = partial(approximate, params=params, op=ops[b])
-    points = _oracle_sample_ball(shape, p1, 1, seed, count)
-    if Exponent.of(p1).is_inf:
+        return pipeline_operators(s, b, params.d, "good")
+    if kind == "transposition":
+        return {b: SpreadOperator(transposition_partition(s))}
+    return {b: SpreadOperator(good_partition(s, b, params.d, field_order=PIPELINE_FIELD_ORDER))}
+
+
+def _loop(shape, params, ops):
+    """The one-point pipeline sampled_sup must agree with."""
+    if shape.s < shape.b:
+        return partial(grouped_subspace_approximate, params=params, ops=ops)
+    return partial(approximate, params=params, op=ops[shape.b])
+
+
+def _assert_sup_matches_a_loop(shape, params, ops, seed, count):
+    points = _oracle_sample_ball(shape, params.p1, 1, seed, count)
+    if params.p1.is_inf:
         points += _oracle_extreme_points_inf1(shape, seed + 1, count)
-    results = [run(x) for x in points]
+    results = [_loop(shape, params, ops)(x) for x in points]
 
     sup = sampled_sup(shape, params, ops, seed, count)
     assert _bits(sup.sup_error) == _bits(max(r.measured_error for r in results))
     assert _bits(sup.sup_bound) == _bits(max(r.certified_bound for r in results))
     assert sup.dim == results[0].dim
     assert sup.count == len(points)
+
+
+@EXAMPLES
+@given(p1=st.sampled_from(P1_VALUES), stream=_chunked_streams(), seed=SEEDS)
+def test_chunked_sampled_sup_matches_a_loop_over_the_points(p1, stream, seed):
+    kind, s, b, count = stream
+    shape = BlockShape(s, b)
+    assert 2 <= _chunk_points(shape) <= 16 and s * b <= _CHUNK_CELLS // 2
+    assert kind != "wide" or (s < b and b % s)
+    params = _params(p1, s, b, None)
+    _assert_sup_matches_a_loop(shape, params, _stream_ops(kind, s, b, params), seed, count)
+
+
+# ------------------------------------------------------------- extreme columns
+
+
+@st.composite
+def _column_grids(draw):
+    """(kind, s, b): a square good or transposition partition, or a wide
+    grid whose last column group may be narrower."""
+    kind = draw(st.sampled_from(("good", "transposition", "wide")))
+    if kind == "wide":
+        s = draw(st.integers(1, 12))
+        return kind, s, s + draw(st.integers(1, 40))
+    s = draw(st.integers(1, 40))
+    return kind, s, s
+
+
+@EXAMPLES
+@given(grid=_column_grids(), k=K_VALUES, count=st.integers(1, 12), seed=SEEDS)
+def test_sampled_sup_scores_extreme_columns_as_a_loop_over_the_points(grid, k, count, seed):
+    # k = 1 keeps no column, so the residual is the point itself
+    kind, s, b = grid
+    params = _params("inf", s, b, k)
+    _assert_sup_matches_a_loop(BlockShape(s, b), params, _stream_ops(kind, s, b, params), seed, count)
+
+
+@EXAMPLES
+@given(grid=_column_grids(), k=K_VALUES, seed=SEEDS)
+def test_every_column_scores_as_its_extreme_points(grid, k, seed):
+    # each column scored from its pair counts, against the pipeline on an
+    # extreme point of that column with random signs
+    kind, s, b = grid
+    shape = BlockShape(s, b)
+    params = _params("inf", s, b, k)
+    ops = _stream_ops(kind, s, b, params)
+    run = _loop(shape, params, ops)
+    plan = _Plan(shape, params, min(s, b), ops, _chunk_points(shape))
+    measured, bounds = plan.run_columns(np.arange(b))
+    rng = np.random.default_rng(seed)
+    for j in range(b):
+        result = run(BlockMatrix.one_column(shape, j, rng.integers(0, 2, size=s) * 2.0 - 1.0))
+        assert _bits(measured[j]) == _bits(result.measured_error)
+        assert _bits(bounds[j]) == _bits(result.certified_bound)
+
+
+@EXAMPLES
+@given(s=st.integers(2, 12), b=st.integers(1, 12), k=st.integers(2, 4), count=st.integers(1, 8), seed=SEEDS)
+def test_band_partitions_fall_back_to_the_chunked_pipeline(s, b, k, count, seed):
+    # a band of height 2 meets each column twice, so an extreme point's
+    # error depends on its signs: the columns are not scored on their own
+    s = max(s, b)
+    shape = BlockShape(s, b)
+    params = _params("inf", s, b, k)
+    ops = {b: SpreadOperator(_band_partition(s, b, 2))}
+    assert _Plan(shape, params, b, ops, _chunk_points(shape)).run_columns(np.arange(b)) is None
+    _assert_sup_matches_a_loop(shape, params, ops, seed, count)
+
+
+def test_other_inner_exponents_run_the_extreme_points_in_chunks():
+    # with q1 != 1 the residual's column norms are not pair counts
+    s = b = 12
+    params = choose_pipeline_params("inf", 1, "3/2", 2, s, b)
+    _assert_sup_matches_a_loop(BlockShape(s, b), params, _stream_ops("good", s, b, params), 4, 6)
 
 
 def test_a_point_outside_the_ball_in_the_middle_of_a_chunk_raises():
@@ -443,10 +516,11 @@ def test_lists_drawn_in_chunks_equal_the_list_samplers(p1, p2):
     chunks = list(_draw_chunks(shape, count, _ball_draw(shape, p1, p2, 11)))
     assert [len(chunk) for chunk in chunks] == [6] * 7 + [3]
     assert all(chunk.base is chunks[0].base for chunk in chunks)
-    # and so does the pipeline's, through both of its streams for (inf, 1)
-    chunks = list(_pipeline_chunks(shape, p1, p2, 11, count))
-    assert len(chunks) == (16 if p1 == "inf" and p2 == "1" else 8)
-    assert all(chunk.base is chunks[0].base for chunk in chunks)
+    # and so does the extreme stream, into an array of its own
+    extreme_chunks = list(_draw_chunks(shape, count, _extreme_draw(shape, 12)))
+    assert [len(chunk) for chunk in extreme_chunks] == [6] * 7 + [3]
+    assert all(chunk.base is extreme_chunks[0].base for chunk in extreme_chunks)
+    assert extreme_chunks[0].base is not chunks[0].base
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,8 @@ from mixedwidths import (
     transposition_partition,
     verify_partition,
 )
-from mixedwidths.spread import _error_coefficient
+from mixedwidths.norms import _chunk_points
+from mixedwidths.spread import _error_coefficient, _Plan
 
 
 def _transposition_image(x: BlockMatrix) -> np.ndarray:
@@ -395,6 +396,56 @@ class TestSampledSup:
         assert sup.count == 64 and sup.dim == part.m
         assert sup.sup_error <= sup.sup_bound + 1e-9
         assert peak < 8 * s * b * 8, peak / (s * b * 8)
+
+
+class TestExtremeColumns:
+    """An extreme point of the (inf, 1) ball on column j leaves, in every
+    other column j', one unit of residual for each group meeting j and j':
+    its error for (inf, 1, 1, 2) is the 2-norm of those pair counts."""
+
+    @staticmethod
+    def _errors(shape, params, op):
+        """Each column's error, through approximate on a point of random
+        signs and as sampled_sup scores the column."""
+        s, b = shape.s, shape.b
+        rng = np.random.default_rng(s)
+        looped = [
+            approximate(BlockMatrix.one_column(shape, j, rng.integers(0, 2, size=s) * 2.0 - 1.0), params, op)
+            for j in range(b)
+        ]
+        scored, _ = _Plan(shape, params, b, {b: op}, _chunk_points(shape)).run_columns(np.arange(b))
+        assert scored.tolist() == [res.measured_error for res in looped]
+        return scored
+
+    @pytest.mark.parametrize("r,d,ratio", [(2, 4, 0.3536), (3, 4, 0.2722), (4, 4, 0.2165)])
+    def test_aligned_grids_have_the_closed_form(self, r, d, ratio):
+        # s = b = r^d gives l = r copies of each line, and the s rows hold
+        # r^(d-1) directions: the (r-1) * r^(d-1) columns on a line through
+        # j share l groups with it, the others none, so the error over
+        # d0 = s is sqrt((r-1) * r^(d-1)) * r / r^d
+        n = r**d
+        shape = BlockShape(n, n)
+        params = choose_pipeline_params("inf", 1, 1, 2, n, n)
+        part = good_partition(n, n, params.d, field_order="smallest")
+        assert (params.d, part.r, part.l, params.k) == (d, r, r, 2)
+        op = SpreadOperator(part)
+        closed = math.sqrt((r - 1) / r ** (d - 1))
+        assert round(closed, 4) == ratio
+        d0 = d0_mixed(shape, "inf", 1, 1, 2)
+        assert d0 == n
+        errors = self._errors(shape, params, op) / d0
+        assert errors == pytest.approx(np.full(n, closed), rel=1e-12)
+        sup = sampled_sup(shape, params, {n: op}, 0, 8)
+        assert sup.sup_error / d0 == pytest.approx(closed, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [2, 5, 16, 33])
+    def test_transposition_partition_gives_root_s_minus_one(self, s):
+        # any two columns share exactly one group
+        shape = BlockShape(s, s)
+        params = choose_pipeline_params("inf", 1, 1, 2, s, s)
+        assert params.k >= 2
+        errors = self._errors(shape, params, SpreadOperator(transposition_partition(s)))
+        assert errors == pytest.approx(np.full(s, math.sqrt(s - 1)), rel=1e-12)
 
 
 class TestGroupedApproximate:
