@@ -462,58 +462,93 @@ def _draw_chunks(shape: BlockShape, count: int, draw) -> Iterator[np.ndarray]:
     """count points of one stream in chunks: (k, n) arrays of k successive
     points, k = _chunk_points(shape) but in the last chunk, each filled by
     draw(chunk, index of its first point).  Every chunk is the first k
-    rows of the stream's one array of _chunk_points(shape) rows, so a
-    chunk holds only until the next one is drawn, and the array is freed
-    once the stream and its last chunk are dropped.  count below 1 is a
+    rows of the stream's one array (_stream_chunks).  count below 1 is a
     ValueError, raised here, before any point is drawn."""
+    chunks = _stream_chunks(shape, count)
+
+    def drawn():
+        for first, chunk in chunks:
+            draw(chunk, first)
+            yield chunk
+
+    return drawn()
+
+
+def _stream_chunks(shape: BlockShape, count: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first, chunk) for the count points of one stream: chunk the first
+    k rows, k = _chunk_points(shape) but in the last chunk, of the
+    stream's one array of _chunk_points(shape) rows, for the points first,
+    first + 1, ...  So a chunk holds only until the next one is filled,
+    and the array is freed once the stream and its last chunk are
+    dropped.  count below 1 is a ValueError, raised here."""
     if count < 1:
         raise ValueError("count must be >= 1")
     per = _chunk_points(shape)
     rows = np.empty((per, shape.n))
-
-    def chunks():
-        for first in range(0, count, per):
-            chunk = rows[: min(per, count - first)]
-            draw(chunk, first)
-            yield chunk
-
-    return chunks()
+    return ((first, rows[: min(per, count - first)]) for first in range(0, count, per))
 
 
 def _draw_ball_chunk(
     rng: np.random.Generator, shape: BlockShape, p1: Exponent, p2: Exponent, chunk: np.ndarray, first: int
 ) -> None:
     """Draw the points first, first + 1, ... of a ball stream into the rows
-    of chunk, each from the random stream in turn: its blocks, its block
-    weights and, at odd indices, the uniform that scales it into the
-    interior.  Then every point is normalised at once, each block by its
-    p1-norm and each point's weights by their p2-norm, as one point would
-    be on its own."""
+    of chunk: the raw draw (_draw_ball_raw), then every point normalised
+    at once, each block by its p1-norm and each point's weights by their
+    p2-norm, as one point would be on its own."""
     k, (b, s) = chunk.shape[0], (shape.b, shape.s)
-    blocks = chunk.reshape(k * b, s)
     weights = np.empty((k, b))
-    scales = []
-    for i in range(k):
-        _symmetric_power_sample(rng, p1, (b, s), out=blocks[i * b : (i + 1) * b])
-        _symmetric_power_sample(rng, p2, b, out=weights[i])
-        if (first + i) % 2 == 1:
-            scales.append(float(rng.uniform()) ** (1.0 / shape.n))
+    scales = _draw_ball_raw(rng, shape, p1, p2, chunk, weights, first)
+    blocks = chunk.reshape(k * b, s)
     inner = _row_norms(blocks, p1)
-    for i in np.flatnonzero(~(inner > 0).reshape(k, b).all(axis=1)):  # pragma: no cover - probability zero
+    for i in np.flatnonzero(~(inner > 0).reshape(k, b).all(axis=1)):  # probability zero
         rows = blocks[i * b : (i + 1) * b]
         rows += 1e-9
         inner[i * b : (i + 1) * b] = _row_norms(rows, p1)
     blocks /= inner[:, None]
-    np.abs(weights, out=weights)
-    wnorm = _row_norms(weights, p2)
-    zero = wnorm == 0.0
-    if zero.any():  # pragma: no cover - probability zero
-        weights[zero] = 1.0
-        wnorm[zero] = _row_norms(weights[zero], p2)
-    weights /= wnorm[:, None]
+    _ball_weights(weights, p2)
     blocks *= weights.reshape(-1, 1)
     if scales:
         chunk[(first + 1) % 2 :: 2] *= np.array(scales)[:, None]
+
+
+def _draw_ball_raw(
+    rng: np.random.Generator, shape: BlockShape, p1: Exponent, p2: Exponent, chunk: np.ndarray,
+    weights: np.ndarray, first: int, states: list | None = None,
+) -> list[float]:
+    """The raw draw of the points first, first + 1, ... of a ball stream,
+    the one definition of the stream: each point in turn draws its blocks
+    into its row of chunk, its block weights into its row of weights and,
+    at odd indices, the uniform that scales it into the interior, whose
+    scale factors are returned in order.  With a list states, the
+    generator's state before each point's draw is appended to it: setting
+    rng.bit_generator.state to it and calling _draw_ball_chunk on a
+    (1, n) chunk with first the point's index draws that point alone, bit
+    for bit."""
+    k, (b, s) = chunk.shape[0], (shape.b, shape.s)
+    blocks = chunk.reshape(k * b, s)
+    scales = []
+    for i in range(k):
+        if states is not None:
+            states.append(rng.bit_generator.state)
+        _symmetric_power_sample(rng, p1, (b, s), out=blocks[i * b : (i + 1) * b])
+        _symmetric_power_sample(rng, p2, b, out=weights[i])
+        if (first + i) % 2 == 1:
+            scales.append(float(rng.uniform()) ** (1.0 / shape.n))
+    return scales
+
+
+def _ball_weights(weights: np.ndarray, p2: Exponent) -> np.ndarray:
+    """Normalise raw block weights in place, each row to |w| / ||w||_p2,
+    and return the mask of the rows that were all zero: those are set to
+    all ones first (the zero-norm guard)."""
+    np.abs(weights, out=weights)
+    wnorm = _row_norms(weights, p2)
+    zero = wnorm == 0.0
+    if zero.any():  # probability zero
+        weights[zero] = 1.0
+        wnorm[zero] = _row_norms(weights[zero], p2)
+    weights /= wnorm[:, None]
+    return zero
 
 
 def extreme_points_inf1(shape: BlockShape, seed: int, count: int) -> list[BlockMatrix]:

@@ -12,6 +12,7 @@ the lines of the design's (i // l)-th direction.
 
 from __future__ import annotations
 
+import gc
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -113,14 +114,23 @@ class Partition:
         """The partition as JSON types.  The [row, col] lists of the cells
         are made from the cell arrays in one tolist, sharing one Python
         int per index when every cell lies in the grid, and each group
-        is a slice of them."""
+        is a slice of them.  The cyclic garbage collector is paused while
+        the lists are made, since its passes over millions of new lists
+        cost more than making them, and left as it was found."""
         groups = self.groups
         cells = np.stack([groups.rows, groups.cols], axis=1)
         n = max(self.shape.s, self.shape.b)
         if cells.size and cells.min() >= 0 and cells.max() < n:
             cells = np.arange(n, dtype=object)[cells]
-        cells = cells.tolist()
         ends = np.cumsum(groups.sizes).tolist()
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            cells = cells.tolist()
+            cells = [cells[start:end] for start, end in zip([0, *ends], ends)]
+        finally:
+            if collecting:
+                gc.enable()
         return {
             "s": self.shape.s,
             "b": self.shape.b,
@@ -128,7 +138,7 @@ class Partition:
             "r": self.r,
             "l": self.l,
             "dropped_empty": self.dropped_empty,
-            "groups": [cells[start:end] for start, end in zip([0, *ends], ends)],
+            "groups": cells,
         }
 
     @classmethod

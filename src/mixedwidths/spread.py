@@ -28,14 +28,18 @@ from .norms import (
     Exponent,
     _SLAB_CELLS,
     _abs_row_norms,
-    _ball_draw,
+    _ball_weights,
     _chunk_points,
+    _draw_ball_chunk,
+    _draw_ball_raw,
     _draw_chunks,
     _extreme_columns,
     _extreme_draw,
     _row_norms,
+    _stream_chunks,
     block_norm_vector,
     ceil_power,
+    d0_mixed,
     float_pow,
     lq_norm,
     mixed_norm,
@@ -378,6 +382,19 @@ class _ColumnGroups:
         counts[at_j] = 0
         return counts
 
+    def ties(self, y: np.ndarray, margin: float) -> np.ndarray:
+        """For the (k, b) block norms y of k points, whether some group of
+        each point has a near-tie at its kept/not-kept boundary: its least
+        kept norm at most 1 + margin times its greatest norm not kept.
+        Norms off by less than a relative margin / 2 select the same
+        columns as y does in every other group."""
+        k, kept = y.shape[0], self.kept
+        if kept in (0, self.width):
+            return np.zeros(k, dtype=bool)
+        norms = y[:, self.lo : self.hi].reshape(k * self.count, self.width)
+        order = -np.partition(-norms, (kept - 1, kept), axis=1)  # order[:, kept - 1] is the least kept norm
+        return (order[:, kept - 1] <= order[:, kept] * (1 + margin)).reshape(k, self.count).any(axis=1)
+
 
 class _Plan:
     """What the pipeline computes once per stream: the shape checks, the
@@ -403,6 +420,7 @@ class _Plan:
             self.groups.append(_ColumnGroups(op, lo, w, count, min(max(k - 1, 0), w), coeff, b, points))
         self.tail_factor = float_pow(s, recip_gap(params.q1, params.p1))
         self.dim = sum(g.op.dim * g.count for g in self.groups)
+        self.exact_points = 0
 
     def _select(self, y: np.ndarray):
         """(supports, selected, bounds, tails) of every column group for the
@@ -415,15 +433,23 @@ class _Plan:
         """The pipeline on the k points in the rows of chunk, a (k, n) array
         that it overwrites: (selected, measured, bounds, tails, cells,
         values), the first four with a row or an entry per point, and the
-        cells of chunk the spread writes, with their values.
+        cells of chunk the spread writes, with their values.  The points
+        are counted in exact_points.
 
         The block norms, the ball check, the selection, the spread and the
         error norms each take one pass over the whole chunk; the residual
         x - Dx is formed in chunk itself, then its absolute value."""
+        k, shape = chunk.shape[0], self.shape
+        self.exact_points += k
+        y = _row_norms(chunk.reshape(k * shape.b, shape.s), self.params.p1)
+        return self._run_on(chunk, y.reshape(k, shape.b))
+
+    def _run_on(self, chunk: np.ndarray, y: np.ndarray):
+        """run on the points of chunk whose (k, b) block norms are taken to
+        be y: the ball check on y, the selection, bounds and tails from y,
+        and the spread, residual and error norms from chunk."""
         params, shape = self.params, self.shape
         k = chunk.shape[0]
-        rows = chunk.reshape(k * shape.b, shape.s)
-        y = _row_norms(rows, params.p1).reshape(k, shape.b)
         if (_row_norms(y, params.p2) > 1 + 1e-9).any():
             raise ValueError("input lies outside the unit ball")
         entries = chunk.reshape(-1)
@@ -436,6 +462,7 @@ class _Plan:
         entries[cells] -= values
         np.abs(entries, out=entries)
         q2 = params.q2
+        rows = chunk.reshape(k * shape.b, shape.s)
         measured = _row_norms(_abs_row_norms(rows, params.q1).reshape(k, shape.b), q2)
         return selected, measured, _row_norms(bounds, q2), _row_norms(tails, q2), cells, values
 
@@ -473,29 +500,159 @@ class _Plan:
         return np.concatenate(measured), np.concatenate(bounds)
 
     def scores(self, seed: int, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(measured, bounds) arrays over the points sampled_sup takes, a
-        chunk or the distinct extreme columns at a time.  Each stream's
-        array ends with its chunks, so the ball stream's is freed before
-        the extreme points are scored."""
+        """(measured, bounds) arrays of the pipeline's exact values at a set
+        of points of sampled_sup's streams that holds both suprema.
+
+        The ball stream is screened (_screen).  For the (inf, 1) ball the
+        extreme points are then scored (_extreme_scores), and their values
+        raise the floors the screen left.  Last, each ball point whose
+        upper estimate reaches a floor, or whose estimate the screen could
+        not trust, is drawn again alone from its saved state and run
+        through the pipeline, up to a chunk of them together.  A ball point
+        left out has both values below a value that is yielded.  The
+        screen's array is freed before the extreme points are scored."""
         shape, params = self.shape, self.params
+        rng = np.random.default_rng(seed)
+        (floor_e, floor_b), candidates = self._screen(rng, count)
+        if params.p1.is_inf and params.p2 == Exponent.ONE:
+            for measured, bounds in self._extreme_scores(seed + 1, count):
+                floor_e, floor_b = max(floor_e, measured.max()), max(floor_b, bounds.max())
+                yield measured, bounds
+        redraw = [(first, state) for first, state, up_e, up_b in candidates if up_e >= floor_e or up_b >= floor_b]
+        per = _chunk_points(shape)
+        for at in range(0, len(redraw), per):
+            batch = redraw[at : at + per]
+            chunk = np.empty((len(batch), shape.n))
+            for i, (first, state) in enumerate(batch):
+                rng.bit_generator.state = state
+                _draw_ball_chunk(rng, shape, params.p1, params.p2, chunk[i : i + 1], first)
+            yield self.run(chunk)[1:3]
 
-        def chunked(draw):
-            for chunk in _draw_chunks(shape, count, draw):
-                yield self.run(chunk)[1:3]
+    def _screen(self, rng: np.random.Generator, count: int):
+        """Screen the count points of the ball stream rng draws, a chunk at a
+        time, from their raw draw (norms._draw_ball_raw, _estimate).
+        Returns the floors, a value of the measured error and one of the
+        bound that some point's exact values reach, and the candidates
+        (index, generator state before its draw, upper estimates of its
+        measured error and bound) whose exact values may reach them.
 
-        yield from chunked(_ball_draw(shape, params.p1, params.p2, seed))
-        if not (params.p1.is_inf and params.p2 == Exponent.ONE):
-            return
-        scored = None
-        if params.q1 == Exponent.ONE:
+        An unflagged point's exact values lie within delta = margin *
+        (d0 + B) of its estimates, B its estimated bound, so estimate -
+        delta is a floor they reach, and a point whose estimates + delta
+        are below both floors cannot hold a supremum: it is dropped, in
+        its chunk or a later one, as the floors only rise.  A flagged
+        point's upper estimates are inf."""
+        shape, params = self.shape, self.params
+        margin = self.margin()
+        d0 = d0_mixed(shape, params.p1, params.p2, params.q1, params.q2)
+        floor_e = floor_b = -math.inf
+        candidates = []
+        for first, chunk in _stream_chunks(shape, count):
+            weights, states = np.empty((chunk.shape[0], shape.b)), []
+            scales = _draw_ball_raw(rng, shape, params.p1, params.p2, chunk, weights, first, states)
+            measured, bounds, flagged = self._estimate(chunk, weights, scales, first, margin)
+            delta = margin * (d0 + bounds)
+            if not flagged.all():
+                floor_e = max(floor_e, (measured - delta)[~flagged].max())
+                floor_b = max(floor_b, (bounds - delta)[~flagged].max())
+            up_e, up_b = measured + delta, bounds + delta
+            up_e[flagged] = math.inf
+            candidates = [c for c in candidates if c[2] >= floor_e or c[3] >= floor_b]
+            near = np.flatnonzero((up_e >= floor_e) | (up_b >= floor_b))
+            candidates += [(first + i, states[i], up_e[i], up_b[i]) for i in near]
+        return (floor_e, floor_b), candidates
+
+    def margin(self) -> float:
+        """The screen's relative margin, max(2^-30, 8 C u) with u = 2^-53
+        and C = 8s + 6b + 4S + 64, S the largest group size: eight times
+        the first-order error bound of _estimate, and 2^-30 while C stays
+        below 2^20."""
+        s, b = self.shape.s, self.shape.b
+        size = 8 * s + 6 * b + 4 * max(int(g.op._group_size.max()) for g in self.groups) + 64
+        return max(2.0**-30, size * 2.0**-50)
+
+    def _estimate(self, chunk: np.ndarray, weights: np.ndarray, scales: list[float], first: int, margin: float):
+        """Estimates (measured, bounds) of the pipeline's values at the
+        points first, first + 1, ... whose raw draw chunk, weights and
+        scales hold, and the mask of the points whose estimate may be off
+        by more than margin * (d0 + bound).  chunk and weights are
+        overwritten.
+
+        The estimate.  With w the point's normalised weights
+        (norms._ball_weights, the draw's own bits) and t its interior
+        scale (1 at even indices), block j's norm is estimated as
+        y_j = w_j * t, and its entries as g * (y_j / |g|), g the raw block
+        and |g| its p1-norm: max |g| for p1 = inf (exact, the draw's own),
+        the sqrt of an einsum for p1 = 2, the draw's kernel otherwise.  The
+        ball check and the selection, bounds and tails are taken from y,
+        and the spread, residual and error norms from those entries, as
+        run takes them.
+
+        Its float error, to first order in u = 2^-53, with S the largest
+        group size.  A norm of m terms, by _row_norms or the einsum, is
+        within (m + 4)u of its value.  So the drawn entries (three
+        roundings after |g|) and the estimated ones (two) are both within
+        (s + 7)u of g * w_j * t / ||g||, so within eps = 2(s + 7)u of each
+        other, and the drawn block norm is within (2s + 12)u of y_j.
+        - Selection: where every group's least kept y_j exceeds 1 + margin
+          times its greatest y_j not kept, the drawn norms select the same
+          columns.  Otherwise the point is flagged (_ColumnGroups.ties).
+        - Bound B: with the same columns it is a monotone, homogeneous
+          function of the block norms, with roundings of its own within
+          (3b + 12)u, so the two are within (2s + 6b + 40)u * B.
+        - Error e = ||x - Dx||: the residuals differ by at most
+          eps * (|x| + D|x|) entrywise, and a group sum of at most S terms
+          rounds by (S - 1)u of D|x|.  ||x|| <= d0 in the ball, and
+          ||D|x|_kept|| <= d0 + B by the one-column bound; with the norms'
+          own (s + b + 8)u of e <= 2 d0 + B, the two are within
+          (4s + 2b + 2S + 32)u * (2 d0 + B).
+        Both are within C u (d0 + B), C = 8s + 6b + 4S + 64, which margin
+        bounds eight times over.  A zero-norm guard of
+        norms._draw_ball_chunk (all weights 0, or a zero block) also flags
+        the point; for p1 = 2 so does a block whose sum of squares is
+        below 2^-900, where squares that underflow could lose more than u
+        of it.  The p1 = 2 draws are standard normals, so the sum cannot
+        overflow."""
+        shape, p1 = self.shape, self.params.p1
+        k, b, s = chunk.shape[0], shape.b, shape.s
+        flagged = _ball_weights(weights, self.params.p2)
+        y = weights
+        if scales:
+            y[(first + 1) % 2 :: 2] *= np.array(scales)[:, None]
+        blocks = chunk.reshape(k * b, s)
+        if p1 == Exponent.TWO:
+            inner = np.einsum("ij,ij->i", blocks, blocks)
+            zero = inner < 2.0**-900
+            np.sqrt(inner, out=inner)
+        else:
+            inner = _row_norms(blocks, p1)
+            zero = inner == 0.0
+        if zero.any():
+            flagged |= zero.reshape(k, b).any(axis=1)
+            inner[zero] = 1.0
+        blocks *= (y.reshape(-1) / inner)[:, None]
+        for g in self.groups:
+            flagged |= g.ties(y, margin)
+        measured, bounds = self._run_on(chunk, y)[1:3]
+        return measured, bounds, flagged
+
+    def _extreme_scores(self, seed: int, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(measured, bounds) of the pipeline at the count extreme points of
+        the (inf, 1) ball from seed: with q1 = 1 one pair of arrays, one
+        value per distinct drawn column (run_columns); with another q1, or
+        when some drawn column's groups are not distinct, a pair per chunk
+        of points run through the pipeline."""
+        shape = self.shape
+        if self.params.q1 == Exponent.ONE:
             drawn = np.zeros(shape.b, dtype=bool)
-            for j, _ in _extreme_columns(np.random.default_rng(seed + 1), shape, count):
+            for j, _ in _extreme_columns(np.random.default_rng(seed), shape, count):
                 drawn[j] = True
             scored = self.run_columns(np.flatnonzero(drawn))
-        if scored is None:
-            yield from chunked(_extreme_draw(shape, seed + 1))
-        else:
-            yield scored
+            if scored is not None:
+                yield scored
+                return
+        for chunk in _draw_chunks(shape, count, _extreme_draw(shape, seed)):
+            yield self.run(chunk)[1:3]
 
 
 def _pipeline(x: BlockMatrix, params: PipelineParams, width: int, ops: dict) -> ApproxResult:
@@ -593,12 +750,16 @@ def pipeline_operators(s: int, b: int, d: int, kind: str) -> dict[int, SpreadOpe
 class SampledSup:
     """What a sweep row or witness keeps of a stream of points: the suprema of
     the measured error and of the certified bound, the dimension of the
-    pipeline's subspace and the number of points."""
+    pipeline's subspace and the number of points, and how many of those
+    points ran through the pipeline itself (exact_points): the ball points
+    the screen kept and, unless they are scored by column, the extreme
+    points."""
 
     sup_error: float
     sup_bound: float
     dim: int
     count: int
+    exact_points: int
 
 
 def sampled_sup(
@@ -613,19 +774,24 @@ def sampled_sup(
     gives them).  The floats are those of a loop of approximate or
     grouped_subspace_approximate over the points.
 
-    The ball points are drawn and evaluated in chunks of
-    _chunk_points(shape) points, at most 2^16 cells (one 256 x 256 grid)
-    unless one grid alone is larger: each chunk is drawn into the
-    stream's one array (norms._draw_chunks), normalised at once and run
-    through the pipeline in one pass (_Plan.run), and only the running
-    suprema are kept, so memory does not grow with count (_Plan.scores).
-    That array is freed before the extreme points are scored.  With
+    The ball points are drawn in chunks of _chunk_points(shape) points,
+    at most 2^16 cells (one 256 x 256 grid) unless one grid alone is
+    larger, into the stream's one array, so memory does not grow with
+    count.  Each chunk is screened from its raw draw (_Plan._screen):
+    the points' block norms and entries are estimated, within a stated
+    margin of the exact values, without normalising the points or taking
+    their block norms, and only the points that can hold a supremum, or
+    whose estimate the screen cannot trust, are drawn again from their
+    saved generator state and run through the exact pipeline
+    (_Plan.run).  So every point pays for its generator calls and the
+    screen's few passes; only the points kept pay for the exact pipeline.
+    The extreme points are scored after the ball's array is freed.  With
     q1 = 1 an extreme point's error and bound depend on its column alone,
     so their stream is read as columns (norms._extreme_columns) and each
     distinct column is scored once from its pair counts
     (_Plan.run_columns), with no grid written; with another q1, or when
     the groups through some drawn column are not distinct, the extreme
-    points run through the pipeline in chunks like the ball points.
+    points run through the pipeline in chunks.
     count below 1 is a ValueError, raised before any point is drawn."""
     plan = _Plan(shape, params, min(shape.s, shape.b), ops, _chunk_points(shape))
     sup_error = sup_bound = -math.inf
@@ -633,7 +799,10 @@ def sampled_sup(
         sup_error = max(sup_error, *measured.tolist())
         sup_bound = max(sup_bound, *bounds.tolist())
     extreme = params.p1.is_inf and params.p2 == Exponent.ONE
-    return SampledSup(sup_error=sup_error, sup_bound=sup_bound, dim=plan.dim, count=count * (1 + extreme))
+    return SampledSup(
+        sup_error=sup_error, sup_bound=sup_bound, dim=plan.dim, count=count * (1 + extreme),
+        exact_points=plan.exact_points,
+    )
 
 
 def transposition_partition(s: int) -> Partition:

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import pickle
 import time
@@ -209,6 +210,22 @@ class TestSerialization:
         data = good_partition(8, 5, 2).to_json_dict()
         del data["dropped_empty"]
         assert Partition.from_json_dict(data).dropped_empty == 0
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_collector_paused_and_restored(self, collecting):
+        # the cell lists are made with the collector paused; the output is
+        # the cells group by group, and the collector is left as it was
+        part = good_partition(40, 37, 2)
+        expected = [[[int(i), int(j)] for i, j in group] for group in part.groups]
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            data = part.to_json_dict()
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert data["groups"] == expected
+        assert json.dumps(data) == json.dumps(_as_tuples(part).to_json_dict())
 
 
 def _as_tuples(part):

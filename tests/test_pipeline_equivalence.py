@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixedwidths import (
@@ -26,6 +26,7 @@ from mixedwidths import (
     approximate,
     block_norm_vector,
     choose_pipeline_params,
+    d0_mixed,
     extreme_points_inf1,
     good_partition,
     grouped_subspace_approximate,
@@ -36,14 +37,19 @@ from mixedwidths import (
     sampled_sup,
     transposition_partition,
 )
+from mixedwidths import norms as norms_module
+from mixedwidths import spread as spread_module
 from mixedwidths.norms import (
     _CHUNK_CELLS,
     _ball_draw,
     _chunk_points,
+    _draw_ball_chunk,
+    _draw_ball_raw,
     _draw_chunks,
     _extreme_columns,
     _extreme_draw,
     _row_norms,
+    _stream_chunks,
     _symmetric_power_sample,
 )
 from mixedwidths.spread import (
@@ -539,6 +545,136 @@ def test_chunks_stay_within_the_cell_budget(s, b):
     params = _params("inf", s, b, None)
     plan = _Plan(shape, params, min(s, b), pipeline_operators(s, b, params.d, "good"), _chunk_points(shape))
     assert [name for name, v in vars(plan).items() if isinstance(v, np.ndarray)] == []
+
+
+# ------------------------------------------------------------- screen
+
+
+def _estimates(shape, params, ops, seed, count):
+    """The screen's (measured, bounds, flagged) at the count ball points
+    from seed, each an array over the points, and its margin; the raw
+    draw is looked up in norms, where a test may plant into it."""
+    plan = _Plan(shape, params, min(shape.s, shape.b), ops, _chunk_points(shape))
+    margin, rng, parts = plan.margin(), np.random.default_rng(seed), []
+    for first, chunk in _stream_chunks(shape, count):
+        weights = np.empty((chunk.shape[0], shape.b))
+        scales = norms_module._draw_ball_raw(rng, shape, params.p1, params.p2, chunk, weights, first)
+        parts.append(plan._estimate(chunk, weights, scales, first, margin))
+    return [np.concatenate(part) for part in zip(*parts)], margin
+
+
+@EXAMPLES
+@given(
+    p1=st.sampled_from(P1_VALUES),
+    q1=st.sampled_from(("1", "3/2")),
+    stream=_chunked_streams(),
+    k=K_VALUES,
+    seed=SEEDS,
+)
+def test_screen_estimates_lie_within_the_margin(p1, q1, stream, k, seed):
+    # every estimate from the raw draw is within margin * (d0 + bound) of
+    # the exact value, and random draws make no near-tie
+    assume(Exponent.of(q1) < Exponent.of(p1))
+    kind, s, b, count = stream
+    shape = BlockShape(s, b)
+    params = choose_pipeline_params(p1, 1, q1, 2, s, b)
+    params = params if k is None else replace(params, k=k)
+    ops = _stream_ops(kind, s, b, params)
+    (measured, bounds, flagged), margin = _estimates(shape, params, ops, seed, count)
+    assert margin == 2.0**-30 and not flagged.any()
+    d0 = d0_mixed(shape, p1, 1, q1, 2)
+    for i, x in enumerate(sample_ball(shape, p1, 1, seed, count)):
+        result = _loop(shape, params, ops)(x)
+        tolerance = margin * (d0 + bounds[i])
+        assert abs(measured[i] - result.measured_error) <= tolerance
+        assert abs(bounds[i] - result.certified_bound) <= tolerance
+
+
+def _planted_draw(plant, kept):
+    """norms._draw_ball_raw with a plant in every point of even index: its
+    kept-th and (kept + 1)-th largest weights made equal, its first block
+    zero, or all its weights zero."""
+    draw = norms_module._draw_ball_raw
+
+    def planted(rng, shape, p1, p2, chunk, weights, first, states=None):
+        scales = draw(rng, shape, p1, p2, chunk, weights, first, states)
+        blocks = chunk.reshape(chunk.shape[0], shape.b, shape.s)
+        for i in range(-first % 2, chunk.shape[0], 2):
+            if plant == "tie":
+                order = np.argsort(-np.abs(weights[i]), kind="stable")
+                weights[i, order[kept]] = weights[i, order[kept - 1]]
+            elif plant == "zero block":
+                blocks[i, 0] = 0.0
+            else:
+                weights[i] = 0.0
+        return scales
+
+    return planted
+
+
+@pytest.mark.parametrize("plant", ["tie", "zero block", "zero weights"])
+@pytest.mark.parametrize("p1", ["inf", "2", "4"])
+def test_planted_points_are_all_run_exactly(monkeypatch, plant, p1):
+    # a near-tie at the kept boundary or a zero-norm guard makes a ball
+    # point a candidate, whatever its estimate, and the suprema still
+    # match the loop bit for bit
+    s = b = 40
+    shape, count, seed = BlockShape(s, b), 9, 3
+    params = _params(p1, s, b, 3)
+    ops = _stream_ops("good", s, b, params)
+    planted = _planted_draw(plant, params.k - 1)
+    monkeypatch.setattr(norms_module, "_draw_ball_raw", planted)
+    monkeypatch.setattr(spread_module, "_draw_ball_raw", planted)
+    (_, _, flagged), _ = _estimates(shape, params, ops, seed, count)
+    assert flagged.tolist() == [i % 2 == 0 for i in range(count)]
+    points = sample_ball(shape, p1, 1, seed, count)  # through the plant
+    if plant == "zero block":  # the guard made the zero block constant
+        assert all(np.ptp(x.block(0)) == 0.0 for x in points[::2])
+    if Exponent.of(p1).is_inf:
+        points += _oracle_extreme_points_inf1(shape, seed + 1, count)
+    results = [_loop(shape, params, ops)(x) for x in points]
+    sup = sampled_sup(shape, params, ops, seed, count)
+    # the five planted points, and few others; the extreme points are scored by column
+    assert 5 <= sup.exact_points < count
+    assert _bits(sup.sup_error) == _bits(max(r.measured_error for r in results))
+    assert _bits(sup.sup_bound) == _bits(max(r.certified_bound for r in results))
+
+
+def test_screen_keeps_every_point_that_may_reach_a_floor(monkeypatch):
+    # the candidate rule on set estimates: a point is dropped only when its
+    # estimates + delta are below both floors, the estimates - delta of
+    # an unflagged point; a flagged point is always kept
+    s = b = 8
+    shape = BlockShape(s, b)
+    params = _params("2", s, b, None)
+    plan = _Plan(shape, params, b, _stream_ops("good", s, b, params), _chunk_points(shape))
+    margin, d0 = plan.margin(), d0_mixed(shape, "2", 1, 1, 2)
+    top, low = margin * (d0 + 3.0), margin * (d0 + 2.0)  # delta at bounds 3 and 2
+    measured = np.array([1.0, 1.0 - top - 0.9 * low, 1.0 - top - 1.1 * low, 0.5, 0.5])
+    bounds = np.array([3.0, 2.0, 2.0, 2.0, 2.0])
+    flagged = np.array([False, False, False, True, False])
+    monkeypatch.setattr(_Plan, "_estimate", lambda *args: (measured.copy(), bounds.copy(), flagged.copy()))
+    floors, candidates = plan._screen(np.random.default_rng(0), 5)
+    assert floors == (1.0 - top, 3.0 - top)
+    assert [first for first, *_ in candidates] == [0, 1, 3]
+
+
+@pytest.mark.parametrize("p1,p2", [("2", "1"), ("inf", "1"), ("3/2", "2"), ("4", "3/2")])
+def test_a_point_redrawn_from_its_state_equals_its_chunked_draw(p1, p2):
+    # chunks of 7 points, so chunks start at even and odd indices
+    shape, count, seed = BlockShape(90, 100), 16, 5
+    assert _chunk_points(shape) == 7
+    p1, p2 = Exponent.of(p1), Exponent.of(p2)
+    rng, states = np.random.default_rng(seed), []
+    for first, chunk in _stream_chunks(shape, count):
+        _draw_ball_raw(rng, shape, p1, p2, chunk, np.empty((chunk.shape[0], shape.b)), first, states)
+    assert len(states) == count
+    again = np.random.default_rng(0)
+    for i, x in enumerate(sample_ball(shape, p1, p2, seed, count)):
+        row = np.empty((1, shape.n))
+        again.bit_generator.state = states[i]
+        _draw_ball_chunk(again, shape, p1, p2, row, i)
+        assert _bits(row[0]) == _bits(x.entries), i
 
 
 # ------------------------------------------------------------- large budgets

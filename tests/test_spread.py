@@ -397,6 +397,17 @@ class TestSampledSup:
         assert sup.sup_error <= sup.sup_bound + 1e-9
         assert peak < 8 * s * b * 8, peak / (s * b * 8)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_screen_runs_few_points_exactly(self, seed):
+        # one point a chunk at 251 x 251: only the points the screen cannot
+        # rule out run through the pipeline, so a looser margin fails here
+        s = b = 251
+        params = choose_pipeline_params("2", 1, 1, 2, s, b)
+        ops = pipeline_operators(s, b, params.d, "good")
+        sup = sampled_sup(BlockShape(s, b), params, ops, seed, 96)
+        assert sup.count == 96
+        assert 1 <= sup.exact_points <= 8
+
 
 class TestExtremeColumns:
     """An extreme point of the (inf, 1) ball on column j leaves, in every
