@@ -512,7 +512,7 @@ def _draw_ball_chunk(
 
 
 def _draw_ball_raw(
-    rng: np.random.Generator, shape: BlockShape, p1: Exponent, p2: Exponent, chunk: np.ndarray,
+    rng: np.random.Generator, shape: BlockShape, p1: Exponent, p2: Exponent, chunk: np.ndarray | None,
     weights: np.ndarray, first: int, states: list | None = None,
 ) -> list[float]:
     """The raw draw of the points first, first + 1, ... of a ball stream,
@@ -523,14 +523,24 @@ def _draw_ball_raw(
     generator's state before each point's draw is appended to it: setting
     rng.bit_generator.state to it and calling _draw_ball_chunk on a
     (1, n) chunk with first the point's index draws that point alone, bit
-    for bit."""
-    k, (b, s) = chunk.shape[0], (shape.b, shape.s)
-    blocks = chunk.reshape(k * b, s)
+    for bit.
+
+    With chunk None the blocks are skipped, not drawn, for p1 = inf only:
+    they are s*b doubles of rng.random, each one 64-bit output of the
+    PCG64 bit generator, so advancing it by s*b leaves it where the draw
+    would and the weights and scales are the same bits."""
+    k, (b, s) = weights.shape[0], (shape.b, shape.s)
+    if chunk is None and not p1.is_inf:
+        raise ValueError("only the blocks of a p1 = inf stream can be skipped")
+    blocks = None if chunk is None else chunk.reshape(k * b, s)
     scales = []
     for i in range(k):
         if states is not None:
             states.append(rng.bit_generator.state)
-        _symmetric_power_sample(rng, p1, (b, s), out=blocks[i * b : (i + 1) * b])
+        if blocks is None:
+            rng.bit_generator.advance(b * s)
+        else:
+            _symmetric_power_sample(rng, p1, (b, s), out=blocks[i * b : (i + 1) * b])
         _symmetric_power_sample(rng, p2, b, out=weights[i])
         if (first + i) % 2 == 1:
             scales.append(float(rng.uniform()) ** (1.0 / shape.n))

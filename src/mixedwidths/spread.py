@@ -52,6 +52,11 @@ from .partitions import CellGroups, Partition, _check_grid, good_partition
 # order r with r^d >= b, so the design grid r^d overshoots b the least.
 PIPELINE_FIELD_ORDER = "smallest"
 
+# Block weights the (inf, 1) screen takes together (_Plan._weight_estimates):
+# 2^12, 32 KiB.  With 2^14 the peak RSS of the pipeline benchmark's rounds
+# read about 0.4 MiB higher; with 2^12 as low as when every point was drawn.
+_WEIGHT_CELLS = 2**12
+
 __all__ = [
     "SpreadOperator",
     "spread_error_coefficient",
@@ -314,8 +319,8 @@ class ApproxResult:
 class _ColumnGroups:
     """The column groups of one width: count contiguous groups of width
     columns from column lo of a b-column grid, each spread through op and
-    keeping its best kept blocks, with the one-column coefficient coeff,
-    for chunks of up to points grids."""
+    keeping its best kept blocks, with the one-column coefficient coeff of
+    the certified bound, for chunks of up to points grids."""
 
     def __init__(
         self, op: SpreadOperator, lo: int, width: int, count: int, kept: int, coeff: float,
@@ -328,11 +333,12 @@ class _ColumnGroups:
         # the chunk's stack of points * b columns
         self.first = np.tile(self.starts, points) + np.repeat(b * np.arange(points), count)
 
-    def select(self, y: np.ndarray, q2: Exponent, tail_factor: float):
-        """(support, selected columns, bounds, tails) of these groups for
-        the (k, b) block norms y of k points: the kept columns of every
-        group, a row per group, then the selected columns, bounds and
-        tails of each point's groups as its row."""
+    def select(self, y: np.ndarray, q2: Exponent):
+        """(support, selected columns, tails, sums) of these groups for the
+        (k, b) block norms y of k points: the kept columns of every group,
+        a row per group, then the selected columns, the tails (q2-norms of
+        the norms not kept) and the sums of the kept norms of each point's
+        groups as its row."""
         k = y.shape[0]
         groups, width, kept = k * self.count, self.width, self.kept
         rows = np.arange(groups)[:, None]
@@ -346,12 +352,11 @@ class _ColumnGroups:
         # each group's kept norms summed left to right, as the certified
         # bound of one group adds them; np.sum would pair them from 8 terms
         kept_norms = norms[rows, support]
-        spread_sum = np.zeros(groups)
+        sums = np.zeros(groups)
         for c in range(kept):
-            spread_sum += kept_norms[:, c]
-        bounds = tails * tail_factor + self.coeff * spread_sum
+            sums += kept_norms[:, c]
         selected = (support.reshape(k, self.count, kept) + self.starts[:, None]).reshape(k, self.count * kept)
-        return support, selected, bounds.reshape(k, self.count), tails.reshape(k, self.count)
+        return support, selected, tails.reshape(k, self.count), sums.reshape(k, self.count)
 
     def pair_counts(self, columns: np.ndarray) -> np.ndarray | None:
         """The column sums of |x - Dx| for extreme points x of the (inf, 1)
@@ -423,11 +428,21 @@ class _Plan:
         self.exact_points = 0
 
     def _select(self, y: np.ndarray):
-        """(supports, selected, bounds, tails) of every column group for the
-        block norms y: the supports one per width, the others with a row
-        per point."""
-        supports, *rest = zip(*(g.select(y, self.params.q2, self.tail_factor) for g in self.groups))
+        """(supports, selected, tails, sums) of every column group for the
+        block norms y (_ColumnGroups.select): the supports one per width,
+        the others with a row per point."""
+        supports, *rest = zip(*(g.select(y, self.params.q2) for g in self.groups))
         return supports, *(p[0] if len(p) == 1 else np.concatenate(p, axis=-1) for p in rest)
+
+    def _bounds(self, tails: np.ndarray, sums: np.ndarray, coeffs=None) -> np.ndarray:
+        """For each point, the q2-norm over its groups of tails *
+        tail_factor + c * sums, c the coefficient coeffs gives the group's
+        width: by default the one-column coefficient, so the certified
+        bound."""
+        if coeffs is None:
+            coeffs = [g.coeff for g in self.groups]
+        c = np.repeat(coeffs, [g.count for g in self.groups])
+        return _row_norms(tails * self.tail_factor + c * sums, self.params.q2)
 
     def run(self, chunk: np.ndarray):
         """The pipeline on the k points in the rows of chunk, a (k, n) array
@@ -453,7 +468,7 @@ class _Plan:
         if (_row_norms(y, params.p2) > 1 + 1e-9).any():
             raise ValueError("input lies outside the unit ball")
         entries = chunk.reshape(-1)
-        supports, selected, bounds, tails = self._select(y)
+        supports, selected, tails, sums = self._select(y)
         spreads = [
             g.op._spread_columns(entries, support, g.first[: support.shape[0]])
             for g, support in zip(self.groups, supports)
@@ -464,7 +479,7 @@ class _Plan:
         q2 = params.q2
         rows = chunk.reshape(k * shape.b, shape.s)
         measured = _row_norms(_abs_row_norms(rows, params.q1).reshape(k, shape.b), q2)
-        return selected, measured, _row_norms(bounds, q2), _row_norms(tails, q2), cells, values
+        return selected, measured, self._bounds(tails, sums), _row_norms(tails, q2), cells, values
 
     def run_columns(self, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """(measured, bounds) of the pipeline on extreme points of the
@@ -492,32 +507,61 @@ class _Plan:
                 at_j = (np.arange(batch.size), batch)
                 rows = np.zeros((batch.size, b))
                 rows[at_j] = 1.0  # the block norms; then the residual's column sums
-                bounds.append(_row_norms(self._select(rows)[2], q2))
+                bounds.append(self._bounds(*self._select(rows)[2:]))
                 rows[at_j] = 0.0
                 start = batch - (batch - g.lo) % g.width  # the first column of each one's group
                 rows[at_j[0][:, None], start[:, None] + np.arange(g.width)] = counts
                 measured.append(_row_norms(rows, q2))
         return np.concatenate(measured), np.concatenate(bounds)
 
+    def _column_scores(self) -> list[float] | None:
+        """For each width, its column score: the largest q2-norm of the
+        pair counts of a column of its operator (_ColumnGroups.pair_counts),
+        the error within its group of an extreme point on that column.
+        None when some column's groups are not distinct.  The partition's
+        certified (r, l) are not used.  Columns are taken in batches whose
+        gathered cells stay within _SLAB_CELLS, or one at a time where one
+        column alone exceeds it."""
+        scores = []
+        for g in self.groups:
+            per = max(1, _SLAB_CELLS // max(g.width, self.shape.s * int(g.op._group_size.max())))
+            best = 0.0
+            for at in range(0, g.width, per):
+                counts = g.pair_counts(g.lo + np.arange(at, min(at + per, g.width)))
+                if counts is None:
+                    return None
+                best = max(best, float(_row_norms(counts.astype(float), self.params.q2).max()))
+            scores.append(best)
+        return scores
+
     def scores(self, seed: int, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(measured, bounds) arrays of the pipeline's exact values at a set
         of points of sampled_sup's streams that holds both suprema.
 
-        The ball stream is screened (_screen).  For the (inf, 1) ball the
-        extreme points are then scored (_extreme_scores), and their values
-        raise the floors the screen left.  Last, each ball point whose
-        upper estimate reaches a floor, or whose estimate the screen could
-        not trust, is drawn again alone from its saved state and run
-        through the pipeline, up to a chunk of them together.  A ball point
-        left out has both values below a value that is yielded.  The
-        screen's array is freed before the extreme points are scored."""
+        For the (inf, 1) ball the extreme points come first
+        (_extreme_scores): their values are yielded and set the floors,
+        values of the measured error and of the bound that a yielded point
+        reaches.  The ball stream is screened next (_screen): from the
+        points' weights alone where the column scores bound their error
+        (p1 = inf, p2 = 1, q1 = 1 and every column's groups distinct, see
+        _weight_estimates), from their raw draw otherwise.  Last, each ball
+        point whose upper estimate reaches a floor, or whose estimate the
+        screen could not trust, is drawn again alone from its saved state
+        and run through the pipeline, up to a chunk of them together.  A
+        ball point left out has both values below a value that is yielded.
+        count below 1 is a ValueError, raised before any point is drawn."""
+        if count < 1:
+            raise ValueError("count must be >= 1")
         shape, params = self.shape, self.params
-        rng = np.random.default_rng(seed)
-        (floor_e, floor_b), candidates = self._screen(rng, count)
+        floors, column_scores = (-math.inf, -math.inf), None
         if params.p1.is_inf and params.p2 == Exponent.ONE:
             for measured, bounds in self._extreme_scores(seed + 1, count):
-                floor_e, floor_b = max(floor_e, measured.max()), max(floor_b, bounds.max())
+                floors = (max(floors[0], measured.max()), max(floors[1], bounds.max()))
                 yield measured, bounds
+            if params.q1 == Exponent.ONE:
+                column_scores = self._column_scores()
+        rng = np.random.default_rng(seed)
+        (floor_e, floor_b), candidates = self._screen(rng, count, floors, column_scores)
         redraw = [(first, state) for first, state, up_e, up_b in candidates if up_e >= floor_e or up_b >= floor_b]
         per = _chunk_points(shape)
         for at in range(0, len(redraw), per):
@@ -528,32 +572,37 @@ class _Plan:
                 _draw_ball_chunk(rng, shape, params.p1, params.p2, chunk[i : i + 1], first)
             yield self.run(chunk)[1:3]
 
-    def _screen(self, rng: np.random.Generator, count: int):
+    def _screen(self, rng: np.random.Generator, count: int, floors: tuple, column_scores: list[float] | None):
         """Screen the count points of the ball stream rng draws, a chunk at a
-        time, from their raw draw (norms._draw_ball_raw, _estimate).
-        Returns the floors, a value of the measured error and one of the
-        bound that some point's exact values reach, and the candidates
-        (index, generator state before its draw, upper estimates of its
-        measured error and bound) whose exact values may reach them.
+        time: from their weights alone with column_scores
+        (_weight_estimates), or from their raw draw (_raw_estimates) when
+        column_scores is None.  floors are values of the measured error
+        and of the bound that some yielded point reaches.  Returns the
+        floors, raised by the screened points, and the candidates (index,
+        generator state before its draw, upper estimates of its measured
+        error and bound) whose exact values may reach them.
 
         An unflagged point's exact values lie within delta = margin *
-        (d0 + B) of its estimates, B its estimated bound, so estimate -
-        delta is a floor they reach, and a point whose estimates + delta
-        are below both floors cannot hold a supremum: it is dropped, in
-        its chunk or a later one, as the floors only rise.  A flagged
-        point's upper estimates are inf."""
+        (d0 + B) of its raw estimates, B its estimated bound; the weight
+        screen's bound B is exact, and its error is below its estimate +
+        delta.  So an estimate - delta is a floor they reach, and a point
+        whose estimates + delta are below both floors cannot hold a
+        supremum: it is dropped, in its chunk or a later one, as the floors
+        only rise.  A flagged point's upper estimates are inf."""
         shape, params = self.shape, self.params
         margin = self.margin()
         d0 = d0_mixed(shape, params.p1, params.p2, params.q1, params.q2)
-        floor_e = floor_b = -math.inf
+        floor_e, floor_b = floors
+        if column_scores is None:
+            chunks = self._raw_estimates(rng, count, margin)
+        else:
+            chunks = self._weight_estimates(rng, count, margin, column_scores)
         candidates = []
-        for first, chunk in _stream_chunks(shape, count):
-            weights, states = np.empty((chunk.shape[0], shape.b)), []
-            scales = _draw_ball_raw(rng, shape, params.p1, params.p2, chunk, weights, first, states)
-            measured, bounds, flagged = self._estimate(chunk, weights, scales, first, margin)
+        for first, states, measured, bounds, flagged in chunks:
             delta = margin * (d0 + bounds)
             if not flagged.all():
-                floor_e = max(floor_e, (measured - delta)[~flagged].max())
+                if column_scores is None:  # the weight screen's error is an upper bound only
+                    floor_e = max(floor_e, (measured - delta)[~flagged].max())
                 floor_b = max(floor_b, (bounds - delta)[~flagged].max())
             up_e, up_b = measured + delta, bounds + delta
             up_e[flagged] = math.inf
@@ -571,6 +620,69 @@ class _Plan:
         size = 8 * s + 6 * b + 4 * max(int(g.op._group_size.max()) for g in self.groups) + 64
         return max(2.0**-30, size * 2.0**-50)
 
+    def _block_norms(self, weights: np.ndarray, scales: list[float], first: int, margin: float):
+        """(y, flagged) for the raw weights and scales of the points first,
+        first + 1, ...: y = w * t in weights itself, w the normalised
+        weights (norms._ball_weights) and t the interior scale (1 at even
+        indices), and the mask of the points whose weights were all zero or
+        some of whose groups has a near-tie (_ColumnGroups.ties)."""
+        flagged = _ball_weights(weights, self.params.p2)
+        if scales:
+            weights[(first + 1) % 2 :: 2] *= np.array(scales)[:, None]
+        for g in self.groups:
+            flagged |= g.ties(weights, margin)
+        return weights, flagged
+
+    def _raw_estimates(self, rng: np.random.Generator, count: int, margin: float):
+        """(first, states, measured, bounds, flagged) for each chunk of the
+        ball stream rng draws: the generator state before each point's
+        draw, then _estimate's values from the chunk's raw draw."""
+        shape, params = self.shape, self.params
+        for first, chunk in _stream_chunks(shape, count):
+            weights, states = np.empty((chunk.shape[0], shape.b)), []
+            scales = _draw_ball_raw(rng, shape, params.p1, params.p2, chunk, weights, first, states)
+            yield first, states, *self._estimate(chunk, weights, scales, first, margin)
+
+    def _weight_estimates(self, rng: np.random.Generator, count: int, margin: float, column_scores: list[float]):
+        """(first, states, upper, bounds, flagged) for each chunk of up to
+        _WEIGHT_CELLS // b points of the (inf, 1) ball stream rng draws, for
+        q1 = 1, from the points' weights and scales alone: their blocks are
+        skipped, not drawn (norms._draw_ball_raw with no chunk).  bounds
+        are the certified bounds, upper is U * (1 + margin) with U the
+        bound below on the measured error, and flagged is _block_norms'.
+
+        Block j of a point is its raw block over the block's max |.|, in
+        [-1, 1] and +-1 at the max, times w_j and then t, so y = w * t is
+        the drawn block norms bit for bit: the selection, tails and bound
+        are the pipeline's own, and |x_ij| <= y_j.  In a column group,
+        x - Dx_S = (x - x_S) + sum_S (x_j - D x_j), x_j the point on
+        column j alone.  The first term's column 1-norms are at most s y_j,
+        so its (1, q2)-norm is at most tail_factor * tail.  x_j - D x_j is
+        entrywise at most y_j times the residual of an extreme point on
+        column j, whose column sums are the pair counts, so its (1, q2)-norm
+        is at most y_j c, c the width's column score (_column_scores).  So
+        the point's error is at most U, the q2-norm over its groups of
+        tail_factor * tail + c * sum_S y_j (_bounds with column_scores).
+
+        Floats, to first order in u = 2^-53: U adds, multiplies and takes
+        norms of nonnegative terms, the score's norm among them, in fewer
+        than (3b + 16)u of relative error, so the real U is below
+        U * (1 + (3b + 16)u).  The pipeline's float error is within
+        (s + b + 8)u of its real error plus S u ||D|x_S|||, S the largest
+        group size, the group sums' rounding, and ||D|x_S||| <=
+        ||x|| + ||x_S - D x_S|| <= d0 + U.  So it is below
+        U * (1 + (s + 4b + S + 24)u) + S u d0, which upper + delta bounds:
+        margin is at least 8 (8s + 6b + 4S + 64)u."""
+        shape, params = self.shape, self.params
+        per = max(1, _WEIGHT_CELLS // shape.b)
+        for first in range(0, count, per):
+            weights, states = np.empty((min(per, count - first), shape.b)), []
+            scales = _draw_ball_raw(rng, shape, params.p1, params.p2, None, weights, first, states)
+            y, flagged = self._block_norms(weights, scales, first, margin)
+            tails, sums = self._select(y)[2:]
+            upper = self._bounds(tails, sums, column_scores) * (1 + margin)
+            yield first, states, upper, self._bounds(tails, sums), flagged
+
     def _estimate(self, chunk: np.ndarray, weights: np.ndarray, scales: list[float], first: int, margin: float):
         """Estimates (measured, bounds) of the pipeline's values at the
         points first, first + 1, ... whose raw draw chunk, weights and
@@ -581,12 +693,12 @@ class _Plan:
         The estimate.  With w the point's normalised weights
         (norms._ball_weights, the draw's own bits) and t its interior
         scale (1 at even indices), block j's norm is estimated as
-        y_j = w_j * t, and its entries as g * (y_j / |g|), g the raw block
-        and |g| its p1-norm: max |g| for p1 = inf (exact, the draw's own),
-        the sqrt of an einsum for p1 = 2, the draw's kernel otherwise.  The
-        ball check and the selection, bounds and tails are taken from y,
-        and the spread, residual and error norms from those entries, as
-        run takes them.
+        y_j = w_j * t (_block_norms), and its entries as g * (y_j / |g|),
+        g the raw block and |g| its p1-norm: max |g| for p1 = inf (exact,
+        the draw's own), the sqrt of an einsum for p1 = 2, the draw's
+        kernel otherwise.  The ball check and the selection, bounds and
+        tails are taken from y, and the spread, residual and error norms
+        from those entries, as run takes them.
 
         Its float error, to first order in u = 2^-53, with S the largest
         group size.  A norm of m terms, by _row_norms or the einsum, is
@@ -615,10 +727,7 @@ class _Plan:
         overflow."""
         shape, p1 = self.shape, self.params.p1
         k, b, s = chunk.shape[0], shape.b, shape.s
-        flagged = _ball_weights(weights, self.params.p2)
-        y = weights
-        if scales:
-            y[(first + 1) % 2 :: 2] *= np.array(scales)[:, None]
+        y, flagged = self._block_norms(weights, scales, first, margin)
         blocks = chunk.reshape(k * b, s)
         if p1 == Exponent.TWO:
             inner = np.einsum("ij,ij->i", blocks, blocks)
@@ -631,8 +740,6 @@ class _Plan:
             flagged |= zero.reshape(k, b).any(axis=1)
             inner[zero] = 1.0
         blocks *= (y.reshape(-1) / inner)[:, None]
-        for g in self.groups:
-            flagged |= g.ties(y, margin)
         measured, bounds = self._run_on(chunk, y)[1:3]
         return measured, bounds, flagged
 
@@ -753,7 +860,9 @@ class SampledSup:
     pipeline's subspace and the number of points, and how many of those
     points ran through the pipeline itself (exact_points): the ball points
     the screen kept and, unless they are scored by column, the extreme
-    points."""
+    points.  With q1 = 1 the (inf, 1) ball's points are screened from
+    their weights and the column scores, and on the sweep and witness
+    grids none is kept."""
 
     sup_error: float
     sup_bound: float
@@ -774,24 +883,32 @@ def sampled_sup(
     gives them).  The floats are those of a loop of approximate or
     grouped_subspace_approximate over the points.
 
-    The ball points are drawn in chunks of _chunk_points(shape) points,
-    at most 2^16 cells (one 256 x 256 grid) unless one grid alone is
-    larger, into the stream's one array, so memory does not grow with
-    count.  Each chunk is screened from its raw draw (_Plan._screen):
-    the points' block norms and entries are estimated, within a stated
-    margin of the exact values, without normalising the points or taking
-    their block norms, and only the points that can hold a supremum, or
-    whose estimate the screen cannot trust, are drawn again from their
-    saved generator state and run through the exact pipeline
-    (_Plan.run).  So every point pays for its generator calls and the
-    screen's few passes; only the points kept pay for the exact pipeline.
-    The extreme points are scored after the ball's array is freed.  With
+    For the (inf, 1) ball the extreme points are scored first.  With
     q1 = 1 an extreme point's error and bound depend on its column alone,
     so their stream is read as columns (norms._extreme_columns) and each
     distinct column is scored once from its pair counts
     (_Plan.run_columns), with no grid written; with another q1, or when
     the groups through some drawn column are not distinct, the extreme
-    points run through the pipeline in chunks.
+    points run through the pipeline in chunks.  Their values are the
+    floors the ball points are screened against (_Plan._screen).
+
+    With q1 = 1, and every column's groups distinct, an (inf, 1) ball
+    point is screened from its weights and interior scale alone: its
+    blocks are skipped in the generator, not drawn, its certified bound
+    is exact from its block norms, and its error is bounded by the
+    column scores of the partitions (_Plan._weight_estimates).  Every
+    other ball stream is drawn in chunks of _chunk_points(shape) points,
+    at most 2^16 cells (one 256 x 256 grid) unless one grid alone is
+    larger, into the stream's one array, so memory does not grow with
+    count, and each chunk is screened from its raw draw: the points'
+    block norms and entries are estimated, within a stated margin of the
+    exact values, without normalising the points or taking their block
+    norms (_Plan._estimate).  Only the points that can hold a supremum,
+    or whose estimate the screen cannot trust, are drawn again from their
+    saved generator state and run through the exact pipeline
+    (_Plan.run).  So an (inf, 1) ball point pays for its weights, and
+    every other ball point for its generator calls and the screen's few
+    passes; only the points kept pay for the exact pipeline.
     count below 1 is a ValueError, raised before any point is drawn."""
     plan = _Plan(shape, params, min(shape.s, shape.b), ops, _chunk_points(shape))
     sup_error = sup_bound = -math.inf

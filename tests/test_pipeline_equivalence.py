@@ -9,6 +9,7 @@ float the pipeline reports must be bit-identical to theirs, as must every
 point the streams draw.
 """
 
+import math
 from dataclasses import replace
 from functools import partial
 
@@ -593,18 +594,19 @@ def test_screen_estimates_lie_within_the_margin(p1, q1, stream, k, seed):
 def _planted_draw(plant, kept):
     """norms._draw_ball_raw with a plant in every point of even index: its
     kept-th and (kept + 1)-th largest weights made equal, its first block
-    zero, or all its weights zero."""
+    zero (where the blocks are drawn, not skipped), or all its weights
+    zero."""
     draw = norms_module._draw_ball_raw
 
     def planted(rng, shape, p1, p2, chunk, weights, first, states=None):
         scales = draw(rng, shape, p1, p2, chunk, weights, first, states)
-        blocks = chunk.reshape(chunk.shape[0], shape.b, shape.s)
-        for i in range(-first % 2, chunk.shape[0], 2):
+        for i in range(-first % 2, weights.shape[0], 2):
             if plant == "tie":
                 order = np.argsort(-np.abs(weights[i]), kind="stable")
                 weights[i, order[kept]] = weights[i, order[kept - 1]]
             elif plant == "zero block":
-                blocks[i, 0] = 0.0
+                if chunk is not None:
+                    chunk.reshape(chunk.shape[0], shape.b, shape.s)[i, 0] = 0.0
             else:
                 weights[i] = 0.0
         return scales
@@ -617,8 +619,13 @@ def _planted_draw(plant, kept):
 def test_planted_points_are_all_run_exactly(monkeypatch, plant, p1):
     # a near-tie at the kept boundary or a zero-norm guard makes a ball
     # point a candidate, whatever its estimate, and the suprema still
-    # match the loop bit for bit
-    s = b = 40
+    # match the loop bit for bit.  The (inf, 1) ball is screened from its
+    # weights alone, which the tie and the zero weights are planted in; a
+    # zero block it never draws, and the bound on the error holds for any
+    # blocks, so those points need not run exactly.  At 40 x 40 that bound
+    # reaches the extreme points' error for every ball point, so the
+    # (inf, 1) ball is planted at 48 x 48, where it stays below
+    s = b = 48 if Exponent.of(p1).is_inf else 40
     shape, count, seed = BlockShape(s, b), 9, 3
     params = _params(p1, s, b, 3)
     ops = _stream_ops("good", s, b, params)
@@ -635,7 +642,10 @@ def test_planted_points_are_all_run_exactly(monkeypatch, plant, p1):
     results = [_loop(shape, params, ops)(x) for x in points]
     sup = sampled_sup(shape, params, ops, seed, count)
     # the five planted points, and few others; the extreme points are scored by column
-    assert 5 <= sup.exact_points < count
+    if plant == "zero block" and Exponent.of(p1).is_inf:
+        assert sup.exact_points == 0
+    else:
+        assert 5 <= sup.exact_points < count
     assert _bits(sup.sup_error) == _bits(max(r.measured_error for r in results))
     assert _bits(sup.sup_bound) == _bits(max(r.certified_bound for r in results))
 
@@ -654,7 +664,7 @@ def test_screen_keeps_every_point_that_may_reach_a_floor(monkeypatch):
     bounds = np.array([3.0, 2.0, 2.0, 2.0, 2.0])
     flagged = np.array([False, False, False, True, False])
     monkeypatch.setattr(_Plan, "_estimate", lambda *args: (measured.copy(), bounds.copy(), flagged.copy()))
-    floors, candidates = plan._screen(np.random.default_rng(0), 5)
+    floors, candidates = plan._screen(np.random.default_rng(0), 5, (-math.inf, -math.inf), None)
     assert floors == (1.0 - top, 3.0 - top)
     assert [first for first, *_ in candidates] == [0, 1, 3]
 
@@ -675,6 +685,103 @@ def test_a_point_redrawn_from_its_state_equals_its_chunked_draw(p1, p2):
         again.bit_generator.state = states[i]
         _draw_ball_chunk(again, shape, p1, p2, row, i)
         assert _bits(row[0]) == _bits(x.entries), i
+
+
+def _skipped_draw(shape, seed, count, per):
+    """The weights, scales and states of the count points of the (inf, 1)
+    ball stream from seed, drawn in chunks of per points with their blocks
+    skipped, or drawn whole (per None) in the stream's own chunks."""
+    inf, one = Exponent.INF, Exponent.ONE
+    rng, weights, scales, states = np.random.default_rng(seed), [], [], []
+    if per is None:
+        chunks = ((first, chunk.shape[0], chunk) for first, chunk in _stream_chunks(shape, count))
+    else:
+        chunks = ((first, min(per, count - first), None) for first in range(0, count, per))
+    for first, k, chunk in chunks:
+        weights.append(np.empty((k, shape.b)))
+        scales += _draw_ball_raw(rng, shape, inf, one, chunk, weights[-1], first, states)
+    return np.concatenate(weights), scales, states
+
+
+@EXAMPLES
+@given(grid=_column_grids(), k=K_VALUES, count=st.integers(1, 12), per=st.integers(1, 4), seed=SEEDS)
+def test_the_weight_screen_bounds_each_point_from_its_weights(grid, k, count, per, seed):
+    # the (inf, 1) ball screened in chunks of per points, its blocks
+    # skipped: the same weights, scales and states as the full draw, block
+    # norms equal to the drawn points', their bounds exact, their error
+    # below the screen's upper estimate plus delta, and the suprema those
+    # of the loop
+    kind, s, b = grid
+    shape = BlockShape(s, b)
+    params = _params("inf", s, b, k)
+    ops = _stream_ops(kind, s, b, params)
+    weights, scales, states = _skipped_draw(shape, seed, count, per)
+    full_weights, full_scales, full_states = _skipped_draw(shape, seed, count, None)
+    assert _bits(weights) == _bits(full_weights) and _bits(scales) == _bits(full_scales)
+    assert states == full_states
+
+    with pytest.MonkeyPatch.context() as patch:
+        # the screen's chunks of per points, and the column scores in batches as small
+        patch.setattr(spread_module, "_WEIGHT_CELLS", per * b)
+        patch.setattr(spread_module, "_SLAB_CELLS", per * b)
+        plan = _Plan(shape, params, min(s, b), ops, _chunk_points(shape))
+        margin, scores = plan.margin(), plan._column_scores()
+        chunks = list(plan._weight_estimates(np.random.default_rng(seed), count, margin, scores))
+    assert [first for first, *_ in chunks] == list(range(0, count, per))
+    assert [state for chunk in chunks for state in chunk[1]] == full_states
+    upper, bounds, flagged = (np.concatenate(part) for part in list(zip(*chunks))[2:])
+    assert not flagged.any()
+    y, _ = plan._block_norms(weights, scales, 0, margin)
+    exact_upper = plan._bounds(*plan._select(y)[2:], scores)
+    assert _bits(upper) == _bits(exact_upper * (1 + margin))
+    d0 = d0_mixed(shape, "inf", 1, 1, 2)
+    for i, x in enumerate(sample_ball(shape, "inf", 1, seed, count)):
+        result = _loop(shape, params, ops)(x)
+        assert _bits(y[i]) == _bits(block_norm_vector(x, Exponent.INF))
+        assert _bits(bounds[i]) == _bits(result.certified_bound)
+        assert result.measured_error <= upper[i] + margin * (d0 + bounds[i])
+    _assert_sup_matches_a_loop(shape, params, ops, seed, count)
+
+
+def test_only_uniform_blocks_are_skipped():
+    # normal and Gamma draws take a varying number of generator outputs
+    for p1 in ("2", "3/2"):
+        with pytest.raises(ValueError, match="skipped"):
+            _draw_ball_raw(np.random.default_rng(0), BlockShape(3, 4), Exponent.of(p1), Exponent.ONE, None,
+                           np.empty((1, 4)), 0)
+
+
+@EXAMPLES
+@given(grid=_column_grids(), k=K_VALUES)
+def test_a_column_score_is_the_largest_error_of_an_extreme_point(grid, k):
+    # each width's score against run_columns on every column of its groups
+    kind, s, b = grid
+    shape = BlockShape(s, b)
+    params = _params("inf", s, b, k)
+    plan = _Plan(shape, params, min(s, b), _stream_ops(kind, s, b, params), _chunk_points(shape))
+    measured, _ = plan.run_columns(np.arange(b))
+    for group, score in zip(plan.groups, plan._column_scores()):
+        top = measured[group.lo : group.hi].max()
+        assert score == (top if group.width == b else pytest.approx(top, rel=1e-15))
+
+
+@pytest.mark.parametrize("r,d", [(2, 4), (3, 4), (4, 4)])
+def test_column_scores_of_aligned_grids_have_the_closed_form(r, d):
+    # every column of an aligned grid scores sqrt((r-1) / r^(d-1)) * d0, d0 = r^d
+    n = r**d
+    params = _params("inf", n, n, None)
+    plan = _Plan(BlockShape(n, n), params, n, _stream_ops("good", n, n, params), _chunk_points(BlockShape(n, n)))
+    assert plan._column_scores() == [pytest.approx(math.sqrt((r - 1) / r ** (d - 1)) * n, rel=1e-12)]
+
+
+def test_the_weight_screen_falls_back_where_a_column_meets_a_group_twice():
+    # a band meets each column twice: no column score, so the raw screen runs
+    s = b = 12
+    shape = BlockShape(s, b)
+    params = _params("inf", s, b, 3)
+    ops = {b: SpreadOperator(_band_partition(s, b, 2))}
+    assert _Plan(shape, params, b, ops, _chunk_points(shape))._column_scores() is None
+    _assert_sup_matches_a_loop(shape, params, ops, 5, 8)
 
 
 # ------------------------------------------------------------- large budgets

@@ -34,6 +34,7 @@ from mixedwidths import (
     transposition_partition,
     verify_partition,
 )
+from mixedwidths import norms
 from mixedwidths.norms import _chunk_points
 from mixedwidths.spread import _error_coefficient, _Plan
 
@@ -407,6 +408,25 @@ class TestSampledSup:
         sup = sampled_sup(BlockShape(s, b), params, ops, seed, 96)
         assert sup.count == 96
         assert 1 <= sup.exact_points <= 8
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("s,b,count", [(251, 251, 96), (57, 1016, 12)])
+    def test_inf_1_ball_points_draw_no_block(self, monkeypatch, s, b, count, seed):
+        # a sweep row and a witness grid: each (inf, 1) ball point is
+        # screened from its weights alone, and the bound from the column
+        # scores rules every one out, so none draws its blocks or reruns
+        draw = norms._symmetric_power_sample
+
+        def no_blocks(rng, p, size, out=None):
+            if size == (b, s):
+                raise AssertionError("a ball point drew its blocks")
+            return draw(rng, p, size, out)
+
+        monkeypatch.setattr(norms, "_symmetric_power_sample", no_blocks)
+        params = choose_pipeline_params("inf", 1, 1, 2, s, b)
+        sup = sampled_sup(BlockShape(s, b), params, pipeline_operators(s, b, params.d, "good"), seed, count)
+        assert sup.count == 2 * count
+        assert sup.exact_points == 0
 
 
 class TestExtremeColumns:
