@@ -10,6 +10,7 @@ without floating-point cancellation; floats only enter in final powers.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -426,8 +427,11 @@ def _signed_uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return out
 
 
-# Cells of the largest chunk of points drawn, or run through the pipeline,
-# together: one 256 x 256 grid.  A larger grid is a chunk of one point.
+# Cells of a stream's one array: the largest chunk of points drawn, or run
+# through the pipeline, together, one 256 x 256 grid.  A larger grid is a
+# chunk of one point.  A screened stream draws its chunks into the array's
+# two halves in turn, on a worker thread (_drawn_ahead), with a second row
+# where one grid fills the array.
 _CHUNK_CELLS = 2**16
 
 
@@ -480,12 +484,69 @@ def _stream_chunks(shape: BlockShape, count: int) -> Iterator[tuple[int, np.ndar
     stream's one array of _chunk_points(shape) rows, for the points first,
     first + 1, ...  So a chunk holds only until the next one is filled,
     and the array is freed once the stream and its last chunk are
-    dropped.  count below 1 is a ValueError, raised here."""
+    dropped.  A screened stream takes the same array in two halves, one
+    drawn ahead while the other is read (_drawn_ahead).  count below 1 is
+    a ValueError, raised here."""
     if count < 1:
         raise ValueError("count must be >= 1")
     per = _chunk_points(shape)
     rows = np.empty((per, shape.n))
     return ((first, rows[: min(per, count - first)]) for first in range(0, count, per))
+
+
+def _drawn_ahead(shape: BlockShape, count: int, draw) -> Iterator[tuple[int, np.ndarray, object]]:
+    """(first, chunk, draw(chunk, first)) for the count points of one
+    stream, in chunks of per = max(1, K // 2) points, K = _chunk_points(shape),
+    each drawn on a worker thread while the caller reads the one before.
+
+    The chunks take turns in the two halves of the stream's one array of
+    K rows; where K is 1 the array has a second row, when count > 1.  So
+    the worker runs ahead until both halves are full, and a chunk holds
+    until the caller asks for the next one.  draw is called in the
+    stream's order, on the worker alone: the caller must not use what draw
+    reads, such as its generator, until the stream is closed.  The worker
+    is joined on every exit of the stream: its end, an exception from
+    draw, raised here, or the stream being closed.  count below 1 is a
+    ValueError, raised here, before any point is drawn."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    rows = np.empty((max(_chunk_points(shape), min(count, 2)), shape.n))
+    per = rows.shape[0] // 2 or 1
+    starts = range(0, count, per)
+    slots = [None, None]  # what the worker drew into each half, or its exception
+    free, filled, stop = threading.Semaphore(2), threading.Semaphore(0), threading.Event()
+
+    def work():
+        for c, first in enumerate(starts):
+            free.acquire()
+            if stop.is_set():
+                return
+            lo = per * (c % 2)
+            chunk = rows[lo : lo + min(per, count - first)]
+            try:
+                slots[c % 2] = (first, chunk, draw(chunk, first))
+            except BaseException as exc:  # raised again by the reader
+                slots[c % 2] = exc
+                return
+            finally:
+                filled.release()
+
+    def read():
+        worker = threading.Thread(target=work, name="ball-draw", daemon=True)
+        worker.start()
+        try:
+            for c in range(len(starts)):
+                filled.acquire()
+                if isinstance(slots[c % 2], BaseException):
+                    raise slots[c % 2]
+                yield slots[c % 2]
+                free.release()
+        finally:
+            stop.set()
+            free.release()
+            worker.join()
+
+    return read()
 
 
 def _draw_ball_chunk(

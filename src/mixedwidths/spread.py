@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,10 +34,10 @@ from .norms import (
     _draw_ball_chunk,
     _draw_ball_raw,
     _draw_chunks,
+    _drawn_ahead,
     _extreme_columns,
     _extreme_draw,
     _row_norms,
-    _stream_chunks,
     block_norm_vector,
     ceil_power,
     d0_mixed,
@@ -482,57 +483,60 @@ class _Plan:
         return selected, measured, self._bounds(tails, sums), _row_norms(tails, q2), cells, values
 
     def run_columns(self, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """(measured, bounds) of the pipeline on extreme points of the
-        (inf, 1) ball, one for each of the given columns, for q1 = 1, as
-        run gives them for any signs on the column; None when some
-        column's groups are not distinct (see _ColumnGroups.pair_counts).
-
-        No grid is written: the bounds come from the selection on each
-        point's block norms, 1.0 at its column, and the measured error is
-        the q2-norm of the pair counts, placed at the columns of the
-        column's group in a row of b.  Columns are taken in batches whose
-        gathered cells, and whose rows of b, stay within _SLAB_CELLS, or
-        one at a time where one column alone exceeds it."""
-        s, b = self.shape.s, self.shape.b
-        q2 = self.params.q2
-        measured, bounds = [], []
-        for g in self.groups:
-            mine = columns[(columns >= g.lo) & (columns < g.hi)]
-            per = max(1, _SLAB_CELLS // max(b, s * int(g.op._group_size.max())))
-            for at in range(0, mine.size, per):
-                batch = mine[at : at + per]
-                counts = g.pair_counts(batch)
-                if counts is None:
-                    return None
-                at_j = (np.arange(batch.size), batch)
-                rows = np.zeros((batch.size, b))
-                rows[at_j] = 1.0  # the block norms; then the residual's column sums
-                bounds.append(self._bounds(*self._select(rows)[2:]))
-                rows[at_j] = 0.0
-                start = batch - (batch - g.lo) % g.width  # the first column of each one's group
-                rows[at_j[0][:, None], start[:, None] + np.arange(g.width)] = counts
-                measured.append(_row_norms(rows, q2))
-        return np.concatenate(measured), np.concatenate(bounds)
+        """(measured, bounds) of _score_columns, or None."""
+        scored = self._score_columns(columns)
+        return None if scored is None else scored[:2]
 
     def _column_scores(self) -> list[float] | None:
-        """For each width, its column score: the largest q2-norm of the
-        pair counts of a column of its operator (_ColumnGroups.pair_counts),
-        the error within its group of an extreme point on that column.
-        None when some column's groups are not distinct.  The partition's
-        certified (r, l) are not used.  Columns are taken in batches whose
-        gathered cells stay within _SLAB_CELLS, or one at a time where one
-        column alone exceeds it."""
-        scores = []
+        """The column scores of _score_columns, or None."""
+        scored = self._score_columns(np.zeros(0, dtype=np.int64))
+        return None if scored is None else scored[2]
+
+    def _score_columns(self, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]] | None:
+        """(measured, bounds, scores) for q1 = 1: the pipeline's values at
+        extreme points of the (inf, 1) ball, one for each of the given
+        columns, as run gives them for any signs on the column, and for
+        each width its column score, the largest q2-norm of the pair counts
+        of a column of its operator (_ColumnGroups.pair_counts), the error
+        within its group of an extreme point on that column.  None when
+        some column's groups are not distinct.  The partition's certified
+        (r, l) are not used.
+
+        Each column of each width's operator is counted once, in batches
+        whose gathered cells stay within _SLAB_CELLS, or one at a time
+        where one column alone exceeds it; a given column takes the counts
+        of its place in its group.  No grid is written: its measured error
+        is the q2-norm of those counts placed at the columns of its group
+        in a row of b, and its bound comes from the selection on its block
+        norms, 1.0 at its column, in rows of b within _SLAB_CELLS."""
+        s, b, q2 = self.shape.s, self.shape.b, self.params.q2
+        step = max(1, _SLAB_CELLS // b)
+        measured, bounds, scores = np.empty(columns.size), np.empty(columns.size), []
         for g in self.groups:
-            per = max(1, _SLAB_CELLS // max(g.width, self.shape.s * int(g.op._group_size.max())))
+            mine = np.flatnonzero((columns >= g.lo) & (columns < g.hi))
+            local = (columns[mine] - g.lo) % g.width  # each one's place in its group
+            per = max(1, _SLAB_CELLS // max(g.width, s * int(g.op._group_size.max())))
             best = 0.0
             for at in range(0, g.width, per):
                 counts = g.pair_counts(g.lo + np.arange(at, min(at + per, g.width)))
                 if counts is None:
                     return None
-                best = max(best, float(_row_norms(counts.astype(float), self.params.q2).max()))
+                best = max(best, float(_row_norms(counts.astype(float), q2).max()))
+                here = np.flatnonzero((local >= at) & (local < at + per))
+                for lo in range(0, here.size, step):
+                    some = here[lo : lo + step]
+                    rows = np.zeros((some.size, b))
+                    start = columns[mine[some]] - local[some]  # the first column of each one's group
+                    at_group = (np.arange(some.size)[:, None], start[:, None] + np.arange(g.width))
+                    rows[at_group] = counts[local[some] - at]
+                    measured[mine[some]] = _row_norms(rows, q2)
             scores.append(best)
-        return scores
+        for lo in range(0, columns.size, step):
+            batch = columns[lo : lo + step]
+            rows = np.zeros((batch.size, b))
+            rows[np.arange(batch.size), batch] = 1.0
+            bounds[lo : lo + step] = self._bounds(*self._select(rows)[2:])
+        return measured, bounds, scores
 
     def scores(self, seed: int, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(measured, bounds) arrays of the pipeline's exact values at a set
@@ -544,22 +548,21 @@ class _Plan:
         reaches.  The ball stream is screened next (_screen): from the
         points' weights alone where the column scores bound their error
         (p1 = inf, p2 = 1, q1 = 1 and every column's groups distinct, see
-        _weight_estimates), from their raw draw otherwise.  Last, each ball
-        point whose upper estimate reaches a floor, or whose estimate the
-        screen could not trust, is drawn again alone from its saved state
-        and run through the pipeline, up to a chunk of them together.  A
-        ball point left out has both values below a value that is yielded.
-        count below 1 is a ValueError, raised before any point is drawn."""
+        _weight_estimates), then the points kept from their raw draw; from
+        their raw draw alone otherwise.  Last, each ball point whose upper
+        estimate reaches a floor, or whose estimate the screen could not
+        trust, is drawn again alone from its saved state and run through
+        the pipeline, up to a chunk of them together.  A ball point left
+        out has both values below a value that is yielded.  count below 1
+        is a ValueError, raised before any point is drawn."""
         if count < 1:
             raise ValueError("count must be >= 1")
         shape, params = self.shape, self.params
         floors, column_scores = (-math.inf, -math.inf), None
         if params.p1.is_inf and params.p2 == Exponent.ONE:
-            for measured, bounds in self._extreme_scores(seed + 1, count):
-                floors = (max(floors[0], measured.max()), max(floors[1], bounds.max()))
-                yield measured, bounds
-            if params.q1 == Exponent.ONE:
-                column_scores = self._column_scores()
+            measured, bounds, column_scores = self._extreme_scores(seed + 1, count)
+            floors = (measured.max(), bounds.max())
+            yield measured, bounds
         rng = np.random.default_rng(seed)
         (floor_e, floor_b), candidates = self._screen(rng, count, floors, column_scores)
         redraw = [(first, state) for first, state, up_e, up_b in candidates if up_e >= floor_e or up_b >= floor_b]
@@ -575,12 +578,15 @@ class _Plan:
     def _screen(self, rng: np.random.Generator, count: int, floors: tuple, column_scores: list[float] | None):
         """Screen the count points of the ball stream rng draws, a chunk at a
         time: from their weights alone with column_scores
-        (_weight_estimates), or from their raw draw (_raw_estimates) when
-        column_scores is None.  floors are values of the measured error
-        and of the bound that some yielded point reaches.  Returns the
-        floors, raised by the screened points, and the candidates (index,
-        generator state before its draw, upper estimates of its measured
-        error and bound) whose exact values may reach them.
+        (_weight_estimates), then the points that screen keeps from their
+        raw draw (_rescreened); or from their raw draw (_raw_estimates)
+        when column_scores is None.  floors are values of the measured
+        error and of the bound that some yielded point reaches.  Returns
+        the floors, raised by the screened points, and the candidates
+        (index, generator state before its draw, upper estimates of its
+        measured error and bound) whose exact values may reach them.  rng
+        is drawn on a worker thread while the raw screen runs, which has
+        ended when this returns.
 
         An unflagged point's exact values lie within delta = margin *
         (d0 + B) of its raw estimates, B its estimated bound; the weight
@@ -589,26 +595,34 @@ class _Plan:
         whose estimates + delta are below both floors cannot hold a
         supremum: it is dropped, in its chunk or a later one, as the floors
         only rise.  A flagged point's upper estimates are inf."""
-        shape, params = self.shape, self.params
         margin = self.margin()
-        d0 = d0_mixed(shape, params.p1, params.p2, params.q1, params.q2)
-        floor_e, floor_b = floors
         if column_scores is None:
-            chunks = self._raw_estimates(rng, count, margin)
-        else:
-            chunks = self._weight_estimates(rng, count, margin, column_scores)
+            return self._kept(self._raw_estimates(rng, count, margin), floors, margin, True)
+        weighed = self._weight_estimates(rng, count, margin, column_scores)
+        floors, candidates = self._kept(weighed, floors, margin, False)
+        return self._kept(self._rescreened(rng, candidates, margin), floors, margin, True)
+
+    def _kept(self, chunks: Iterator, floors: tuple, margin: float, raw: bool):
+        """_screen's floors and candidates from the estimates of each chunk,
+        (first, states, measured, bounds, flagged): raw estimates, or the
+        weight screen's, whose error is an upper bound only.  chunks is
+        closed on every exit."""
+        params = self.params
+        d0 = d0_mixed(self.shape, params.p1, params.p2, params.q1, params.q2)
+        floor_e, floor_b = floors
         candidates = []
-        for first, states, measured, bounds, flagged in chunks:
-            delta = margin * (d0 + bounds)
-            if not flagged.all():
-                if column_scores is None:  # the weight screen's error is an upper bound only
-                    floor_e = max(floor_e, (measured - delta)[~flagged].max())
-                floor_b = max(floor_b, (bounds - delta)[~flagged].max())
-            up_e, up_b = measured + delta, bounds + delta
-            up_e[flagged] = math.inf
-            candidates = [c for c in candidates if c[2] >= floor_e or c[3] >= floor_b]
-            near = np.flatnonzero((up_e >= floor_e) | (up_b >= floor_b))
-            candidates += [(first + i, states[i], up_e[i], up_b[i]) for i in near]
+        with closing(chunks):
+            for first, states, measured, bounds, flagged in chunks:
+                delta = margin * (d0 + bounds)
+                if not flagged.all():
+                    if raw:
+                        floor_e = max(floor_e, (measured - delta)[~flagged].max())
+                    floor_b = max(floor_b, (bounds - delta)[~flagged].max())
+                up_e, up_b = measured + delta, bounds + delta
+                up_e[flagged] = math.inf
+                candidates = [c for c in candidates if c[2] >= floor_e or c[3] >= floor_b]
+                near = np.flatnonzero((up_e >= floor_e) | (up_b >= floor_b))
+                candidates += [(first + i, states[i], up_e[i], up_b[i]) for i in near]
         return (floor_e, floor_b), candidates
 
     def margin(self) -> float:
@@ -636,12 +650,33 @@ class _Plan:
     def _raw_estimates(self, rng: np.random.Generator, count: int, margin: float):
         """(first, states, measured, bounds, flagged) for each chunk of the
         ball stream rng draws: the generator state before each point's
-        draw, then _estimate's values from the chunk's raw draw."""
+        draw, then _estimate's values from the chunk's raw draw.  A worker
+        thread draws the next chunk while _estimate reads this one
+        (norms._drawn_ahead), so the screen's passes overlap the generator
+        calls; the worker is joined when this stream ends or is closed."""
         shape, params = self.shape, self.params
-        for first, chunk in _stream_chunks(shape, count):
+
+        def draw(chunk, first):
             weights, states = np.empty((chunk.shape[0], shape.b)), []
             scales = _draw_ball_raw(rng, shape, params.p1, params.p2, chunk, weights, first, states)
-            yield first, states, *self._estimate(chunk, weights, scales, first, margin)
+            return weights, scales, states
+
+        with closing(_drawn_ahead(shape, count, draw)) as chunks:
+            for first, chunk, (weights, scales, states) in chunks:
+                yield first, states, *self._estimate(chunk, weights, scales, first, margin)
+
+    def _rescreened(self, rng: np.random.Generator, candidates: list, margin: float):
+        """(first, states, measured, bounds, flagged) for each of the weight
+        screen's candidates, a chunk of one point: drawn again from its
+        saved state, blocks and all, and estimated from its raw draw
+        (_estimate), which is two-sided and much tighter than the weight
+        bound where the column scores are loose, as on small grids."""
+        shape, params = self.shape, self.params
+        chunk, weights = np.empty((1, shape.n)), np.empty((1, shape.b))
+        for first, state, *_ in candidates:
+            rng.bit_generator.state = state
+            scales = _draw_ball_raw(rng, shape, params.p1, params.p2, chunk, weights, first)
+            yield first, [state], *self._estimate(chunk, weights, scales, first, margin)
 
     def _weight_estimates(self, rng: np.random.Generator, count: int, margin: float, column_scores: list[float]):
         """(first, states, upper, bounds, flagged) for each chunk of up to
@@ -660,7 +695,7 @@ class _Plan:
         so its (1, q2)-norm is at most tail_factor * tail.  x_j - D x_j is
         entrywise at most y_j times the residual of an extreme point on
         column j, whose column sums are the pair counts, so its (1, q2)-norm
-        is at most y_j c, c the width's column score (_column_scores).  So
+        is at most y_j c, c the width's column score (_score_columns).  So
         the point's error is at most U, the q2-norm over its groups of
         tail_factor * tail + c * sum_S y_j (_bounds with column_scores).
 
@@ -743,23 +778,24 @@ class _Plan:
         measured, bounds = self._run_on(chunk, y)[1:3]
         return measured, bounds, flagged
 
-    def _extreme_scores(self, seed: int, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(measured, bounds) of the pipeline at the count extreme points of
-        the (inf, 1) ball from seed: with q1 = 1 one pair of arrays, one
-        value per distinct drawn column (run_columns); with another q1, or
-        when some drawn column's groups are not distinct, a pair per chunk
-        of points run through the pipeline."""
+    def _extreme_scores(self, seed: int, count: int) -> tuple[np.ndarray, np.ndarray, list[float] | None]:
+        """(measured, bounds, scores) of the pipeline at the count extreme
+        points of the (inf, 1) ball from seed: with q1 = 1 one value per
+        distinct drawn column and the column scores (_score_columns); with
+        another q1, or when some column's groups are not distinct, the
+        values of the points run through the pipeline in chunks, and no
+        scores."""
         shape = self.shape
         if self.params.q1 == Exponent.ONE:
             drawn = np.zeros(shape.b, dtype=bool)
             for j, _ in _extreme_columns(np.random.default_rng(seed), shape, count):
                 drawn[j] = True
-            scored = self.run_columns(np.flatnonzero(drawn))
+            scored = self._score_columns(np.flatnonzero(drawn))
             if scored is not None:
-                yield scored
-                return
-        for chunk in _draw_chunks(shape, count, _extreme_draw(shape, seed)):
-            yield self.run(chunk)[1:3]
+                return scored
+        runs = [self.run(chunk)[1:3] for chunk in _draw_chunks(shape, count, _extreme_draw(shape, seed))]
+        measured, bounds = (np.concatenate(values) for values in zip(*runs))
+        return measured, bounds, None
 
 
 def _pipeline(x: BlockMatrix, params: PipelineParams, width: int, ops: dict) -> ApproxResult:
@@ -886,29 +922,35 @@ def sampled_sup(
     For the (inf, 1) ball the extreme points are scored first.  With
     q1 = 1 an extreme point's error and bound depend on its column alone,
     so their stream is read as columns (norms._extreme_columns) and each
-    distinct column is scored once from its pair counts
-    (_Plan.run_columns), with no grid written; with another q1, or when
-    the groups through some drawn column are not distinct, the extreme
-    points run through the pipeline in chunks.  Their values are the
-    floors the ball points are screened against (_Plan._screen).
+    distinct column is scored from its pair counts, with no grid written;
+    the same count of each column of each width's operator gives the
+    column scores (_Plan._score_columns).  With another q1, or when the
+    groups through some column are not distinct, the extreme points run
+    through the pipeline in chunks.  Their values are the floors the ball
+    points are screened against (_Plan._screen).
 
     With q1 = 1, and every column's groups distinct, an (inf, 1) ball
     point is screened from its weights and interior scale alone: its
     blocks are skipped in the generator, not drawn, its certified bound
     is exact from its block norms, and its error is bounded by the
-    column scores of the partitions (_Plan._weight_estimates).  Every
-    other ball stream is drawn in chunks of _chunk_points(shape) points,
-    at most 2^16 cells (one 256 x 256 grid) unless one grid alone is
-    larger, into the stream's one array, so memory does not grow with
-    count, and each chunk is screened from its raw draw: the points'
-    block norms and entries are estimated, within a stated margin of the
-    exact values, without normalising the points or taking their block
-    norms (_Plan._estimate).  Only the points that can hold a supremum,
-    or whose estimate the screen cannot trust, are drawn again from their
-    saved generator state and run through the exact pipeline
-    (_Plan.run).  So an (inf, 1) ball point pays for its weights, and
-    every other ball point for its generator calls and the screen's few
-    passes; only the points kept pay for the exact pipeline.
+    column scores of the partitions (_Plan._weight_estimates).  A point
+    that bound keeps is drawn again, blocks and all, and screened from
+    its raw draw, as below.  Every other ball stream is drawn in chunks
+    of max(1, K // 2) points, K = _chunk_points(shape), the two halves of
+    the stream's one array of K rows, at most 2^16 cells (one 256 x 256
+    grid) unless one grid alone is larger (then a second row), so memory
+    does not grow with count.  A worker thread draws the next chunk into
+    one half while each chunk is screened from its raw draw in the other
+    (norms._drawn_ahead): the points' block norms and entries are
+    estimated, within a stated margin of the exact values, without
+    normalising the points or taking their block norms (_Plan._estimate).
+    Only the points that can hold a supremum, or whose estimate the
+    screen cannot trust, are drawn again from their saved generator
+    state and run through the exact pipeline (_Plan.run), on this thread
+    once the worker is joined.  So an (inf, 1) ball point pays for its
+    weights, and every other ball point for its generator calls, with
+    the screen's few passes beside them; only the points kept pay for
+    the exact pipeline.
     count below 1 is a ValueError, raised before any point is drawn."""
     plan = _Plan(shape, params, min(shape.s, shape.b), ops, _chunk_points(shape))
     sup_error = sup_bound = -math.inf

@@ -10,6 +10,8 @@ point the streams draw.
 """
 
 import math
+import sys
+import threading
 from dataclasses import replace
 from functools import partial
 
@@ -548,6 +550,156 @@ def test_chunks_stay_within_the_cell_budget(s, b):
     assert [name for name, v in vars(plan).items() if isinstance(v, np.ndarray)] == []
 
 
+# ------------------------------------------------------------- run-ahead draws
+
+
+def _raw_draw(rng, shape, p1):
+    """The raw draw of a screened (p1, 1) ball stream, as the screen makes
+    it: each chunk's weights, scales and states."""
+
+    def draw(chunk, first):
+        weights, states = np.empty((chunk.shape[0], shape.b)), []
+        return weights, _draw_ball_raw(rng, shape, p1, Exponent.ONE, chunk, weights, first, states), states
+
+    return draw
+
+
+def _assert_run_ahead_matches_a_loop(shape, p1, seed, count):
+    # the chunks a worker draws ahead against a serial loop of the raw
+    # draw over the same chunks: the same points, weights, scales and
+    # states, in halves of the stream's one array
+    p1 = Exponent.of(p1)
+    per = max(1, _chunk_points(shape) // 2)
+    rng, got = np.random.default_rng(seed), []
+    for first, chunk, (weights, scales, states) in norms_module._drawn_ahead(
+        shape, count, _raw_draw(rng, shape, p1)
+    ):
+        half = per * (len(got) % 2)  # chunk c in half c % 2
+        got.append((first, chunk.copy(), weights, scales, states))
+        rows = chunk.base
+        assert rows.shape == (max(_chunk_points(shape), min(count, 2)), shape.n)
+        assert chunk.shape[0] == min(per, count - first)
+        assert np.shares_memory(chunk, rows[half : half + per])
+        assert not np.shares_memory(chunk, rows[per - half : 2 * per - half])
+    assert [first for first, *_ in got] == list(range(0, count, per))
+    loop_rng = np.random.default_rng(seed)
+    for first, chunk, weights, scales, states in got:
+        k = chunk.shape[0]
+        loop_chunk, loop_weights, loop_states = np.empty((k, shape.n)), np.empty((k, shape.b)), []
+        loop_scales = _draw_ball_raw(loop_rng, shape, p1, Exponent.ONE, loop_chunk, loop_weights, first, loop_states)
+        assert _bits(chunk) == _bits(loop_chunk)
+        assert _bits(weights) == _bits(loop_weights)
+        assert _bits(np.array(scales)) == _bits(np.array(loop_scales))
+        assert states == loop_states
+    assert loop_rng.bit_generator.state == rng.bit_generator.state
+
+
+@EXAMPLES
+@given(p1=st.sampled_from(("2", "3/2", "4", "inf")), stream=_chunked_streams(), seed=SEEDS)
+def test_chunks_drawn_ahead_equal_a_serial_draw(p1, stream, seed):
+    # every p1 whose ball is screened from its raw draw, on chunks of 1-8
+    # points: one chunk, the two halves, or many chunks
+    _, s, b, count = stream
+    before = threading.active_count()
+    _assert_run_ahead_matches_a_loop(BlockShape(s, b), p1, seed, count)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_one_point_chunks_are_drawn_ahead_in_a_second_row(count):
+    # K = 1 (a grid over 2^15 cells): a second one-point row, only when count > 1
+    shape = BlockShape(200, 200)
+    assert _chunk_points(shape) == 1
+    before = threading.active_count()
+    _assert_run_ahead_matches_a_loop(shape, "2", 7, count)
+    assert threading.active_count() == before
+
+
+def test_streams_drawn_ahead_side_by_side_keep_their_order():
+    # four streams of 40 one-point chunks read on four threads at once,
+    # with a short switch interval: each equals its serial draw
+    shape, count = BlockShape(181, 181), 40
+    assert max(1, _chunk_points(shape) // 2) == 1
+    failures = []
+
+    def read(seed):
+        try:
+            _assert_run_ahead_matches_a_loop(shape, "2", seed, count)
+        except BaseException as exc:  # asserted empty after the join
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        readers = [threading.Thread(target=read, args=(seed,)) for seed in range(4)]
+        for reader in readers:
+            reader.start()
+        for reader in readers:
+            reader.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert failures == []
+
+
+class _Boom(Exception):
+    pass
+
+
+def _raising_after(calls, function):
+    """function, raising _Boom on its call number calls instead."""
+    made = []
+
+    def raising(*args, **kwargs):
+        made.append(1)
+        if len(made) == calls:
+            raise _Boom()
+        return function(*args, **kwargs)
+
+    return raising
+
+
+@pytest.mark.parametrize(
+    "patched,calls",
+    [("_draw_ball_raw", 2), ("_estimate", 1), ("_estimate", 3), (None, 0)],
+)
+def test_a_failure_on_either_thread_reaches_the_caller_and_joins_the_worker(monkeypatch, patched, calls):
+    # 100 x 100: 6 points a chunk, 4 chunks of 3 for 12 points; a raw draw
+    # raising on the second chunk, or the screen on the first or third,
+    # is raised by sampled_sup, and no worker thread is left
+    s = b = 100
+    shape, count, seed = BlockShape(s, b), 12, 4
+    params = _params("2", s, b, None)
+    ops = _stream_ops("good", s, b, params)
+    if patched == "_draw_ball_raw":
+        monkeypatch.setattr(spread_module, patched, _raising_after(calls, spread_module._draw_ball_raw))
+    elif patched == "_estimate":
+        monkeypatch.setattr(_Plan, patched, _raising_after(calls, _Plan._estimate))
+    before = threading.active_count()
+    if patched is None:
+        _assert_sup_matches_a_loop(shape, params, ops, seed, count)
+    else:
+        with pytest.raises(_Boom):
+            sampled_sup(shape, params, ops, seed, count)
+    assert threading.active_count() == before
+
+
+def test_closing_the_screen_early_joins_the_worker():
+    # the worker has run ahead and waits for a free half when the raw
+    # screen is closed after its first chunk
+    s = b = 100
+    shape = BlockShape(s, b)
+    params = _params("2", s, b, None)
+    plan = _Plan(shape, params, b, _stream_ops("good", s, b, params), _chunk_points(shape))
+    before = threading.active_count()
+    chunks = plan._raw_estimates(np.random.default_rng(0), 12, plan.margin())
+    first, states, *_ = next(chunks)
+    assert first == 0 and len(states) == 3
+    assert threading.active_count() == before + 1
+    chunks.close()
+    assert threading.active_count() == before
+
+
 # ------------------------------------------------------------- screen
 
 
@@ -782,6 +934,45 @@ def test_the_weight_screen_falls_back_where_a_column_meets_a_group_twice():
     ops = {b: SpreadOperator(_band_partition(s, b, 2))}
     assert _Plan(shape, params, b, ops, _chunk_points(shape))._column_scores() is None
     _assert_sup_matches_a_loop(shape, params, ops, 5, 8)
+
+
+def test_the_weight_screen_keeps_few_points_on_a_small_grid():
+    # at 40 x 40 the weight bound of every ball point reaches the extreme
+    # points' error; their raw draw, redrawn from the saved states, rules
+    # most of them out before any runs exactly
+    s = b = 40
+    shape, count, seed = BlockShape(s, b), 9, 3
+    params = _params("inf", s, b, 3)
+    ops = _stream_ops("good", s, b, params)
+    plan = _Plan(shape, params, b, ops, _chunk_points(shape))
+    measured, bounds, scores = plan._extreme_scores(seed + 1, count)
+    floors = (measured.max(), bounds.max())
+    weights = plan._weight_estimates(np.random.default_rng(seed), count, plan.margin(), scores)
+    assert len(plan._kept(weights, floors, plan.margin(), False)[1]) == count
+    sup = sampled_sup(shape, params, ops, seed, count)
+    assert sup.exact_points < count
+    _assert_sup_matches_a_loop(shape, params, ops, seed, count)
+
+
+@pytest.mark.parametrize("s,b", [(40, 40), (12, 40)])
+def test_each_column_is_counted_once_per_stream(monkeypatch, s, b):
+    # the extreme columns and the column scores share one count of each
+    # column of each width's operator
+    shape, count, seed = BlockShape(s, b), 24, 2
+    params = _params("inf", s, b, 3)
+    ops = _stream_ops("wide" if s < b else "good", s, b, params)
+    counted = []
+    pair_counts = spread_module._ColumnGroups.pair_counts
+
+    def counting(self, columns):
+        counted.extend((self.width, int(j - self.lo)) for j in columns)
+        return pair_counts(self, columns)
+
+    monkeypatch.setattr(spread_module._ColumnGroups, "pair_counts", counting)
+    sampled_sup(shape, params, ops, seed, count)
+    widths = sorted({min(s, b - lo) for lo in range(0, b, s)})
+    assert sorted(counted) == [(w, j) for w in widths for j in range(w)]
+    _assert_sup_matches_a_loop(shape, params, ops, seed, count)
 
 
 # ------------------------------------------------------------- large budgets
