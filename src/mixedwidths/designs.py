@@ -22,6 +22,8 @@ from itertools import chain, islice
 
 import numpy as np
 
+from .norms import _json_ints
+
 __all__ = [
     "field_tables",
     "Design",
@@ -229,8 +231,9 @@ class Design:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Design":
-        sets = [[int(p) for p in s] for s in data["sets"]]
-        return cls(b=int(data["b"]), r=int(data["r"]), l=int(data["l"]), sets=sets)
+        b, r, l = _json_ints([data["b"], data["r"], data["l"]], "design field")
+        _json_ints(list(chain.from_iterable(data["sets"])), "set point")
+        return cls(b=b, r=r, l=l, sets=data["sets"])
 
 
 # bounded, so a sweep over many sizes does not hold every design it built
@@ -322,9 +325,11 @@ def _owner_points(sizes: np.ndarray, points: np.ndarray, n: int) -> tuple[np.nda
     return np.bincount(keys, minlength=sizes.size), points, repeated
 
 
-def _pair_multiplicities(sizes: np.ndarray, points: np.ndarray, n: int) -> np.ndarray:
+def _pair_multiplicities(sizes: np.ndarray, points: np.ndarray, n: int, square: bool = False) -> np.ndarray:
     """How many owners hold each pair of points, by the pair key
-    upper*(upper-1)//2 + lower.
+    upper*(upper-1)//2 + lower: the one pair count behind verify_design,
+    partition_from_sets, verify_partition and the pipeline's column scores
+    (spread._Plan._score_columns).
 
     sizes and points are as _owner_points returns them.  Owners are taken
     one size class at a time, and a run of owners with the same points, as
@@ -336,6 +341,12 @@ def _pair_multiplicities(sizes: np.ndarray, points: np.ndarray, n: int) -> np.nd
     the weights summed run by run, or, with no run longer than 1 (an
     affine-line design), the keys sorted in place and the runs of equal
     keys measured, with no weight or order array.
+
+    With square the count is dense whatever its density, and returned as
+    the symmetric (n, n) float64 array of the counts, exact, 0 on the
+    diagonal: row j holds, for each point j', how many owners hold j and
+    j'.  The keys run over the lower triangle in C order, so one boolean
+    mask of it places them, in the array and in its transpose.
     """
     per_size = np.bincount(sizes)
     whole = np.count_nonzero(per_size[1:]) == 1  # one size class, taken without a copy
@@ -367,13 +378,20 @@ def _pair_multiplicities(sizes: np.ndarray, points: np.ndarray, n: int) -> np.nd
             at = end
     classes = members = above = None  # freed before the count
     slots = n * (n - 1) // 2
-    if slots <= 2 * total:
+    if square or slots <= 2 * total:
         if weighted:
             counts = np.zeros(slots, dtype=np.int64)
             np.add.at(counts, pairs, weights)
         else:
             counts = np.bincount(pairs, minlength=slots)
-        return counts
+        if not square:
+            return counts
+        pairs = weights = None  # freed before the square
+        lower = np.tri(n, k=-1, dtype=bool)
+        rows = np.zeros((n, n))
+        rows[lower] = counts
+        rows.T[lower] = counts
+        return rows
     if weighted:
         order = np.argsort(pairs)
         starts = np.flatnonzero(np.diff(pairs[order], prepend=-1))

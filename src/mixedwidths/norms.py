@@ -185,6 +185,20 @@ def ceil_power(n: int, exponent: Fraction) -> int:
     return k
 
 
+def _json_ints(values: list, what: str) -> list[int]:
+    """The sizes, indices or counts a JSON file gives, as ints: values
+    itself when each one is an int, else each integral float as its int.
+    A bool, a number with a fractional part, inf, nan or anything else is
+    a ValueError, "<what> <value> is not an integer", so a malformed file
+    fails as it is loaded, not later as a silently truncated index."""
+    if set(map(type, values)) <= {int}:
+        return values
+    for v in values:
+        if type(v) is not int and not (type(v) is float and v.is_integer()):
+            raise ValueError(f"{what} {v!r} is not an integer")
+    return [int(v) for v in values]
+
+
 @dataclass(frozen=True)
 class BlockShape:
     """Grid of b blocks (columns), each of size s (rows); n = s*b."""
@@ -282,7 +296,8 @@ class BlockMatrix:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BlockMatrix":
-        return cls(BlockShape(int(data["s"]), int(data["b"])), np.asarray(data["entries"], dtype=float))
+        s, b = _json_ints([data["s"], data["b"]], "block size")
+        return cls(BlockShape(s, b), np.asarray(data["entries"], dtype=float))
 
 
 def lq_norm(v, q: Exponent) -> float:

@@ -30,7 +30,7 @@ from .designs import (
     affine_line_design,
     design_size_error,
 )
-from .norms import BlockShape
+from .norms import BlockShape, _json_ints
 
 __all__ = [
     "CellGroups",
@@ -143,13 +143,11 @@ class Partition:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Partition":
-        return cls(
-            shape=BlockShape(int(data["s"]), int(data["b"])),
-            groups=CellGroups(data["groups"]),
-            r=int(data["r"]),
-            l=int(data["l"]),
-            dropped_empty=int(data.get("dropped_empty", 0)),
-        )
+        fields = [data["s"], data["b"], data["r"], data["l"], data.get("dropped_empty", 0)]
+        s, b, r, l, dropped = _json_ints(fields, "partition field")
+        groups = CellGroups(data["groups"])  # a cell that is not a (row, col) pair fails here first
+        _json_ints(list(chain.from_iterable(chain.from_iterable(data["groups"]))), "cell index")
+        return cls(shape=BlockShape(s, b), groups=groups, r=r, l=l, dropped_empty=dropped)
 
 
 def partition_from_sets(sets: Sequence[Sequence[int]], s: int, b: int) -> Partition:
@@ -164,7 +162,8 @@ def partition_from_sets(sets: Sequence[Sequence[int]], s: int, b: int) -> Partit
     order, so a cell's row is its rank there; cells are then put in
     (set, point) order, by one stable sort of those keys unless every
     set's points already increase.  The pairs counted for l are those of
-    each set's distinct points (designs._owner_points).
+    each set's distinct points (designs._owner_points), by the one pair
+    count, designs._pair_multiplicities.
     """
     sets = sets if isinstance(sets, PointSets) else PointSets(sets)
     sizes, points = sets.sizes, sets.points
@@ -353,7 +352,8 @@ def verify_partition(partition: Partition) -> PartitionReport:
     columns come from a sort of the (group, column) keys made only when
     some group's columns do not increase, and column sharing from an
     entry per pair of columns inside each group (a run of groups on the
-    same columns counted once), counted by designs._pair_multiplicities.
+    same columns counted once), counted by designs._pair_multiplicities,
+    the one pair count, which also gives the pipeline's column scores.
 
     Every grid up to MAX_GRID_CELLS is checked; larger ones are refused.
     At 4096 x 4096, good_partition(4096, 4096, d) for d = 2, 3 and 4

@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .designs import _owner_points, _pair_multiplicities
 from .norms import (
     BlockMatrix,
     BlockShape,
@@ -155,18 +156,12 @@ class SpreadOperator:
         touched = ordered[starts]
         sums = np.bincount(np.searchsorted(touched, group), weights=weights)
         start, touched = np.divmod(touched, self.dim)  # start: the copy's first column
-        cells, sizes = self._cells_of(touched)
-        return cells + np.repeat(start * s, sizes), np.repeat(sums, sizes)
-
-    def _cells_of(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The cells of the given groups, group after group, each in its
-        order in _group_cells, and the groups' sizes."""
-        sizes = self._group_size[groups]
-        # where each group's cells sit in _group_cells: the group's start
-        # plus 0, 1, ..., size - 1
+        sizes = self._group_size[touched]
+        # where each touched group's cells sit in _group_cells: the group's
+        # start plus 0, 1, ..., size - 1
         offsets = np.cumsum(sizes) - sizes
-        at = np.repeat(self._group_start[groups] - offsets, sizes) + np.arange(sizes.sum())
-        return self._group_cells[at], sizes
+        at = np.repeat(self._group_start[touched] - offsets, sizes) + np.arange(sizes.sum())
+        return self._group_cells[at] + np.repeat(start * s, sizes), np.repeat(sums, sizes)
 
 
 def spread_error_coefficient(partition: Partition, p, q1, q2) -> float:
@@ -359,35 +354,6 @@ class _ColumnGroups:
         selected = (support.reshape(k, self.count, kept) + self.starts[:, None]).reshape(k, self.count * kept)
         return support, selected, tails.reshape(k, self.count), sums.reshape(k, self.count)
 
-    def pair_counts(self, columns: np.ndarray) -> np.ndarray | None:
-        """The column sums of |x - Dx| for extreme points x of the (inf, 1)
-        ball on the given columns of these groups, a row of width per
-        column: for column j, how many of the s groups through j meet each
-        other column of j's group, and 0 at j (the residual is x itself,
-        s at j, when kept is 0).  None when some column's s groups are not
-        distinct: then x - Dx depends on the signs.
-
-        Every group through j holds one entry +-1 of x, so the spread
-        writes its sign on each of its cells and the residual is -+1 on
-        those off column j and 0 on column j: these exact integers are
-        the sums of the 0/1 residual the chunked pipeline takes with
-        q1 = 1, and j's group selects j whenever kept >= 1."""
-        k, width, s = columns.size, self.width, self.op.partition.shape.s
-        local = (columns - self.lo) % width
-        at_j = (np.arange(k), local)
-        if self.kept == 0:
-            counts = np.zeros((k, width), dtype=np.int64)
-            counts[at_j] = s
-            return counts
-        cells, sizes = self.op._cells_of(self.op._column_groups[local].ravel())
-        cols = cells // s + np.repeat(np.repeat(width * np.arange(k), s), sizes)
-        counts = np.bincount(cols, minlength=k * width).reshape(k, width)
-        # the groups through j cover column j once each iff they are distinct
-        if (counts[at_j] != s).any():
-            return None
-        counts[at_j] = 0
-        return counts
-
     def ties(self, y: np.ndarray, margin: float) -> np.ndarray:
         """For the (k, b) block norms y of k points, whether some group of
         each point has a near-tie at its kept/not-kept boundary: its least
@@ -482,55 +448,49 @@ class _Plan:
         measured = _row_norms(_abs_row_norms(rows, params.q1).reshape(k, shape.b), q2)
         return selected, measured, self._bounds(tails, sums), _row_norms(tails, q2), cells, values
 
-    def run_columns(self, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """(measured, bounds) of _score_columns, or None."""
-        scored = self._score_columns(columns)
-        return None if scored is None else scored[:2]
-
-    def _column_scores(self) -> list[float] | None:
-        """The column scores of _score_columns, or None."""
-        scored = self._score_columns(np.zeros(0, dtype=np.int64))
-        return None if scored is None else scored[2]
-
     def _score_columns(self, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]] | None:
         """(measured, bounds, scores) for q1 = 1: the pipeline's values at
         extreme points of the (inf, 1) ball, one for each of the given
         columns, as run gives them for any signs on the column, and for
-        each width its column score, the largest q2-norm of the pair counts
-        of a column of its operator (_ColumnGroups.pair_counts), the error
-        within its group of an extreme point on that column.  None when
-        some column's groups are not distinct.  The partition's certified
-        (r, l) are not used.
+        each width its column score, the largest q2-norm of a row of its
+        operator's pair counts.  None when some group of an operator that
+        keeps a column meets a column twice: then x - Dx depends on the
+        signs.  The partition's certified (r, l) are not used.
 
-        Each column of each width's operator is counted once, in batches
-        whose gathered cells stay within _SLAB_CELLS, or one at a time
-        where one column alone exceeds it; a given column takes the counts
-        of its place in its group.  No grid is written: its measured error
-        is the q2-norm of those counts placed at the columns of its group
-        in a row of b, and its bound comes from the selection on its block
-        norms, 1.0 at its column, in rows of b within _SLAB_CELLS."""
+        An extreme point x on column j holds one entry +-1 in each group
+        through j.  When j's group keeps a column it selects j, and the
+        residual is -+1 on the group's cells off column j, whatever the
+        signs: its column sums are lambda_jj', the number of groups that
+        meet j and j'.  When it keeps none the residual is x itself.
+
+        Each width's operator is counted once (designs._owner_points, then
+        designs._pair_multiplicities' square of the counts, 8 width^2
+        bytes), and a given column takes the row of its place in its
+        group.  No grid is written: its measured error is the q2-norm of
+        that row placed at the columns of its group in a row of b, and its
+        bound comes from the selection on its block norms, 1.0 at its
+        column, in rows of b within _SLAB_CELLS."""
         s, b, q2 = self.shape.s, self.shape.b, self.params.q2
         step = max(1, _SLAB_CELLS // b)
         measured, bounds, scores = np.empty(columns.size), np.empty(columns.size), []
         for g in self.groups:
+            if g.kept:
+                groups = g.op.partition.groups
+                held, cols, repeated = _owner_points(groups.sizes, groups.cols, g.width)
+                if repeated:
+                    return None
+                counts = _pair_multiplicities(held, cols, g.width, square=True)
+            else:
+                counts = np.diag(np.full(g.width, float(s)))
+            scores.append(float(_row_norms(counts, q2).max()))
             mine = np.flatnonzero((columns >= g.lo) & (columns < g.hi))
             local = (columns[mine] - g.lo) % g.width  # each one's place in its group
-            per = max(1, _SLAB_CELLS // max(g.width, s * int(g.op._group_size.max())))
-            best = 0.0
-            for at in range(0, g.width, per):
-                counts = g.pair_counts(g.lo + np.arange(at, min(at + per, g.width)))
-                if counts is None:
-                    return None
-                best = max(best, float(_row_norms(counts.astype(float), q2).max()))
-                here = np.flatnonzero((local >= at) & (local < at + per))
-                for lo in range(0, here.size, step):
-                    some = here[lo : lo + step]
-                    rows = np.zeros((some.size, b))
-                    start = columns[mine[some]] - local[some]  # the first column of each one's group
-                    at_group = (np.arange(some.size)[:, None], start[:, None] + np.arange(g.width))
-                    rows[at_group] = counts[local[some] - at]
-                    measured[mine[some]] = _row_norms(rows, q2)
-            scores.append(best)
+            start = columns[mine] - local  # the first column of each one's group
+            for lo in range(0, mine.size, step):
+                some = slice(lo, lo + step)
+                rows = np.zeros((local[some].size, b))
+                rows[np.arange(rows.shape[0])[:, None], start[some, None] + np.arange(g.width)] = counts[local[some]]
+                measured[mine[some]] = _row_norms(rows, q2)
         for lo in range(0, columns.size, step):
             batch = columns[lo : lo + step]
             rows = np.zeros((batch.size, b))
@@ -694,9 +654,10 @@ class _Plan:
         column j alone.  The first term's column 1-norms are at most s y_j,
         so its (1, q2)-norm is at most tail_factor * tail.  x_j - D x_j is
         entrywise at most y_j times the residual of an extreme point on
-        column j, whose column sums are the pair counts, so its (1, q2)-norm
-        is at most y_j c, c the width's column score (_score_columns).  So
-        the point's error is at most U, the q2-norm over its groups of
+        column j, whose column sums are j's pair counts lambda_jj' (one
+        count per operator, _score_columns), so its (1, q2)-norm is at
+        most y_j c, c the width's column score.  So the point's error is
+        at most U, the q2-norm over its groups of
         tail_factor * tail + c * sum_S y_j (_bounds with column_scores).
 
         Floats, to first order in u = 2^-53: U adds, multiplies and takes
@@ -781,10 +742,11 @@ class _Plan:
     def _extreme_scores(self, seed: int, count: int) -> tuple[np.ndarray, np.ndarray, list[float] | None]:
         """(measured, bounds, scores) of the pipeline at the count extreme
         points of the (inf, 1) ball from seed: with q1 = 1 one value per
-        distinct drawn column and the column scores (_score_columns); with
-        another q1, or when some column's groups are not distinct, the
-        values of the points run through the pipeline in chunks, and no
-        scores."""
+        distinct drawn column and the column scores, both read from one
+        pair count per operator (_score_columns); with another q1, or when
+        some group of an operator that keeps a column meets a column
+        twice, the values of the points run through the pipeline in
+        chunks, and no scores."""
         shape = self.shape
         if self.params.q1 == Exponent.ONE:
             drawn = np.zeros(shape.b, dtype=bool)
@@ -922,11 +884,12 @@ def sampled_sup(
     For the (inf, 1) ball the extreme points are scored first.  With
     q1 = 1 an extreme point's error and bound depend on its column alone,
     so their stream is read as columns (norms._extreme_columns) and each
-    distinct column is scored from its pair counts, with no grid written;
-    the same count of each column of each width's operator gives the
-    column scores (_Plan._score_columns).  With another q1, or when the
-    groups through some column are not distinct, the extreme points run
-    through the pipeline in chunks.  Their values are the floors the ball
+    distinct column is scored from its row of pair counts, with no grid
+    written.  The pairs of each width's operator are counted once, by the
+    count verify_partition takes l from (designs._pair_multiplicities),
+    and the same count gives the column scores (_Plan._score_columns).
+    With another q1, or when some group meets a column twice, the extreme
+    points run through the pipeline in chunks.  Their values are the floors the ball
     points are screened against (_Plan._screen).
 
     With q1 = 1, and every column's groups distinct, an (inf, 1) ball

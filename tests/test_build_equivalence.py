@@ -674,6 +674,38 @@ def test_pair_multiplicities_counts_every_owners_pairs(case):
         assert all(counts[upper * (upper - 1) // 2 + lower] == k for (lower, upper), k in held.items())
     else:  # sorted: only the pairs some owner holds
         assert counts.size == len(held)
+    # square: every count, dense, at [lower, upper] and at [upper, lower]
+    square = np.zeros((n, n))
+    for (lower, upper), k in held.items():
+        square[lower, upper] = square[upper, lower] = k
+    counts = _pair_multiplicities(sizes, points, n, square=True)
+    assert counts.dtype == np.float64 and np.array_equal(counts, square)
+
+
+# grids on which the one pair count is checked against its closed form
+CLOSED_FORM_GRIDS = [
+    (16, 16, 4), (64, 64, 4), (81, 81, 4), (72, 70, 4), (264, 209, 2), (297, 277, 3), (40, 40, 2), (30, 25, 2),
+]
+
+
+@pytest.mark.parametrize("field_order", ["power_of_two", "smallest"])
+@pytest.mark.parametrize("s,b,d", CLOSED_FORM_GRIDS)
+def test_good_partition_pair_counts_have_the_closed_form(s, b, d, field_order):
+    # row i holds the lines of direction i // l, so two columns on a line of
+    # direction delta share the l rows from l * delta on, cut at s
+    part = good_partition(s, b, d, field_order=field_order)
+    r, l = part.r, part.l
+    design = affine_line_design(r, d)
+    lines = design.sets.points.reshape(design.m, r)
+    direction = np.zeros((design.b, design.b), dtype=np.int64)
+    direction[lines[:, :, None], lines[:, None, :]] = (np.arange(design.m) // r ** (d - 1))[:, None, None]
+    expected = np.minimum(l, np.maximum(0, s - l * direction[:b, :b]))
+    np.fill_diagonal(expected, 0)
+    held, cols, repeated = _owner_points(part.groups.sizes, part.groups.cols, b)
+    assert repeated == []
+    counts = _pair_multiplicities(held, cols, b, square=True)
+    assert np.array_equal(counts, expected)
+    assert counts.max() == verify_partition(part).l_observed
 
 
 @st.composite

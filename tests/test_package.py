@@ -51,16 +51,29 @@ def test_the_unused_import_check_sees_a_stranded_import():
     assert _unused_imports(source) == ["line 1: math", "line 5: b"]
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _stranded_private_names(sources: list[str]) -> list[str]:
     """Private names defined at the top level of a module (functions,
     classes and assigned names; dunders aside) that no module reads: as a
-    name, as an attribute or in an import."""
-    defined, used = set(), set()
+    name, as an attribute or in an import.  Also, as "Class.method", the
+    methods of a top-level class that are private, or that belong to a
+    private class, that no module reads (dunders aside); a method is read
+    when its name is, on any object."""
+    defined, methods, used = set(), set(), set()
     for source in sources:
         tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                methods |= {
+                    (node.name, item.name) for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+                    and (_private(node.name) or _private(item.name))
+                }
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
@@ -71,7 +84,8 @@ def _stranded_private_names(sources: list[str]) -> list[str]:
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    return sorted(n for n in defined - used if n.startswith("_") and not n.startswith("__"))
+    stranded = [n for n in defined - used if _private(n)]
+    return sorted(stranded + [f"{cls}.{name}" for cls, name in methods if name not in used])
 
 
 def test_every_private_name_is_used():
@@ -83,6 +97,17 @@ def test_the_private_name_check_sees_a_stranded_helper():
     reader = "from helpers import _SHARED\n\nx = _LIMIT\n"
     assert _stranded_private_names([helpers, reader]) == ["_stranded"]
     assert _stranded_private_names([helpers]) == ["_LIMIT", "_SHARED", "_stranded"]
+
+
+def test_the_private_name_check_sees_a_stranded_method():
+    helpers = (
+        "class _Plan:\n    def run(self):\n        return self._step()\n\n    def _step(self):\n        pass\n\n"
+        "    def wrapper(self):\n        return self.run()\n\n    def __len__(self):\n        return 0\n\n\n"
+        "class Public:\n    def method(self):\n        pass\n\n    def _helper(self):\n        pass\n"
+    )
+    reader = "from helpers import _Plan\n\nx = _Plan().run()\n"
+    assert _stranded_private_names([helpers, reader]) == ["Public._helper", "_Plan.wrapper"]
+    assert _stranded_private_names([helpers]) == ["Public._helper", "_Plan", "_Plan.wrapper"]
 
 
 def test_import_loads_no_heavy_or_concurrency_module():

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from mixedwidths import (
+    BlockMatrix,
     BlockShape,
+    Design,
     Partition,
     affine_line_design,
     good_partition,
@@ -205,6 +207,29 @@ class TestSerialization:
         data = part.to_json_dict()
         assert data["dropped_empty"] == 12
         assert Partition.from_json_dict(data) == part
+
+    @pytest.mark.parametrize("load,data,bad", [
+        (Partition.from_json_dict, {"s": 2.9, "b": 1, "r": 1.5, "l": 0, "groups": [[[0, 0.7]], [[1.2, 0]]]}, "2.9"),
+        (Partition.from_json_dict, {"s": 2, "b": 1, "r": 1, "l": 0, "groups": [[[0, 0.7]], [[1.2, 0]]]}, "0.7"),
+        (Partition.from_json_dict, {"s": 2, "b": 1, "r": 1, "l": 0, "groups": [[[0, False]], [[1, 0]]]}, "False"),
+        (Partition.from_json_dict, {"s": 2, "b": 1, "r": 1, "l": True, "groups": [[[0, 0]], [[1, 0]]]}, "True"),
+        (Design.from_json_dict, {"b": 4.5, "r": 2, "l": 1, "sets": [[0, 1.9], [2, 3]]}, "4.5"),
+        (Design.from_json_dict, {"b": 4, "r": 2, "l": 1, "sets": [[0, 1.9], [2, 3]]}, "1.9"),
+        (Design.from_json_dict, {"b": 4, "r": 2, "l": 1, "sets": [[0, float("nan")], [2, 3]]}, "nan"),
+        (BlockMatrix.from_json_dict, {"s": 1.5, "b": 1, "entries": [1.0]}, "1.5"),
+    ])
+    def test_malformed_json_fails_as_it_loads(self, load, data, bad):
+        # a bool or a fractional size, index or count used to be truncated
+        # into a partition, design or matrix that then verified clean
+        with pytest.raises(ValueError, match=f"{bad} is not an integer"):
+            load(data)
+
+    def test_integral_floats_load_as_ints(self):
+        part = Partition.from_json_dict({"s": 2.0, "b": 1, "r": 1.0, "l": 0, "groups": [[[0, 0.0]], [[1, 0]]]})
+        assert part == Partition(BlockShape(2, 1), (((0, 0),), ((1, 0),)), r=1, l=0)
+        design = Design.from_json_dict({"b": 4.0, "r": 2, "l": 1, "sets": [[0, 1.0], [2, 3]]})
+        assert design == Design(4, 2, 1, ((0, 1), (2, 3))) and type(design.b) is int
+        assert BlockMatrix.from_json_dict({"s": 1.0, "b": 1, "entries": [2.0]}).shape == BlockShape(1, 1)
 
     def test_dropped_empty_defaults_to_zero(self):
         data = good_partition(8, 5, 2).to_json_dict()

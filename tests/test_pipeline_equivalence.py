@@ -457,15 +457,17 @@ def test_sampled_sup_scores_extreme_columns_as_a_loop_over_the_points(grid, k, c
 @EXAMPLES
 @given(grid=_column_grids(), k=K_VALUES, seed=SEEDS)
 def test_every_column_scores_as_its_extreme_points(grid, k, seed):
-    # each column scored from its pair counts, against the pipeline on an
-    # extreme point of that column with random signs
+    # each column scored from its pair counts, in rows of b two at a time,
+    # against the pipeline on an extreme point of that column with random signs
     kind, s, b = grid
     shape = BlockShape(s, b)
     params = _params("inf", s, b, k)
     ops = _stream_ops(kind, s, b, params)
     run = _loop(shape, params, ops)
     plan = _Plan(shape, params, min(s, b), ops, _chunk_points(shape))
-    measured, bounds = plan.run_columns(np.arange(b))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spread_module, "_SLAB_CELLS", 2 * b)
+        measured, bounds, _ = plan._score_columns(np.arange(b))
     rng = np.random.default_rng(seed)
     for j in range(b):
         result = run(BlockMatrix.one_column(shape, j, rng.integers(0, 2, size=s) * 2.0 - 1.0))
@@ -482,7 +484,7 @@ def test_band_partitions_fall_back_to_the_chunked_pipeline(s, b, k, count, seed)
     shape = BlockShape(s, b)
     params = _params("inf", s, b, k)
     ops = {b: SpreadOperator(_band_partition(s, b, 2))}
-    assert _Plan(shape, params, b, ops, _chunk_points(shape)).run_columns(np.arange(b)) is None
+    assert _Plan(shape, params, b, ops, _chunk_points(shape))._score_columns(np.arange(b)) is None
     _assert_sup_matches_a_loop(shape, params, ops, seed, count)
 
 
@@ -873,11 +875,10 @@ def test_the_weight_screen_bounds_each_point_from_its_weights(grid, k, count, pe
     assert states == full_states
 
     with pytest.MonkeyPatch.context() as patch:
-        # the screen's chunks of per points, and the column scores in batches as small
+        # the screen's chunks of per points
         patch.setattr(spread_module, "_WEIGHT_CELLS", per * b)
-        patch.setattr(spread_module, "_SLAB_CELLS", per * b)
         plan = _Plan(shape, params, min(s, b), ops, _chunk_points(shape))
-        margin, scores = plan.margin(), plan._column_scores()
+        margin, scores = plan.margin(), plan._score_columns(np.arange(0))[2]
         chunks = list(plan._weight_estimates(np.random.default_rng(seed), count, margin, scores))
     assert [first for first, *_ in chunks] == list(range(0, count, per))
     assert [state for chunk in chunks for state in chunk[1]] == full_states
@@ -906,13 +907,13 @@ def test_only_uniform_blocks_are_skipped():
 @EXAMPLES
 @given(grid=_column_grids(), k=K_VALUES)
 def test_a_column_score_is_the_largest_error_of_an_extreme_point(grid, k):
-    # each width's score against run_columns on every column of its groups
+    # each width's score against the measured error of every column of its groups
     kind, s, b = grid
     shape = BlockShape(s, b)
     params = _params("inf", s, b, k)
     plan = _Plan(shape, params, min(s, b), _stream_ops(kind, s, b, params), _chunk_points(shape))
-    measured, _ = plan.run_columns(np.arange(b))
-    for group, score in zip(plan.groups, plan._column_scores()):
+    measured, _, scores = plan._score_columns(np.arange(b))
+    for group, score in zip(plan.groups, scores):
         top = measured[group.lo : group.hi].max()
         assert score == (top if group.width == b else pytest.approx(top, rel=1e-15))
 
@@ -923,7 +924,7 @@ def test_column_scores_of_aligned_grids_have_the_closed_form(r, d):
     n = r**d
     params = _params("inf", n, n, None)
     plan = _Plan(BlockShape(n, n), params, n, _stream_ops("good", n, n, params), _chunk_points(BlockShape(n, n)))
-    assert plan._column_scores() == [pytest.approx(math.sqrt((r - 1) / r ** (d - 1)) * n, rel=1e-12)]
+    assert plan._score_columns(np.arange(0))[2] == [pytest.approx(math.sqrt((r - 1) / r ** (d - 1)) * n, rel=1e-12)]
 
 
 def test_the_weight_screen_falls_back_where_a_column_meets_a_group_twice():
@@ -932,7 +933,7 @@ def test_the_weight_screen_falls_back_where_a_column_meets_a_group_twice():
     shape = BlockShape(s, b)
     params = _params("inf", s, b, 3)
     ops = {b: SpreadOperator(_band_partition(s, b, 2))}
-    assert _Plan(shape, params, b, ops, _chunk_points(shape))._column_scores() is None
+    assert _Plan(shape, params, b, ops, _chunk_points(shape))._score_columns(np.arange(0)) is None
     _assert_sup_matches_a_loop(shape, params, ops, 5, 8)
 
 
@@ -956,22 +957,23 @@ def test_the_weight_screen_keeps_few_points_on_a_small_grid():
 
 @pytest.mark.parametrize("s,b", [(40, 40), (12, 40)])
 def test_each_column_is_counted_once_per_stream(monkeypatch, s, b):
-    # the extreme columns and the column scores share one count of each
-    # column of each width's operator
+    # the extreme columns and the column scores share one count of the
+    # pairs of each width's operator, which holds a row for each column
     shape, count, seed = BlockShape(s, b), 24, 2
     params = _params("inf", s, b, 3)
     ops = _stream_ops("wide" if s < b else "good", s, b, params)
     counted = []
-    pair_counts = spread_module._ColumnGroups.pair_counts
+    pair_multiplicities = spread_module._pair_multiplicities
 
-    def counting(self, columns):
-        counted.extend((self.width, int(j - self.lo)) for j in columns)
-        return pair_counts(self, columns)
+    def counting(sizes, points, n, square=False):
+        counts = pair_multiplicities(sizes, points, n, square)
+        counted.append((n, counts.shape))
+        return counts
 
-    monkeypatch.setattr(spread_module._ColumnGroups, "pair_counts", counting)
+    monkeypatch.setattr(spread_module, "_pair_multiplicities", counting)
     sampled_sup(shape, params, ops, seed, count)
     widths = sorted({min(s, b - lo) for lo in range(0, b, s)})
-    assert sorted(counted) == [(w, j) for w in widths for j in range(w)]
+    assert sorted(counted) == [(w, (w, w)) for w in widths]
     _assert_sup_matches_a_loop(shape, params, ops, seed, count)
 
 

@@ -444,7 +444,7 @@ class TestExtremeColumns:
             approximate(BlockMatrix.one_column(shape, j, rng.integers(0, 2, size=s) * 2.0 - 1.0), params, op)
             for j in range(b)
         ]
-        scored, _ = _Plan(shape, params, b, {b: op}, _chunk_points(shape)).run_columns(np.arange(b))
+        scored, _, _ = _Plan(shape, params, b, {b: op}, _chunk_points(shape))._score_columns(np.arange(b))
         assert scored.tolist() == [res.measured_error for res in looped]
         return scored
 
