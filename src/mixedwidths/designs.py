@@ -186,13 +186,16 @@ class _Ragged(Sequence):
 
 class PointSets(_Ragged):
     """A design's sets: ``sizes``, then ``points`` of every set in turn.
-    Sets may be ragged, repeat a point or leave the ground set."""
+    Sets may be ragged, repeat a point or leave the ground set; a point
+    that is a bool or has a fractional part is a ValueError
+    (norms._json_ints)."""
 
     __slots__ = _FIELDS = ("points",)
 
     def __new__(cls, sets: Sequence[Sequence[int]]):
         sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-        return cls._of(sizes, np.fromiter(chain.from_iterable(sets), np.int64, int(sizes.sum())))
+        points = _json_ints(list(chain.from_iterable(sets)), "set point")
+        return cls._of(sizes, np.fromiter(points, np.int64, int(sizes.sum())))
 
 
 @dataclass(frozen=True)
@@ -232,7 +235,6 @@ class Design:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Design":
         b, r, l = _json_ints([data["b"], data["r"], data["l"]], "design field")
-        _json_ints(list(chain.from_iterable(data["sets"])), "set point")
         return cls(b=b, r=r, l=l, sets=data["sets"])
 
 

@@ -10,7 +10,9 @@ without floating-point cancellation; floats only enter in final powers.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -186,15 +188,17 @@ def ceil_power(n: int, exponent: Fraction) -> int:
 
 
 def _json_ints(values: list, what: str) -> list[int]:
-    """The sizes, indices or counts a JSON file gives, as ints: values
-    itself when each one is an int, else each integral float as its int.
-    A bool, a number with a fractional part, inf, nan or anything else is
-    a ValueError, "<what> <value> is not an integer", so a malformed file
-    fails as it is loaded, not later as a silently truncated index."""
+    """The sizes, indices or counts a JSON file or a constructor gives, as
+    ints: values itself when each one is an int, else each integer (numpy's
+    too) and integral float as its int.  A bool, a number with a fractional
+    part, inf, nan or anything else is a ValueError, "<what> <value> is not
+    an integer", so a malformed input fails as it is loaded, not later as a
+    silently truncated index."""
     if set(map(type, values)) <= {int}:
         return values
     for v in values:
-        if type(v) is not int and not (type(v) is float and v.is_integer()):
+        integral = isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())
+        if not integral or isinstance(v, bool):
             raise ValueError(f"{what} {v!r} is not an integer")
     return [int(v) for v in values]
 
@@ -445,8 +449,8 @@ def _signed_uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
 # Cells of a stream's one array: the largest chunk of points drawn, or run
 # through the pipeline, together, one 256 x 256 grid.  A larger grid is a
 # chunk of one point.  A screened stream draws its chunks into the array's
-# two halves in turn, on a worker thread (_drawn_ahead), with a second row
-# where one grid fills the array.
+# two halves in turn, on a draw thread (_DrawThread), with a second row
+# where one grid fills the array; a sweep's streams share one such array.
 _CHUNK_CELLS = 2**16
 
 
@@ -511,57 +515,208 @@ def _stream_chunks(shape: BlockShape, count: int) -> Iterator[tuple[int, np.ndar
 
 def _drawn_ahead(shape: BlockShape, count: int, draw) -> Iterator[tuple[int, np.ndarray, object]]:
     """(first, chunk, draw(chunk, first)) for the count points of one
-    stream, in chunks of per = max(1, K // 2) points, K = _chunk_points(shape),
-    each drawn on a worker thread while the caller reads the one before.
-
-    The chunks take turns in the two halves of the stream's one array of
-    K rows; where K is 1 the array has a second row, when count > 1.  So
-    the worker runs ahead until both halves are full, and a chunk holds
-    until the caller asks for the next one.  draw is called in the
-    stream's order, on the worker alone: the caller must not use what draw
-    reads, such as its generator, until the stream is closed.  The worker
-    is joined on every exit of the stream: its end, an exception from
-    draw, raised here, or the stream being closed.  count below 1 is a
-    ValueError, raised here, before any point is drawn."""
+    stream, drawn ahead on a _DrawThread of its own (see _Drawn), which
+    starts when the first chunk is asked for and is joined on every exit
+    of the stream: its end, an exception from draw, raised here, or the
+    stream being closed.  count below 1 is a ValueError, raised here,
+    before any point is drawn."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    rows = np.empty((max(_chunk_points(shape), min(count, 2)), shape.n))
-    per = rows.shape[0] // 2 or 1
-    starts = range(0, count, per)
-    slots = [None, None]  # what the worker drew into each half, or its exception
-    free, filled, stop = threading.Semaphore(2), threading.Semaphore(0), threading.Event()
-
-    def work():
-        for c, first in enumerate(starts):
-            free.acquire()
-            if stop.is_set():
-                return
-            lo = per * (c % 2)
-            chunk = rows[lo : lo + min(per, count - first)]
-            try:
-                slots[c % 2] = (first, chunk, draw(chunk, first))
-            except BaseException as exc:  # raised again by the reader
-                slots[c % 2] = exc
-                return
-            finally:
-                filled.release()
 
     def read():
-        worker = threading.Thread(target=work, name="ball-draw", daemon=True)
-        worker.start()
-        try:
-            for c in range(len(starts)):
-                filled.acquire()
-                if isinstance(slots[c % 2], BaseException):
-                    raise slots[c % 2]
-                yield slots[c % 2]
-                free.release()
-        finally:
-            stop.set()
-            free.release()
-            worker.join()
+        with _DrawThread() as thread:
+            yield from thread.add(shape, count, draw)
 
     return read()
+
+
+class _DrawThread:
+    """One worker thread that draws streams of chunks back to back, in the
+    order they are added (add).  A stream starts when its first chunk is
+    asked for, or as soon as the stream before it has handed out its last
+    chunk and been asked for the next, so its draws overlap whatever the
+    reader does between the two streams.  A stream is started on the
+    reader's thread and drawn on the worker, which waits for a stream's
+    reader before it goes on: the streams are read in the order they are
+    added, each to its end or until it is closed.
+
+    The streams take turns in one array, allocated on the reader's thread
+    when the first one starts, as large as the largest stream added by
+    then needs, and again only for a larger one: one allocation serves a
+    sweep's rows, and no two streams' arrays are held at once.  A stream
+    started while another is read gets an array of its own.  The worker
+    starts with the first stream.  close closes every stream added, joins
+    the worker and lets go of the array; the thread is a context manager
+    that closes it on exit."""
+
+    def __init__(self):
+        self._added: list[_Drawn] = []
+        self._waiting: deque[_Drawn] = deque()  # added, not started
+        self._reading: _Drawn | None = None  # started, not ended or closed
+        self._array: np.ndarray | None = None  # the array the streams take in turn
+        self._started: deque[_Drawn | None] = deque()  # for the worker, in turn; None ends it
+        self._ready = threading.Semaphore(0)  # counts _started
+        self._worker: threading.Thread | None = None
+
+    def add(self, shape: BlockShape, count: int, draw) -> "_Drawn":
+        """The stream of count points over shape that draw fills, drawn
+        after every stream added before it.  count below 1 is a ValueError,
+        raised here."""
+        stream = _Drawn(self, shape, count, draw)
+        self._added.append(stream)
+        self._waiting.append(stream)
+        return stream
+
+    def _start_next(self) -> None:
+        """Start the first waiting stream that is not closed, if any."""
+        while self._waiting and self._reading is None:
+            self._start(self._waiting[0])
+
+    def _start(self, stream: "_Drawn") -> None:
+        self._waiting.remove(stream)
+        if stream._closed:
+            return
+        if self._worker is None:
+            self._worker = threading.Thread(target=self._work, name="ball-draw", daemon=True)
+            self._worker.start()
+        try:
+            array = self._array_for(stream._rows, stream._shape.n)
+        except MemoryError as exc:  # raised to the stream's reader at its first chunk
+            array = exc
+        if stream._start(array):
+            self._started.append(stream)
+            self._ready.release()
+            self._reading = stream
+
+    def _array_for(self, rows: int, n: int) -> np.ndarray:
+        """A (rows, n) array for a stream to start in: a view of the one
+        array, made large enough for it and for every waiting stream, or
+        an array of its own while another stream is read."""
+        if self._reading is not None:
+            return np.empty((rows, n))
+        if self._array is None or self._array.size < rows * n:
+            self._array = None
+            shapes = [(rows, n)] + [(t._rows, t._shape.n) for t in self._waiting]
+            self._array = np.empty(max(shapes, key=lambda shape: shape[0] * shape[1]))
+        if self._array.shape == (rows, n):
+            return self._array
+        return self._array.reshape(-1)[: rows * n].reshape(rows, n)
+
+    def _work(self) -> None:
+        while self._ready.acquire() and (stream := self._started.popleft()) is not None:
+            stream._fill()
+
+    def close(self) -> None:
+        for stream in self._added:
+            stream.close()
+        self._added, self._array = [], None
+        if self._worker is not None:
+            self._started.append(None)
+            self._ready.release()
+            self._worker.join()
+            self._worker = None
+
+    def __enter__(self) -> "_DrawThread":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class _Drawn:
+    """One stream of a _DrawThread, read as an iterator of (first, chunk,
+    draw(chunk, first)) for its count points, in chunks of
+    per = max(1, K // 2) points, K = _chunk_points(shape).
+
+    The stream takes an array of K rows (a second row where K is 1 and
+    count > 1) when it starts, and the worker draws the chunks into its two
+    halves in turn: it runs ahead until both halves are full, and a chunk
+    holds until the next one is asked for.  draw is called in the stream's
+    order, on the worker alone: the caller must not use what draw reads,
+    such as its generator, until the stream has ended or is closed.  An
+    exception from draw, or from the allocation, is raised to the reader
+    at its chunk, and the stream is closed.  close works on a stream in any
+    state, read or not, started or not: it returns once the worker is out
+    of the stream, which it then leaves, or will skip, and it lets go of
+    the stream's array and draw."""
+
+    def __init__(self, thread: _DrawThread, shape: BlockShape, count: int, draw):
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        self._thread, self._shape, self._count, self._draw = thread, shape, count, draw
+        self._rows = max(_chunk_points(shape), min(count, 2))
+        self._per = self._rows // 2 or 1
+        self._chunks = -(-count // self._per)
+        self._array = None  # the stream's array once started, or the exception allocating it
+        self._slots = [None, None]  # what the worker drew into each half, or its exception
+        self._free, self._filled = threading.Semaphore(2), threading.Semaphore(0)
+        self._lock, self._left = threading.Lock(), threading.Event()
+        self._started = self._closed = False
+        self._read = 0
+
+    def _start(self, array) -> bool:
+        """Take array, on the reader's thread; False if closed."""
+        with self._lock:
+            if self._closed:
+                return False
+            self._started, self._array = True, array
+        return True
+
+    def _fill(self) -> None:
+        """Draw the chunks in turn, on the worker, each once a half is free,
+        until the last one or until the stream is closed."""
+        per, rows, c = self._per, self._array, 0
+        try:
+            if isinstance(rows, MemoryError):
+                raise rows
+            for c in range(self._chunks):
+                self._free.acquire()
+                if self._closed:
+                    return
+                first, lo = c * per, per * (c % 2)
+                chunk = rows[lo : lo + min(per, self._count - first)]
+                self._slots[c % 2] = (first, chunk, self._draw(chunk, first))
+                self._filled.release()
+        except BaseException as exc:  # raised again by the reader
+            self._slots[c % 2] = exc
+            self._filled.release()
+        finally:
+            self._left.set()
+
+    def __iter__(self) -> "_Drawn":
+        return self
+
+    def __next__(self) -> tuple[int, np.ndarray, object]:
+        c = self._read
+        if self._closed or c == self._chunks:
+            self.close()
+            if c == self._chunks:
+                self._thread._start_next()  # into the array this stream has let go
+            raise StopIteration
+        if not self._started:
+            self._thread._start(self)
+        if c:
+            self._free.release()  # the chunk before is let go
+        self._filled.acquire()
+        slot = self._slots[c % 2]
+        if isinstance(slot, BaseException):
+            self.close()
+            raise slot
+        self._read = c + 1
+        return slot
+
+    def close(self) -> None:
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            started = self._started
+        if started:
+            self._free.release()  # wakes the worker if it waits for a half
+            self._left.wait()
+        if self._thread._reading is self:
+            self._thread._reading = None
+        self._array, self._slots, self._draw = None, [None, None], None
 
 
 def _draw_ball_chunk(

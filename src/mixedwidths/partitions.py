@@ -65,8 +65,10 @@ class CellGroups(_Ragged):
     then ``rows`` and ``cols``, the row and column of every cell, group by
     group.  It reads as the tuple of groups of (row, col) int tuples it
     stands for (designs._Ragged) and is built from one (or lists, as JSON
-    gives them).  Cells may lie outside any grid and groups may be empty
-    or overlap: verify_partition reports such defects.
+    gives them).  A cell that is not a pair, or an index that is a bool or
+    has a fractional part, is a ValueError (norms._json_ints).  Cells may
+    lie outside any grid and groups may be empty or overlap:
+    verify_partition reports such defects.
     """
 
     __slots__ = _FIELDS = ("rows", "cols")
@@ -77,6 +79,7 @@ class CellGroups(_Ragged):
         flat = np.array(cells, dtype=np.int64) if cells else np.empty((0, 2), dtype=np.int64)
         if flat.shape != (len(cells), 2):
             raise ValueError("every cell must be a (row, col) pair")
+        _json_ints(list(chain.from_iterable(cells)), "cell index")  # np.array took True as 1 and 0.7 as 0
         return cls._of(sizes, flat[:, 0].copy(), flat[:, 1].copy())
 
 
@@ -145,8 +148,7 @@ class Partition:
     def from_json_dict(cls, data: dict) -> "Partition":
         fields = [data["s"], data["b"], data["r"], data["l"], data.get("dropped_empty", 0)]
         s, b, r, l, dropped = _json_ints(fields, "partition field")
-        groups = CellGroups(data["groups"])  # a cell that is not a (row, col) pair fails here first
-        _json_ints(list(chain.from_iterable(chain.from_iterable(data["groups"]))), "cell index")
+        groups = CellGroups(data["groups"])
         return cls(shape=BlockShape(s, b), groups=groups, r=r, l=l, dropped_empty=dropped)
 
 

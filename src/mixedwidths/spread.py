@@ -19,7 +19,7 @@ from collections.abc import Iterator
 from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from .norms import (
     BlockMatrix,
     BlockShape,
     Exponent,
+    _CHUNK_CELLS,
+    _DrawThread,
+    _Drawn,
     _SLAB_CELLS,
     _abs_row_norms,
     _ball_weights,
@@ -84,7 +87,10 @@ class SpreadOperator:
     Application is a single scatter-gather over a precomputed cell-to-group
     index, so repeated use on one partition is cheap.  The cells are also
     kept group by group, so the pipeline can spread a few columns without
-    touching the rest of the grid.
+    touching the rest of the grid.  The arrays are read-only, so one
+    operator can be shared (pipeline_operators keeps the good ones), and
+    so are the pair counts of its columns and their row norms, made on
+    first use and kept (_column_counts, _column_norms).
     """
 
     def __init__(self, partition: Partition):
@@ -104,12 +110,16 @@ class SpreadOperator:
             raise ValueError("partition has an empty group")
         index = np.empty(n, dtype=np.int64)
         index[flat] = np.repeat(np.arange(partition.m, dtype=np.int64), sizes)
+        starts = np.cumsum(sizes) - sizes
+        for a in (index, flat, starts):
+            a.setflags(write=False)
         self._group_index = index
         self._column_groups = index.reshape(b, s)  # group of cell (i, j) at [j, i]
         # cells of group g: _group_cells[_group_start[g] : _group_start[g] + _group_size[g]]
         self._group_cells = flat
         self._group_size = sizes
-        self._group_start = np.cumsum(sizes) - sizes
+        self._group_start = starts
+        self._norms: tuple[Exponent, np.ndarray | None] | None = None
 
     @property
     def dim(self) -> int:
@@ -124,6 +134,36 @@ class SpreadOperator:
             )
         sums = np.bincount(self._group_index, weights=x.entries, minlength=self.dim)
         return BlockMatrix(x.shape, sums[self._group_index])
+
+    @cached_property
+    def _column_counts(self) -> np.ndarray | None:
+        """The pair counts of the partition's columns: the (w, w) square of
+        designs._pair_multiplicities, row j holding lambda_jj', the number
+        of groups that meet columns j and j', in the least unsigned integer
+        type that holds them (a byte each while l < 256, against the
+        float64 square's eight), or None when some group meets a column
+        twice (designs._owner_points).  Counted on first use and kept."""
+        groups, w = self.partition.groups, self.partition.shape.b
+        held, cols, repeated = _owner_points(groups.sizes, groups.cols, w)
+        if repeated:
+            return None
+        square = _pair_multiplicities(held, cols, w, square=True)
+        counts = square.astype(np.min_scalar_type(int(square.max(initial=0))))
+        counts.setflags(write=False)
+        return counts
+
+    def _column_norms(self, q2: Exponent) -> np.ndarray | None:
+        """The q2-norm of each row of _column_counts, or None with it: the
+        measured error of an extreme point on each column of a grid this
+        partition covers alone, where it keeps a column (_Plan._score_columns),
+        and their maximum is the column score.  Kept for the last q2."""
+        if self._norms is None or self._norms[0] != q2:
+            counts = self._column_counts
+            norms = None if counts is None else _row_norms(counts.astype(float), q2)
+            if norms is not None:
+                norms.setflags(write=False)
+            self._norms = (q2, norms)
+        return self._norms[1]
 
     def _spread_columns(
         self, entries: np.ndarray, columns: np.ndarray, first: np.ndarray
@@ -463,42 +503,45 @@ class _Plan:
         signs: its column sums are lambda_jj', the number of groups that
         meet j and j'.  When it keeps none the residual is x itself.
 
-        Each width's operator is counted once (designs._owner_points, then
-        designs._pair_multiplicities' square of the counts, 8 width^2
-        bytes), and a given column takes the row of its place in its
-        group.  No grid is written: its measured error is the q2-norm of
-        that row placed at the columns of its group in a row of b, and its
-        bound comes from the selection on its block norms, 1.0 at its
-        column, in rows of b within _SLAB_CELLS."""
+        No grid is written.  A given column's measured error is the q2-norm
+        of its row of pair counts placed at the columns of its group in a
+        row of b: the operator's own row norm (SpreadOperator._column_norms,
+        kept with the counts) where one group spans the grid, else rows of
+        b within _SLAB_CELLS.  Its bound has a closed form: its block norms
+        are 1.0 at its column and 0 elsewhere, so the bound's q2-norm over
+        the groups has one term, its group's one-column coefficient when
+        the group keeps a column (its tail is 0 and its kept sum 1.0), else
+        tail_factor (its tail is 1.0 and its kept sum 0)."""
         s, b, q2 = self.shape.s, self.shape.b, self.params.q2
         step = max(1, _SLAB_CELLS // b)
         measured, bounds, scores = np.empty(columns.size), np.empty(columns.size), []
         for g in self.groups:
-            if g.kept:
-                groups = g.op.partition.groups
-                held, cols, repeated = _owner_points(groups.sizes, groups.cols, g.width)
-                if repeated:
-                    return None
-                counts = _pair_multiplicities(held, cols, g.width, square=True)
-            else:
-                counts = np.diag(np.full(g.width, float(s)))
-            scores.append(float(_row_norms(counts, q2).max()))
             mine = np.flatnonzero((columns >= g.lo) & (columns < g.hi))
+            if not g.kept:
+                scores.append(float(s))
+                measured[mine], bounds[mine] = s, self.tail_factor
+                continue
+            norms = g.op._column_norms(q2)
+            if norms is None:
+                return None
+            scores.append(float(norms.max()))
+            bounds[mine] = g.coeff
             local = (columns[mine] - g.lo) % g.width  # each one's place in its group
+            if g.width == b:
+                measured[mine] = norms[local]
+                continue
+            counts = g.op._column_counts
             start = columns[mine] - local  # the first column of each one's group
             for lo in range(0, mine.size, step):
                 some = slice(lo, lo + step)
                 rows = np.zeros((local[some].size, b))
                 rows[np.arange(rows.shape[0])[:, None], start[some, None] + np.arange(g.width)] = counts[local[some]]
                 measured[mine[some]] = _row_norms(rows, q2)
-        for lo in range(0, columns.size, step):
-            batch = columns[lo : lo + step]
-            rows = np.zeros((batch.size, b))
-            rows[np.arange(batch.size), batch] = 1.0
-            bounds[lo : lo + step] = self._bounds(*self._select(rows)[2:])
         return measured, bounds, scores
 
-    def scores(self, seed: int, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def scores(
+        self, seed: int, count: int, ball: _BallStream | None = None
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(measured, bounds) arrays of the pipeline's exact values at a set
         of points of sampled_sup's streams that holds both suprema.
 
@@ -513,8 +556,9 @@ class _Plan:
         estimate reaches a floor, or whose estimate the screen could not
         trust, is drawn again alone from its saved state and run through
         the pipeline, up to a chunk of them together.  A ball point left
-        out has both values below a value that is yielded.  count below 1
-        is a ValueError, raised before any point is drawn."""
+        out has both values below a value that is yielded.  The ball stream
+        is ball's, drawn ahead (_ball_stream), or drawn here from seed.
+        count below 1 is a ValueError, raised before any point is drawn."""
         if count < 1:
             raise ValueError("count must be >= 1")
         shape, params = self.shape, self.params
@@ -523,8 +567,9 @@ class _Plan:
             measured, bounds, column_scores = self._extreme_scores(seed + 1, count)
             floors = (measured.max(), bounds.max())
             yield measured, bounds
-        rng = np.random.default_rng(seed)
-        (floor_e, floor_b), candidates = self._screen(rng, count, floors, column_scores)
+        rng = np.random.default_rng(seed) if ball is None else ball.rng
+        drawn = None if ball is None else ball.chunks
+        (floor_e, floor_b), candidates = self._screen(rng, count, floors, column_scores, drawn)
         redraw = [(first, state) for first, state, up_e, up_b in candidates if up_e >= floor_e or up_b >= floor_b]
         per = _chunk_points(shape)
         for at in range(0, len(redraw), per):
@@ -535,7 +580,10 @@ class _Plan:
                 _draw_ball_chunk(rng, shape, params.p1, params.p2, chunk[i : i + 1], first)
             yield self.run(chunk)[1:3]
 
-    def _screen(self, rng: np.random.Generator, count: int, floors: tuple, column_scores: list[float] | None):
+    def _screen(
+        self, rng: np.random.Generator, count: int, floors: tuple, column_scores: list[float] | None,
+        drawn: Iterator | None = None,
+    ):
         """Screen the count points of the ball stream rng draws, a chunk at a
         time: from their weights alone with column_scores
         (_weight_estimates), then the points that screen keeps from their
@@ -545,8 +593,9 @@ class _Plan:
         the floors, raised by the screened points, and the candidates
         (index, generator state before its draw, upper estimates of its
         measured error and bound) whose exact values may reach them.  rng
-        is drawn on a worker thread while the raw screen runs, which has
-        ended when this returns.
+        is drawn on a draw thread while the raw screen runs, and is out of
+        the stream when this returns; drawn, if given, is the raw draw's
+        chunks, already started (_raw_estimates).
 
         An unflagged point's exact values lie within delta = margin *
         (d0 + B) of its raw estimates, B its estimated bound; the weight
@@ -557,7 +606,7 @@ class _Plan:
         only rise.  A flagged point's upper estimates are inf."""
         margin = self.margin()
         if column_scores is None:
-            return self._kept(self._raw_estimates(rng, count, margin), floors, margin, True)
+            return self._kept(self._raw_estimates(rng, count, margin, drawn), floors, margin, True)
         weighed = self._weight_estimates(rng, count, margin, column_scores)
         floors, candidates = self._kept(weighed, floors, margin, False)
         return self._kept(self._rescreened(rng, candidates, margin), floors, margin, True)
@@ -607,21 +656,18 @@ class _Plan:
             flagged |= g.ties(weights, margin)
         return weights, flagged
 
-    def _raw_estimates(self, rng: np.random.Generator, count: int, margin: float):
+    def _raw_estimates(self, rng: np.random.Generator, count: int, margin: float, drawn: Iterator | None = None):
         """(first, states, measured, bounds, flagged) for each chunk of the
         ball stream rng draws: the generator state before each point's
-        draw, then _estimate's values from the chunk's raw draw.  A worker
-        thread draws the next chunk while _estimate reads this one
-        (norms._drawn_ahead), so the screen's passes overlap the generator
-        calls; the worker is joined when this stream ends or is closed."""
-        shape, params = self.shape, self.params
-
-        def draw(chunk, first):
-            weights, states = np.empty((chunk.shape[0], shape.b)), []
-            scales = _draw_ball_raw(rng, shape, params.p1, params.p2, chunk, weights, first, states)
-            return weights, scales, states
-
-        with closing(_drawn_ahead(shape, count, draw)) as chunks:
+        draw, then _estimate's values from the chunk's raw draw.  A draw
+        thread draws the next chunk while _estimate reads this one, so the
+        screen's passes overlap the generator calls: drawn, the chunks of
+        _raw_draw on a sweep's thread (_ball_stream), or by default a
+        thread of this stream's own (norms._drawn_ahead).  The stream is
+        closed, and the thread out of it, when this ends or is closed."""
+        if drawn is None:
+            drawn = _drawn_ahead(self.shape, count, _raw_draw(rng, self.shape, self.params.p1, self.params.p2))
+        with closing(drawn) as chunks:
             for first, chunk, (weights, scales, states) in chunks:
                 yield first, states, *self._estimate(chunk, weights, scales, first, margin)
 
@@ -836,19 +882,76 @@ def pipeline_operators(s: int, b: int, d: int, kind: str) -> dict[int, SpreadOpe
     transposition partition of a square grid; a grid that is not square
     is a ValueError, and so is any other kind.  Each partition refuses a
     grid over partitions.MAX_GRID_CELLS cells; so does a wide grid
-    itself, first, since its points are larger than its partitions."""
+    itself, first, since its points are larger than its partitions.
+
+    The good operators come from a cache of the last 16 (s, width, d)
+    (_good_operator), shared by every caller: a warm grid pays for no
+    restrict, no cell index and no pair count.  Each one holds about 32
+    bytes a cell (its partition's rows and columns, its cell index and
+    its cells by group; 2 MiB at 251 x 251, 128 MiB at 2048 x 2048), its
+    pair counts once counted (a byte a pair of columns while l < 256) and
+    their row norms for one q2, all read-only."""
     if kind == "good":
         if s < b:
             _check_grid(s, b)
-        return {
-            width: SpreadOperator(good_partition(s, width, d, field_order=PIPELINE_FIELD_ORDER))
-            for width in sorted({min(s, b - lo) for lo in range(0, b, s)})
-        }
+        return {width: _good_operator(s, width, d) for width in sorted({min(s, b - lo) for lo in range(0, b, s)})}
     if kind == "transposition":
         if s != b:
             raise ValueError("transposition partition needs s == b")
         return {s: SpreadOperator(transposition_partition(s))}
     raise ValueError(f"unknown partition kind {kind!r}")
+
+
+# bounded like partitions._good_partition_full, so a sweep over many sizes
+# does not hold every operator it used
+@lru_cache(maxsize=16)
+def _good_operator(s: int, width: int, d: int) -> SpreadOperator:
+    return SpreadOperator(good_partition(s, width, d, field_order=PIPELINE_FIELD_ORDER))
+
+
+def _raw_draw(rng: np.random.Generator, shape: BlockShape, p1: Exponent, p2: Exponent):
+    """The raw draw of rng's ball stream (norms._draw_ball_raw) as a draw of
+    norms._drawn_ahead: each chunk's points, and its weights, scales and
+    the generator state before each point.  It reads only rng, the shape
+    and the exponents, so a stream can be drawn before its operators are
+    built."""
+
+    def draw(chunk, first):
+        weights, states = np.empty((chunk.shape[0], shape.b)), []
+        scales = _draw_ball_raw(rng, shape, p1, p2, chunk, weights, first, states)
+        return weights, scales, states
+
+    return draw
+
+
+@dataclass(frozen=True)
+class _BallStream:
+    """A ball stream started before its sampled_sup call (_ball_stream):
+    the call's key (shape, p1, p2, q1, seed, count), the stream's
+    generator and the chunks of its raw draw on a shared draw thread."""
+
+    key: tuple
+    rng: np.random.Generator
+    chunks: _Drawn
+
+
+def _ball_stream(draws: _DrawThread, shape: BlockShape, p1, p2, q1, seed: int, count: int) -> _BallStream | None:
+    """The ball stream that sampled_sup at (shape, p1, p2, q1, seed, count)
+    screens from its raw draw, added to draws, so that it is drawn while
+    whatever runs before that call runs: a sweep starts the streams of all
+    its rows, and the thread draws them back to back.  None where the call
+    draws its own or none: the (inf, 1) ball with q1 = 1 is screened from
+    its weights, which draws nothing on a thread, and a grid over
+    norms._CHUNK_CELLS cells is not drawn before its call, so the array
+    the thread's streams share is at most two such grids (1 MiB), and a
+    row that fails before it reads its stream has drawn at most that.
+    count and seed must be valid: seed >= 0, count >= 1."""
+    p1, p2, q1 = Exponent.of(p1), Exponent.of(p2), Exponent.of(q1)
+    if (p1.is_inf and p2 == Exponent.ONE and q1 == Exponent.ONE) or shape.n > _CHUNK_CELLS:
+        return None
+    rng = np.random.default_rng(seed)
+    chunks = draws.add(shape, count, _raw_draw(rng, shape, p1, p2))
+    return _BallStream((shape, p1, p2, q1, seed, count), rng, chunks)
 
 
 @dataclass(frozen=True)
@@ -870,7 +973,8 @@ class SampledSup:
 
 
 def sampled_sup(
-    shape: BlockShape, params: PipelineParams, ops: dict[int, SpreadOperator], seed: int, count: int
+    shape: BlockShape, params: PipelineParams, ops: dict[int, SpreadOperator], seed: int, count: int,
+    *, ball: _BallStream | None = None,
 ) -> SampledSup:
     """The suprema of the pipeline's measured error and certified bound
     over count points of the (p1, p2) ball from seed (sample_ball's) and,
@@ -887,7 +991,8 @@ def sampled_sup(
     distinct column is scored from its row of pair counts, with no grid
     written.  The pairs of each width's operator are counted once, by the
     count verify_partition takes l from (designs._pair_multiplicities),
-    and the same count gives the column scores (_Plan._score_columns).
+    and kept with the operator; the same count gives the column scores
+    (_Plan._score_columns).
     With another q1, or when some group meets a column twice, the extreme
     points run through the pipeline in chunks.  Their values are the floors the ball
     points are screened against (_Plan._screen).
@@ -902,22 +1007,29 @@ def sampled_sup(
     of max(1, K // 2) points, K = _chunk_points(shape), the two halves of
     the stream's one array of K rows, at most 2^16 cells (one 256 x 256
     grid) unless one grid alone is larger (then a second row), so memory
-    does not grow with count.  A worker thread draws the next chunk into
+    does not grow with count.  A draw thread draws the next chunk into
     one half while each chunk is screened from its raw draw in the other
-    (norms._drawn_ahead): the points' block norms and entries are
+    (norms._DrawThread): the points' block norms and entries are
     estimated, within a stated margin of the exact values, without
     normalising the points or taking their block norms (_Plan._estimate).
     Only the points that can hold a supremum, or whose estimate the
     screen cannot trust, are drawn again from their saved generator
     state and run through the exact pipeline (_Plan.run), on this thread
-    once the worker is joined.  So an (inf, 1) ball point pays for its
-    weights, and every other ball point for its generator calls, with
-    the screen's few passes beside them; only the points kept pay for
-    the exact pipeline.
-    count below 1 is a ValueError, raised before any point is drawn."""
+    once the draw thread is out of the stream.  So an (inf, 1) ball point
+    pays for its weights, and every other ball point for its generator
+    calls, with the screen's few passes beside them; only the points kept
+    pay for the exact pipeline.
+
+    A sweep's rows share one draw thread: ball, from _ball_stream, is this
+    call's ball stream, started on it before this call, while the rows
+    before it ran; by default the stream is drawn here, on a thread of its
+    own.  A ball for another call is a ValueError.  count below 1 is a
+    ValueError, raised before any point is drawn."""
+    if ball is not None and ball.key != (shape, params.p1, params.p2, params.q1, seed, count):
+        raise ValueError("ball stream started for another call")
     plan = _Plan(shape, params, min(shape.s, shape.b), ops, _chunk_points(shape))
     sup_error = sup_bound = -math.inf
-    for measured, bounds in plan.scores(seed, count):
+    for measured, bounds in plan.scores(seed, count, ball):
         sup_error = max(sup_error, *measured.tolist())
         sup_bound = max(sup_bound, *bounds.tolist())
     extreme = params.p1.is_inf and params.p2 == Exponent.ONE

@@ -2,6 +2,10 @@ import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from mixedwidths import good_partition
+from mixedwidths import spread
 from mixedwidths.cli import SWEEP_COLUMNS, _derived_seed, main, sweep_row
 
 
@@ -428,6 +433,64 @@ def test_readme_commands_golden_stdout(args, golden):
     rc, out, err = run_cli(args.split())
     assert (rc, err) == (0, "")
     assert out == (GOLDEN / golden).read_text()
+
+
+class TestSweepDrawThread:
+    """A (2, 1) sweep draws its rows' ball streams back to back on one
+    thread (spread._ball_stream, norms._DrawThread)."""
+
+    ARGS = ["sweep", "--p1", "2", "--p2", "1", "--q1", "1", "--q2", "2"]
+
+    def test_a_grid_over_the_cell_cap_fails_at_its_row(self):
+        before = threading.active_count()
+        rc, out, err = run_cli(self.ARGS + ["--sizes", "16x16", "5000x5000", "--samples", "4"])
+        with pytest.raises(ValueError) as row:
+            sweep_row("2", 1, 1, 2, 5000, 5000, samples=4)
+        assert (rc, out) == (3, "")
+        assert err == f"error at size 5000x5000: {row.value}\n"
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("sizes", [["4097x4097", "5000x5000"], ["5000x5000", "4097x4097"]])
+    def test_the_first_failing_size_is_reported(self, sizes):
+        rc, out, err = run_cli(self.ARGS + ["--sizes", "16x16", *sizes, "24x24", "--samples", "4"])
+        assert (rc, out) == (3, "")
+        assert err.startswith(f"error at size {sizes[0]}:") and err.count("error") == 1
+
+    def test_a_screen_that_raises_joins_the_thread(self, monkeypatch):
+        # the screen of the second row raises: its stream was started when
+        # the first row's ended, and the third row's never was
+        estimate, calls = spread._Plan._estimate, []
+
+        def raising(self, *args):
+            calls.append(self.shape.s)
+            if self.shape.s == 24:
+                raise RuntimeError("screen")
+            return estimate(self, *args)
+
+        monkeypatch.setattr(spread._Plan, "_estimate", raising)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="screen"):
+            run_cli(self.ARGS + ["--sizes", "16x16", "24x24", "32x32", "--samples", "8"])
+        assert calls == [16, 24]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("p1", ["inf", "2"])
+    def test_warm_and_cold_sweeps_print_the_same(self, p1):
+        # the pipeline workload's sizes: a cold run, a warm one in the same
+        # process, and a fresh process give the same bytes
+        argv = [
+            "sweep", "--p1", p1, "--p2", "1", "--q1", "1", "--q2", "2",
+            "--sizes", "68x68", "126x126", "251x251", "--samples", "96", "--seed", "3",
+        ]
+        spread._good_operator.cache_clear()
+        cold, warm = run_cli(argv), run_cli(argv)
+        assert cold == warm and cold[0] == 0 and cold[2] == ""
+        src = str(Path(spread.__file__).parents[1])
+        fresh = subprocess.run(
+            [sys.executable, "-m", "mixedwidths.cli", *argv], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == cold
 
 
 class TestExampleTranspose:

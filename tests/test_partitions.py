@@ -22,7 +22,7 @@ from mixedwidths import (
     verify_partition,
 )
 from mixedwidths.designs import MAX_DESIGN_POINTS, design_size_error, is_supported_order
-from mixedwidths.partitions import _good_partition_full
+from mixedwidths.partitions import CellGroups, _good_partition_full
 from mixedwidths.spread import transposition_partition
 
 
@@ -223,6 +223,23 @@ class TestSerialization:
         # into a partition, design or matrix that then verified clean
         with pytest.raises(ValueError, match=f"{bad} is not an integer"):
             load(data)
+
+    def test_constructors_reject_what_json_loading_rejects(self):
+        # these were truncated into cells (0, 0), (1, 0) and sets (0, 1), (2, 1)
+        with pytest.raises(ValueError, match="^cell index 0.7 is not an integer$"):
+            Partition(BlockShape(2, 1), (((0, 0.7),), ((1.2, 0),)), r=1, l=0)
+        with pytest.raises(ValueError, match="^cell index True is not an integer$"):
+            CellGroups((((True, 0),),))
+        with pytest.raises(ValueError, match="^set point 1.9 is not an integer$"):
+            Design(4, 2, 1, ((0, 1.9), (2, True)))
+        with pytest.raises(ValueError, match="^set point True is not an integer$"):
+            Design(4, 2, 1, ((0, 1), (2, True)))
+        with pytest.raises(ValueError, match="^every cell must be a \\(row, col\\) pair$"):
+            CellGroups((((0, 1, 2),),))
+        # integers of any type, and integral floats, are their ints
+        cells = (((np.int64(0), 0.0),), ((1, np.int32(0)),))
+        assert Partition(BlockShape(2, 1), cells, r=1, l=0).groups == (((0, 0),), ((1, 0),))
+        assert Design(4, 2, 1, ((np.int64(0), 1.0), (2, 3))).sets == ((0, 1), (2, 3))
 
     def test_integral_floats_load_as_ints(self):
         part = Partition.from_json_dict({"s": 2.0, "b": 1, "r": 1.0, "l": 0, "groups": [[[0, 0.0]], [[1, 0]]]})

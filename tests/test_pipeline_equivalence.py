@@ -58,6 +58,7 @@ from mixedwidths.norms import (
 from mixedwidths.spread import (
     PIPELINE_FIELD_ORDER,
     ApproxResult,
+    _group_budget,
     _Plan,
     best_k_term,
     ceil_power,
@@ -958,9 +959,11 @@ def test_the_weight_screen_keeps_few_points_on_a_small_grid():
 @pytest.mark.parametrize("s,b", [(40, 40), (12, 40)])
 def test_each_column_is_counted_once_per_stream(monkeypatch, s, b):
     # the extreme columns and the column scores share one count of the
-    # pairs of each width's operator, which holds a row for each column
+    # pairs of each width's operator, which holds a row for each column;
+    # the operator keeps it, so a second stream counts nothing
     shape, count, seed = BlockShape(s, b), 24, 2
     params = _params("inf", s, b, 3)
+    spread_module._good_operator.cache_clear()
     ops = _stream_ops("wide" if s < b else "good", s, b, params)
     counted = []
     pair_multiplicities = spread_module._pair_multiplicities
@@ -971,9 +974,12 @@ def test_each_column_is_counted_once_per_stream(monkeypatch, s, b):
         return counts
 
     monkeypatch.setattr(spread_module, "_pair_multiplicities", counting)
-    sampled_sup(shape, params, ops, seed, count)
+    first = sampled_sup(shape, params, ops, seed, count)
     widths = sorted({min(s, b - lo) for lo in range(0, b, s)})
     assert sorted(counted) == [(w, (w, w)) for w in widths]
+    sampled_sup(shape, params, ops, seed + 1, count)
+    assert sampled_sup(shape, params, ops, seed, count) == first
+    assert len(counted) == len(widths)
     _assert_sup_matches_a_loop(shape, params, ops, seed, count)
 
 
@@ -1048,3 +1054,137 @@ def test_grouped_matches_dense_with_budget_overrides(p1, s, extra_cols, k, seed)
         assert_same_result(
             grouped_subspace_approximate(x, params, ops), _oracle_grouped_with_budget(x, params, ops)
         )
+
+
+# ------------------------------------------------------------- column bounds
+
+
+@pytest.mark.parametrize("k", [None, 1])
+@pytest.mark.parametrize("s,b", [(68, 68), (30, 640), (60, 1000), (30, 631)])
+def test_column_bounds_have_the_closed_form(s, b, k):
+    # each column's bound, its group's one-column coefficient or, where the
+    # group keeps no column, tail_factor, against the selection and bound
+    # on its one-hot block norms; 30 x 631 ends in a one-column group
+    shape = BlockShape(s, b)
+    params = _params("inf", s, b, k)
+    plan = _Plan(shape, params, min(s, b), pipeline_operators(s, b, params.d, "good"), _chunk_points(shape))
+    _, bounds, _ = plan._score_columns(np.arange(b))
+    one_hot = np.eye(b)
+    assert _bits(bounds) == _bits(plan._bounds(*plan._select(one_hot)[2:]))
+    last = plan.groups[-1]
+    if b == 631:
+        assert (last.width, _group_budget(1, params.alpha), last.kept) == (1, 1, 0)
+        assert _bits(bounds[-1]) == _bits(plan.tail_factor)
+    if k == 1:  # full groups keep no column; a narrower last one keeps its own budget
+        full = plan.groups[0].hi
+        assert _bits(bounds[:full]) == _bits(np.full(full, plan.tail_factor))
+
+
+# ------------------------------------------------------------- one draw thread
+
+
+def _stream_of(draws, shape, seed, count):
+    return draws.add(shape, count, _raw_draw(np.random.default_rng(seed), shape, Exponent.TWO))
+
+
+def _serial(shape, seed, count):
+    """The raw draw of a (2, 1) ball stream in one chunk."""
+    chunk, weights = np.empty((count, shape.n)), np.empty((count, shape.b))
+    _draw_ball_raw(np.random.default_rng(seed), shape, Exponent.TWO, Exponent.ONE, chunk, weights, 0)
+    return chunk
+
+
+def test_one_draw_thread_draws_streams_back_to_back():
+    # three streams on one thread, each read to its end: each equals its
+    # serial draw, the next one starts as one ends, and every stream
+    # takes the one array, sized for the largest
+    shapes = [BlockShape(40, 40), BlockShape(100, 100), BlockShape(200, 200)]
+    before = threading.active_count()
+    with norms_module._DrawThread() as draws:
+        streams = [_stream_of(draws, shape, seed, 5) for seed, shape in enumerate(shapes)]
+        assert not any(stream._started for stream in streams)
+        for seed, (shape, stream) in enumerate(zip(shapes, streams)):
+            got = [chunk.copy() for _, chunk, _ in stream]
+            assert _bits(np.concatenate(got)) == _bits(_serial(shape, seed, 5))
+            if seed < 2:
+                assert streams[seed + 1]._started
+        assert draws._array.shape == (2, 200 * 200)
+        assert threading.active_count() == before + 1
+    assert threading.active_count() == before
+
+
+def test_a_stream_started_but_never_read_can_be_closed():
+    # the end of the first stream starts the second, whose reader never
+    # comes; closing it lets the worker go on to the third
+    shape = BlockShape(100, 100)  # 6 points a chunk, 3 a half
+    before = threading.active_count()
+    with norms_module._DrawThread() as draws:
+        first, second, third = (_stream_of(draws, shape, seed, 9) for seed in range(3))
+        assert len(list(first)) == 3 and second._started and not third._started
+        second.close()
+        assert list(second) == []
+        got = np.concatenate([chunk.copy() for _, chunk, _ in third])
+        assert _bits(got) == _bits(_serial(shape, 2, 9))
+    assert threading.active_count() == before
+
+
+def test_a_stream_closed_before_its_end_lets_the_next_one_start():
+    shape = BlockShape(100, 100)
+    before = threading.active_count()
+    with norms_module._DrawThread() as draws:
+        first, second = (_stream_of(draws, shape, seed, 9) for seed in range(2))
+        next(first)
+        first.close()
+        assert not second._started and list(first) == []
+        got = np.concatenate([chunk.copy() for _, chunk, _ in second])
+        assert _bits(got) == _bits(_serial(shape, 1, 9))
+        assert threading.active_count() == before + 1
+    assert threading.active_count() == before
+
+
+def test_a_stream_never_asked_for_starts_no_thread():
+    # a generator that never started does not run its finally, so the
+    # single-stream draw starts its thread at the first chunk, not before
+    shape, drawn = BlockShape(40, 40), []
+    before = threading.active_count()
+    chunks = norms_module._drawn_ahead(shape, 4, lambda chunk, first: drawn.append(first))
+    assert threading.active_count() == before
+    chunks.close()
+    assert threading.active_count() == before and drawn == []
+    with norms_module._DrawThread() as draws:
+        draws.add(shape, 4, lambda chunk, first: drawn.append(first)).close()
+    assert threading.active_count() == before and drawn == []
+
+
+def test_draw_threads_side_by_side_keep_each_stream_s_order():
+    # four readers, each with a draw thread of three streams of one-point
+    # chunks, at once with a short switch interval: every stream equals
+    # its serial draw, and every worker is joined
+    shape, count, failures = BlockShape(181, 181), 6, []
+    assert max(1, _chunk_points(shape) // 2) == 1
+
+    def read(reader):
+        try:
+            with norms_module._DrawThread() as draws:
+                seeds = [3 * reader + i for i in range(3)]
+                streams = [_stream_of(draws, shape, seed, count) for seed in seeds]
+                for seed, stream in zip(seeds, streams):
+                    got = np.concatenate([chunk.copy() for _, chunk, _ in stream])
+                    assert _bits(got) == _bits(_serial(shape, seed, count))
+        except BaseException as exc:  # asserted empty after the join
+            failures.append(exc)
+
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        readers = [threading.Thread(target=read, args=(reader,)) for reader in range(4)]
+        for reader in readers:
+            reader.start()
+        for reader in readers:
+            reader.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert failures == []
+    assert threading.active_count() == before

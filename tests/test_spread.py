@@ -35,6 +35,7 @@ from mixedwidths import (
     verify_partition,
 )
 from mixedwidths import norms
+from mixedwidths import spread as spread_module
 from mixedwidths.norms import _chunk_points
 from mixedwidths.spread import _error_coefficient, _Plan
 
@@ -427,6 +428,49 @@ class TestSampledSup:
         sup = sampled_sup(BlockShape(s, b), params, pipeline_operators(s, b, params.d, "good"), seed, count)
         assert sup.count == 2 * count
         assert sup.exact_points == 0
+
+
+
+class TestOperatorCache:
+    @pytest.mark.parametrize("p1", ["inf", "2"])
+    @pytest.mark.parametrize("s,b", [(48, 48), (90, 90), (12, 40), (30, 100)])
+    def test_cached_operators_give_a_fresh_build_s_sup(self, p1, s, b):
+        # square and wide grids, both exceptional tuples: the shared
+        # operators, warm from the first call, against new ones per width
+        shape, params = BlockShape(s, b), choose_pipeline_params(p1, 1, 1, 2, s, b)
+        cached = pipeline_operators(s, b, params.d, "good")
+        again = pipeline_operators(s, b, params.d, "good")
+        assert all(again[w] is op for w, op in cached.items())
+        for seed in (0, 1):
+            fresh = {
+                w: SpreadOperator(good_partition(s, w, params.d, field_order="smallest")) for w in cached
+            }
+            warm, new = (sampled_sup(shape, params, ops, seed, 8) for ops in (cached, fresh))
+            assert warm == new
+            assert (math.copysign(1, warm.sup_error), warm.sup_error.hex()) == (1, new.sup_error.hex())
+            assert warm.sup_bound.hex() == new.sup_bound.hex()
+
+    def test_cache_stays_within_its_bound(self):
+        cache = spread_module._good_operator
+        maxsize = cache.cache_info().maxsize
+        assert maxsize == 16
+        cache.cache_clear()
+        built = [pipeline_operators(s, s, 2, "good") for s in range(4, 24)]
+        assert len(built) > maxsize
+        assert cache.cache_info().currsize == maxsize
+
+    def test_cached_arrays_are_read_only(self):
+        op = pipeline_operators(40, 40, 4, "good")[40]
+        arrays = [
+            op._group_index, op._column_groups, op._group_cells, op._group_size, op._group_start,
+            op.partition.groups.rows, op.partition.groups.cols, op._column_counts, op._column_norms(Exponent.TWO),
+        ]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.reshape(-1)[:1] = 0
+        assert op._column_counts.dtype == np.uint8
+        assert op._column_norms(Exponent.TWO) is op._column_norms(Exponent.TWO)
 
 
 class TestExtremeColumns:

@@ -169,10 +169,14 @@ class TestWitness:
 
         monkeypatch.setattr(spread, "good_partition", counted_partition)
         monkeypatch.setattr(spread.SpreadOperator, "__init__", counted_init)
+        spread._good_operator.cache_clear()
         record = nonrigidity_witness("inf", 1, 1, 2, 32, 100, samples=4)
         # column groups of widths 32, 32, 32 and 4: two distinct widths
         assert calls == {"good_partition": 2, "SpreadOperator": 2}
         assert record.kind == "computed" and record.n > 0
+        # a second witness on the grid takes both operators from the cache
+        assert nonrigidity_witness("inf", 1, 1, 2, 32, 100, samples=4) == record
+        assert calls == {"good_partition": 2, "SpreadOperator": 2}
 
     def test_shared_operators_match_fresh_build(self):
         s, b = 32, 100
