@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -503,9 +502,9 @@ def _stream_chunks(shape: BlockShape, count: int) -> Iterator[tuple[int, np.ndar
     stream's one array of _chunk_points(shape) rows, for the points first,
     first + 1, ...  So a chunk holds only until the next one is filled,
     and the array is freed once the stream and its last chunk are
-    dropped.  A screened stream takes the same array in two halves, one
-    drawn ahead while the other is read (_drawn_ahead).  count below 1 is
-    a ValueError, raised here."""
+    dropped.  A screened stream takes an array of the same rows in two
+    halves, one drawn ahead while the other is read (_Drawn).  count below
+    1 is a ValueError, raised here."""
     if count < 1:
         raise ValueError("count must be >= 1")
     per = _chunk_points(shape)
@@ -513,108 +512,81 @@ def _stream_chunks(shape: BlockShape, count: int) -> Iterator[tuple[int, np.ndar
     return ((first, rows[: min(per, count - first)]) for first in range(0, count, per))
 
 
-def _drawn_ahead(shape: BlockShape, count: int, draw) -> Iterator[tuple[int, np.ndarray, object]]:
-    """(first, chunk, draw(chunk, first)) for the count points of one
-    stream, drawn ahead on a _DrawThread of its own (see _Drawn), which
-    starts when the first chunk is asked for and is joined on every exit
-    of the stream: its end, an exception from draw, raised here, or the
-    stream being closed.  count below 1 is a ValueError, raised here,
-    before any point is drawn."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-
-    def read():
-        with _DrawThread() as thread:
-            yield from thread.add(shape, count, draw)
-
-    return read()
-
-
 class _DrawThread:
-    """One worker thread that draws streams of chunks back to back, in the
-    order they are added (add).  A stream starts when its first chunk is
-    asked for, or as soon as the stream before it has handed out its last
-    chunk and been asked for the next, so its draws overlap whatever the
-    reader does between the two streams.  A stream is started on the
-    reader's thread and drawn on the worker, which waits for a stream's
-    reader before it goes on: the streams are read in the order they are
-    added, each to its end or until it is closed.
+    """One worker thread, a single-worker executor, that draws the chunks
+    of streams (add) in the order they are asked for.  A stream starts when
+    its first chunk is asked for, or as soon as the stream before it has
+    handed out its last chunk and been asked for the next, so its draws
+    overlap whatever the reader does between the two streams.  Streams are
+    started on the reader's thread and drawn on the worker, each chunk a
+    task, so two open streams may be read in any interleaving.
 
     The streams take turns in one array, allocated on the reader's thread
     when the first one starts, as large as the largest stream added by
     then needs, and again only for a larger one: one allocation serves a
     sweep's rows, and no two streams' arrays are held at once.  A stream
-    started while another is read gets an array of its own.  The worker
-    starts with the first stream.  close closes every stream added, joins
-    the worker and lets go of the array; the thread is a context manager
-    that closes it on exit."""
+    started while another holds the array gets an array of its own.  The
+    worker starts with the first stream.  close closes every stream added,
+    shuts the executor down, which joins the worker, and lets go of the
+    array; the thread is a context manager that closes it on exit."""
 
     def __init__(self):
         self._added: list[_Drawn] = []
-        self._waiting: deque[_Drawn] = deque()  # added, not started
-        self._reading: _Drawn | None = None  # started, not ended or closed
+        self._holder: _Drawn | None = None  # the stream in the one array, until it ends or is closed
         self._array: np.ndarray | None = None  # the array the streams take in turn
-        self._started: deque[_Drawn | None] = deque()  # for the worker, in turn; None ends it
-        self._ready = threading.Semaphore(0)  # counts _started
-        self._worker: threading.Thread | None = None
+        self._executor = None  # made with the first stream started
 
     def add(self, shape: BlockShape, count: int, draw) -> "_Drawn":
-        """The stream of count points over shape that draw fills, drawn
-        after every stream added before it.  count below 1 is a ValueError,
-        raised here."""
+        """The stream of count points over shape that draw fills, started
+        after every stream added before it unless it is read first.  count
+        below 1 is a ValueError, raised here."""
         stream = _Drawn(self, shape, count, draw)
         self._added.append(stream)
-        self._waiting.append(stream)
         return stream
 
+    def _waiting(self) -> list["_Drawn"]:
+        return [t for t in self._added if not (t._started or t._closed)]
+
     def _start_next(self) -> None:
-        """Start the first waiting stream that is not closed, if any."""
-        while self._waiting and self._reading is None:
-            self._start(self._waiting[0])
+        """Start the first stream added that is neither started nor closed,
+        if none holds the array."""
+        if self._holder is None and (waiting := self._waiting()):
+            self._start(waiting[0])
 
     def _start(self, stream: "_Drawn") -> None:
-        self._waiting.remove(stream)
-        if stream._closed:
-            return
-        if self._worker is None:
-            self._worker = threading.Thread(target=self._work, name="ball-draw", daemon=True)
-            self._worker.start()
+        if self._executor is None:
+            from concurrent.futures import ThreadPoolExecutor  # not at package import
+
+            self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ball-draw")
         try:
             array = self._array_for(stream._rows, stream._shape.n)
         except MemoryError as exc:  # raised to the stream's reader at its first chunk
             array = exc
-        if stream._start(array):
-            self._started.append(stream)
-            self._ready.release()
-            self._reading = stream
+        if self._holder is None:
+            self._holder = stream
+        stream._start(array)
 
     def _array_for(self, rows: int, n: int) -> np.ndarray:
         """A (rows, n) array for a stream to start in: a view of the one
         array, made large enough for it and for every waiting stream, or
-        an array of its own while another stream is read."""
-        if self._reading is not None:
+        an array of its own while another stream holds it."""
+        if self._holder is not None:
             return np.empty((rows, n))
         if self._array is None or self._array.size < rows * n:
             self._array = None
-            shapes = [(rows, n)] + [(t._rows, t._shape.n) for t in self._waiting]
+            shapes = [(rows, n)] + [(t._rows, t._shape.n) for t in self._waiting()]
             self._array = np.empty(max(shapes, key=lambda shape: shape[0] * shape[1]))
         if self._array.shape == (rows, n):
             return self._array
         return self._array.reshape(-1)[: rows * n].reshape(rows, n)
 
-    def _work(self) -> None:
-        while self._ready.acquire() and (stream := self._started.popleft()) is not None:
-            stream._fill()
-
     def close(self) -> None:
         for stream in self._added:
             stream.close()
         self._added, self._array = [], None
-        if self._worker is not None:
-            self._started.append(None)
-            self._ready.release()
-            self._worker.join()
-            self._worker = None
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
 
     def __enter__(self) -> "_DrawThread":
         return self
@@ -629,16 +601,18 @@ class _Drawn:
     per = max(1, K // 2) points, K = _chunk_points(shape).
 
     The stream takes an array of K rows (a second row where K is 1 and
-    count > 1) when it starts, and the worker draws the chunks into its two
-    halves in turn: it runs ahead until both halves are full, and a chunk
-    holds until the next one is asked for.  draw is called in the stream's
-    order, on the worker alone: the caller must not use what draw reads,
-    such as its generator, until the stream has ended or is closed.  An
-    exception from draw, or from the allocation, is raised to the reader
-    at its chunk, and the stream is closed.  close works on a stream in any
-    state, read or not, started or not: it returns once the worker is out
-    of the stream, which it then leaves, or will skip, and it lets go of
-    the stream's array and draw."""
+    count > 1) when it starts, and asks the worker for chunks 0 and 1, in
+    its two halves.  Each time it hands out chunk c > 0 it asks for chunk
+    c + 1, into the half of chunk c - 1, which the reader has let go: the
+    worker is never more than two chunks ahead, and a chunk holds until
+    the next one is asked for.  draw is called in the stream's order, on
+    the worker alone: the caller must not use what draw reads, such as its
+    generator, until the stream has ended or is closed.  An exception from
+    draw, or from the allocation, is raised to the reader at its chunk,
+    and the stream is closed.  close works on a stream in any state, read
+    or not, started or not: it cancels the chunks not yet begun and waits
+    for the one being drawn, and it lets go of the stream's array and
+    draw."""
 
     def __init__(self, thread: _DrawThread, shape: BlockShape, count: int, draw):
         if count < 1:
@@ -648,40 +622,27 @@ class _Drawn:
         self._per = self._rows // 2 or 1
         self._chunks = -(-count // self._per)
         self._array = None  # the stream's array once started, or the exception allocating it
-        self._slots = [None, None]  # what the worker drew into each half, or its exception
-        self._free, self._filled = threading.Semaphore(2), threading.Semaphore(0)
-        self._lock, self._left = threading.Lock(), threading.Event()
+        self._ahead: deque = deque()  # the futures of the chunks asked for, not handed out
         self._started = self._closed = False
         self._read = 0
 
-    def _start(self, array) -> bool:
-        """Take array, on the reader's thread; False if closed."""
-        with self._lock:
-            if self._closed:
-                return False
-            self._started, self._array = True, array
-        return True
+    def _start(self, array) -> None:
+        """Take array and ask for the first two chunks, on the reader's thread."""
+        self._started, self._array = True, array
+        self._ask(0)
+        self._ask(1)
 
-    def _fill(self) -> None:
-        """Draw the chunks in turn, on the worker, each once a half is free,
-        until the last one or until the stream is closed."""
-        per, rows, c = self._per, self._array, 0
-        try:
-            if isinstance(rows, MemoryError):
-                raise rows
-            for c in range(self._chunks):
-                self._free.acquire()
-                if self._closed:
-                    return
-                first, lo = c * per, per * (c % 2)
-                chunk = rows[lo : lo + min(per, self._count - first)]
-                self._slots[c % 2] = (first, chunk, self._draw(chunk, first))
-                self._filled.release()
-        except BaseException as exc:  # raised again by the reader
-            self._slots[c % 2] = exc
-            self._filled.release()
-        finally:
-            self._left.set()
+    def _ask(self, c: int) -> None:
+        if c < self._chunks:
+            self._ahead.append(self._thread._executor.submit(self._fill, c))
+
+    def _fill(self, c: int) -> tuple[int, np.ndarray, object]:
+        """Draw chunk c into its half, on the worker."""
+        if isinstance(self._array, MemoryError):
+            raise self._array
+        first, lo = c * self._per, self._per * (c % 2)
+        chunk = self._array[lo : lo + min(self._per, self._count - first)]
+        return first, chunk, self._draw(chunk, first)
 
     def __iter__(self) -> "_Drawn":
         return self
@@ -695,28 +656,26 @@ class _Drawn:
             raise StopIteration
         if not self._started:
             self._thread._start(self)
-        if c:
-            self._free.release()  # the chunk before is let go
-        self._filled.acquire()
-        slot = self._slots[c % 2]
-        if isinstance(slot, BaseException):
+        if c:  # chunk c - 1 is let go; a stream started early asked for chunk 1 already
+            self._ask(c + 1)
+        try:
+            drawn = self._ahead.popleft().result()
+        except BaseException:
             self.close()
-            raise slot
+            raise
         self._read = c + 1
-        return slot
+        return drawn
 
     def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            started = self._started
-        if started:
-            self._free.release()  # wakes the worker if it waits for a half
-            self._left.wait()
-        if self._thread._reading is self:
-            self._thread._reading = None
-        self._array, self._slots, self._draw = None, [None, None], None
+        if self._closed:
+            return
+        self._closed = True
+        for future in [future for future in self._ahead if not future.cancel()]:
+            future.exception()  # waits for the chunk being drawn
+        if self._thread._holder is self:
+            self._thread._holder = None
+        self._ahead.clear()
+        self._array, self._draw = None, None
 
 
 def _draw_ball_chunk(

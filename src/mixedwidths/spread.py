@@ -38,7 +38,6 @@ from .norms import (
     _draw_ball_chunk,
     _draw_ball_raw,
     _draw_chunks,
-    _drawn_ahead,
     _extreme_columns,
     _extreme_draw,
     _row_norms,
@@ -662,14 +661,16 @@ class _Plan:
         draw, then _estimate's values from the chunk's raw draw.  A draw
         thread draws the next chunk while _estimate reads this one, so the
         screen's passes overlap the generator calls: drawn, the chunks of
-        _raw_draw on a sweep's thread (_ball_stream), or by default a
-        thread of this stream's own (norms._drawn_ahead).  The stream is
-        closed, and the thread out of it, when this ends or is closed."""
-        if drawn is None:
-            drawn = _drawn_ahead(self.shape, count, _raw_draw(rng, self.shape, self.params.p1, self.params.p2))
-        with closing(drawn) as chunks:
-            for first, chunk, (weights, scales, states) in chunks:
-                yield first, states, *self._estimate(chunk, weights, scales, first, margin)
+        _raw_draw on a sweep's thread (_ball_stream), or by default on a
+        draw thread of this stream's own, made at the first chunk.  The
+        stream is closed, and the thread out of it, when this ends or is
+        closed."""
+        with _DrawThread() as draws:
+            if drawn is None:
+                drawn = draws.add(self.shape, count, _raw_draw(rng, self.shape, self.params.p1, self.params.p2))
+            with closing(drawn) as chunks:
+                for first, chunk, (weights, scales, states) in chunks:
+                    yield first, states, *self._estimate(chunk, weights, scales, first, margin)
 
     def _rescreened(self, rng: np.random.Generator, candidates: list, margin: float):
         """(first, states, measured, bounds, flagged) for each of the weight
@@ -910,11 +911,11 @@ def _good_operator(s: int, width: int, d: int) -> SpreadOperator:
 
 
 def _raw_draw(rng: np.random.Generator, shape: BlockShape, p1: Exponent, p2: Exponent):
-    """The raw draw of rng's ball stream (norms._draw_ball_raw) as a draw of
-    norms._drawn_ahead: each chunk's points, and its weights, scales and
-    the generator state before each point.  It reads only rng, the shape
-    and the exponents, so a stream can be drawn before its operators are
-    built."""
+    """The raw draw of rng's ball stream (norms._draw_ball_raw) as the draw
+    of a norms._DrawThread stream: each chunk's points, and its weights,
+    scales and the generator state before each point.  It reads only rng,
+    the shape and the exponents, so a stream can be drawn before its
+    operators are built."""
 
     def draw(chunk, first):
         weights, states = np.empty((chunk.shape[0], shape.b)), []

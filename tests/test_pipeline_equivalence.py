@@ -574,16 +574,15 @@ def _assert_run_ahead_matches_a_loop(shape, p1, seed, count):
     p1 = Exponent.of(p1)
     per = max(1, _chunk_points(shape) // 2)
     rng, got = np.random.default_rng(seed), []
-    for first, chunk, (weights, scales, states) in norms_module._drawn_ahead(
-        shape, count, _raw_draw(rng, shape, p1)
-    ):
-        half = per * (len(got) % 2)  # chunk c in half c % 2
-        got.append((first, chunk.copy(), weights, scales, states))
-        rows = chunk.base
-        assert rows.shape == (max(_chunk_points(shape), min(count, 2)), shape.n)
-        assert chunk.shape[0] == min(per, count - first)
-        assert np.shares_memory(chunk, rows[half : half + per])
-        assert not np.shares_memory(chunk, rows[per - half : 2 * per - half])
+    with norms_module._DrawThread() as draws:
+        for first, chunk, (weights, scales, states) in draws.add(shape, count, _raw_draw(rng, shape, p1)):
+            half = per * (len(got) % 2)  # chunk c in half c % 2
+            got.append((first, chunk.copy(), weights, scales, states))
+            rows = chunk.base
+            assert rows.shape == (max(_chunk_points(shape), min(count, 2)), shape.n)
+            assert chunk.shape[0] == min(per, count - first)
+            assert np.shares_memory(chunk, rows[half : half + per])
+            assert not np.shares_memory(chunk, rows[per - half : 2 * per - half])
     assert [first for first, *_ in got] == list(range(0, count, per))
     loop_rng = np.random.default_rng(seed)
     for first, chunk, weights, scales, states in got:
@@ -1143,17 +1142,61 @@ def test_a_stream_closed_before_its_end_lets_the_next_one_start():
 
 
 def test_a_stream_never_asked_for_starts_no_thread():
-    # a generator that never started does not run its finally, so the
-    # single-stream draw starts its thread at the first chunk, not before
+    # a stream's thread starts at its first chunk, not when it is added,
+    # and a stream closed unread draws nothing
     shape, drawn = BlockShape(40, 40), []
     before = threading.active_count()
-    chunks = norms_module._drawn_ahead(shape, 4, lambda chunk, first: drawn.append(first))
-    assert threading.active_count() == before
-    chunks.close()
-    assert threading.active_count() == before and drawn == []
     with norms_module._DrawThread() as draws:
-        draws.add(shape, 4, lambda chunk, first: drawn.append(first)).close()
+        chunks = draws.add(shape, 4, lambda chunk, first: drawn.append(first))
+        assert threading.active_count() == before
+        chunks.close()
+        assert threading.active_count() == before and drawn == []
     assert threading.active_count() == before and drawn == []
+
+
+def test_the_worker_draws_at_most_one_chunk_ahead_of_the_reader():
+    # while chunk c is read, chunks 0 to c + 1 are drawn and no later one;
+    # a task queued behind the stream's drains the one worker first, and
+    # every chunk is drawn on that worker
+    shape, count, filled = BlockShape(100, 100), 14, []  # 5 chunks of up to 3 points
+    firsts = list(range(0, count, 3))
+    with norms_module._DrawThread() as draws:
+        stream = draws.add(shape, count, lambda chunk, first: filled.append((first, threading.get_ident())))
+        for c, (first, _, _) in enumerate(stream):
+            draws._executor.submit(lambda: None).result()
+            assert first == firsts[c]
+            assert [f for f, _ in filled] == firsts[: c + 2]
+    workers = {ident for _, ident in filled}
+    assert len(workers) == 1 and threading.get_ident() not in workers
+
+
+def test_streams_read_interleaved_equal_their_serial_draws():
+    # the second stream starts while the first holds the thread's array,
+    # so in an array of its own: read chunk by chunk in turn, each equals
+    # its serial draw and the two never share memory; the third waits for
+    # the thread's array until the first has ended, not the second
+    shape = BlockShape(100, 100)  # 3 points a chunk
+    before = threading.active_count()
+    with norms_module._DrawThread() as draws:
+        one, two, three = (_stream_of(draws, shape, seed, count) for seed, count in enumerate((9, 6, 9)))
+        got_one, got_two = [], []
+        for c in range(3):
+            _, a, _ = next(one)
+            got_one.append(a.copy())
+            if c < 2:
+                _, b, _ = next(two)
+                got_two.append(b.copy())
+                assert a.base is draws._array and not np.shares_memory(b.base, draws._array)
+        assert list(two) == [] and not three._started
+        assert list(one) == [] and three._started
+        got_three = []
+        for _, chunk, _ in three:
+            assert chunk.base is draws._array
+            got_three.append(chunk.copy())
+        assert threading.active_count() == before + 1
+    for seed, (count, got) in enumerate(zip((9, 6, 9), (got_one, got_two, got_three))):
+        assert _bits(np.concatenate(got)) == _bits(_serial(shape, seed, count))
+    assert threading.active_count() == before
 
 
 def test_draw_threads_side_by_side_keep_each_stream_s_order():
