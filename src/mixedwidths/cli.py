@@ -15,11 +15,9 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .designs import affine_line_design, verify_design
-from .norms import BlockShape, Exponent, _DrawThread, d0_mixed
+from .norms import BlockShape, Exponent, d0_mixed
 from .partitions import good_partition, verify_partition
 from .spread import (
-    _BallStream,
-    _ball_stream,
     approximate,  # noqa: F401 - perfbench's tracer patches this lookup and its self-test asserts it
     choose_pipeline_params,
     pipeline_operators,
@@ -75,13 +73,13 @@ def _derived_seed(seed: int, s: int, b: int) -> int:
 def sweep_row(
     p1, p2, q1, q2, s: int, b: int,
     *, samples: int = 16, seed: int = 0, partition_kind: str = "good",
-    d_override: int | None = None, k_override: int | None = None, ball: _BallStream | None = None,
+    d_override: int | None = None, k_override: int | None = None,
 ) -> dict:
     """One table row: build the partition for (s, b), run the pipeline on
     seeded samples (ball points, plus extreme points for the (inf, 1)
     ball), and record the sampled supremum of the error and of the
-    certified bound.  ball is the row's ball stream when a sweep started
-    it ahead (_sweep_streams); by default the row draws its own."""
+    certified bound.  The grid is checked first."""
+    shape = BlockShape(s, b)
     if d_override is not None and d_override < 2:
         raise ValueError(f"d={d_override} must be at least 2")
     if k_override is not None and k_override < 1:
@@ -96,9 +94,8 @@ def sweep_row(
     if k_override is not None:
         params = replace(params, k=k_override)
 
-    shape = BlockShape(s, b)
     ops = pipeline_operators(s, b, params.d, partition_kind)
-    sup = sampled_sup(shape, params, ops, _derived_seed(seed, s, b), samples, ball=ball)
+    sup = sampled_sup(shape, params, ops, _derived_seed(seed, s, b), samples)
     sup_error = sup.sup_error
     d0 = d0_mixed(shape, params.p1, params.p2, params.q1, params.q2)
     return {
@@ -201,41 +198,25 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _sweep_streams(draws: _DrawThread, args) -> list[_BallStream | None]:
-    """Each sweep row's ball stream, started on draws (spread._ball_stream),
-    so the thread draws the rows' streams back to back and a row's draw
-    overlaps the end of the row before it and its own set-up.  None for a
-    row that draws its own or none, and for a row whose sizes, seed or
-    samples sweep_row refuses: such a row fails before any stream is
-    read."""
-    if args.seed < 0 or args.samples < 1:
-        return [None] * len(args.sizes)
-    return [
-        _ball_stream(draws, BlockShape(s, b), args.p1, args.p2, args.q1, _derived_seed(args.seed, s, b), args.samples)
-        if s >= 1 and b >= 1 else None
-        for s, b in args.sizes
-    ]
-
-
 def _cmd_sweep(args) -> int:
     failed = _reject_non_exceptional(args)
     if failed is not None:
         return failed
     rows = []
-    with _DrawThread() as draws:
-        for (s, b), ball in zip(args.sizes, _sweep_streams(draws, args)):
-            try:
-                rows.append(
-                    sweep_row(
-                        args.p1, args.p2, args.q1, args.q2, s, b,
-                        samples=args.samples, seed=args.seed,
-                        partition_kind=args.partition,
-                        d_override=args.d, k_override=args.k, ball=ball,
-                    )
+    try:
+        for s, b in args.sizes:  # every grid is checked before the first row runs
+            BlockShape(s, b)
+        for s, b in args.sizes:
+            rows.append(
+                sweep_row(
+                    args.p1, args.p2, args.q1, args.q2, s, b,
+                    samples=args.samples, seed=args.seed,
+                    partition_kind=args.partition, d_override=args.d, k_override=args.k,
                 )
-            except ValueError as exc:
-                print(f"error at size {s}x{b}: {exc}", file=sys.stderr)
-                return 3
+            )
+    except ValueError as exc:
+        print(f"error at size {s}x{b}: {exc}", file=sys.stderr)
+        return 3
     if args.format == "csv":
         _emit(_rows_to_csv(rows), args.out)
     else:

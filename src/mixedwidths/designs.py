@@ -22,7 +22,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .norms import _json_ints
+from .norms import _check_non_negative, _json_ints
 
 __all__ = [
     "field_tables",
@@ -213,6 +213,7 @@ class Design:
     sets: PointSets
 
     def __post_init__(self):
+        _check_non_negative(r=self.r, l=self.l)
         if not isinstance(self.sets, PointSets):
             object.__setattr__(self, "sets", PointSets(self.sets))
 

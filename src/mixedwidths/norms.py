@@ -202,6 +202,14 @@ def _json_ints(values: list, what: str) -> list[int]:
     return [int(v) for v in values]
 
 
+def _check_non_negative(**fields) -> None:
+    """A certified bound or count below 0, such as a partition's r, is a
+    ValueError naming its field, raised when the object is built."""
+    for name, value in fields.items():
+        if value < 0:
+            raise ValueError(f"{name}={value} must be non-negative")
+
+
 @dataclass(frozen=True)
 class BlockShape:
     """Grid of b blocks (columns), each of size s (rows); n = s*b."""
@@ -448,8 +456,8 @@ def _signed_uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
 # Cells of a stream's one array: the largest chunk of points drawn, or run
 # through the pipeline, together, one 256 x 256 grid.  A larger grid is a
 # chunk of one point.  A screened stream draws its chunks into the array's
-# two halves in turn, on a draw thread (_DrawThread), with a second row
-# where one grid fills the array; a sweep's streams share one such array.
+# two halves in turn, on a worker thread of its own (_Drawn), with a second
+# row where one grid fills the array.
 _CHUNK_CELLS = 2**16
 
 
@@ -502,9 +510,10 @@ def _stream_chunks(shape: BlockShape, count: int) -> Iterator[tuple[int, np.ndar
     stream's one array of _chunk_points(shape) rows, for the points first,
     first + 1, ...  So a chunk holds only until the next one is filled,
     and the array is freed once the stream and its last chunk are
-    dropped.  A screened stream takes an array of the same rows in two
-    halves, one drawn ahead while the other is read (_Drawn).  count below
-    1 is a ValueError, raised here."""
+    dropped.  A screened stream takes an array of the same rows (a second
+    one where a chunk is one point and count > 1) in two halves, one drawn
+    ahead on its worker while the other is read (_Drawn).  count below 1
+    is a ValueError, raised here."""
     if count < 1:
         raise ValueError("count must be >= 1")
     per = _chunk_points(shape)
@@ -512,134 +521,50 @@ def _stream_chunks(shape: BlockShape, count: int) -> Iterator[tuple[int, np.ndar
     return ((first, rows[: min(per, count - first)]) for first in range(0, count, per))
 
 
-class _DrawThread:
-    """One worker thread, a single-worker executor, that draws the chunks
-    of streams (add) in the order they are asked for.  A stream starts when
-    its first chunk is asked for, or as soon as the stream before it has
-    handed out its last chunk and been asked for the next, so its draws
-    overlap whatever the reader does between the two streams.  Streams are
-    started on the reader's thread and drawn on the worker, each chunk a
-    task, so two open streams may be read in any interleaving.
-
-    The streams take turns in one array, allocated on the reader's thread
-    when the first one starts, as large as the largest stream added by
-    then needs, and again only for a larger one: one allocation serves a
-    sweep's rows, and no two streams' arrays are held at once.  A stream
-    started while another holds the array gets an array of its own.  The
-    worker starts with the first stream.  close closes every stream added,
-    shuts the executor down, which joins the worker, and lets go of the
-    array; the thread is a context manager that closes it on exit."""
-
-    def __init__(self):
-        self._added: list[_Drawn] = []
-        self._holder: _Drawn | None = None  # the stream in the one array, until it ends or is closed
-        self._array: np.ndarray | None = None  # the array the streams take in turn
-        self._executor = None  # made with the first stream started
-
-    def add(self, shape: BlockShape, count: int, draw) -> "_Drawn":
-        """The stream of count points over shape that draw fills, started
-        after every stream added before it unless it is read first.  count
-        below 1 is a ValueError, raised here."""
-        stream = _Drawn(self, shape, count, draw)
-        self._added.append(stream)
-        return stream
-
-    def _waiting(self) -> list["_Drawn"]:
-        return [t for t in self._added if not (t._started or t._closed)]
-
-    def _start_next(self) -> None:
-        """Start the first stream added that is neither started nor closed,
-        if none holds the array."""
-        if self._holder is None and (waiting := self._waiting()):
-            self._start(waiting[0])
-
-    def _start(self, stream: "_Drawn") -> None:
-        if self._executor is None:
-            from concurrent.futures import ThreadPoolExecutor  # not at package import
-
-            self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ball-draw")
-        try:
-            array = self._array_for(stream._rows, stream._shape.n)
-        except MemoryError as exc:  # raised to the stream's reader at its first chunk
-            array = exc
-        if self._holder is None:
-            self._holder = stream
-        stream._start(array)
-
-    def _array_for(self, rows: int, n: int) -> np.ndarray:
-        """A (rows, n) array for a stream to start in: a view of the one
-        array, made large enough for it and for every waiting stream, or
-        an array of its own while another stream holds it."""
-        if self._holder is not None:
-            return np.empty((rows, n))
-        if self._array is None or self._array.size < rows * n:
-            self._array = None
-            shapes = [(rows, n)] + [(t._rows, t._shape.n) for t in self._waiting()]
-            self._array = np.empty(max(shapes, key=lambda shape: shape[0] * shape[1]))
-        if self._array.shape == (rows, n):
-            return self._array
-        return self._array.reshape(-1)[: rows * n].reshape(rows, n)
-
-    def close(self) -> None:
-        for stream in self._added:
-            stream.close()
-        self._added, self._array = [], None
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def __enter__(self) -> "_DrawThread":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 class _Drawn:
-    """One stream of a _DrawThread, read as an iterator of (first, chunk,
-    draw(chunk, first)) for its count points, in chunks of
-    per = max(1, K // 2) points, K = _chunk_points(shape).
+    """One stream of count points over shape, drawn ahead of its reader on
+    a worker thread and read as an iterator of (first, chunk,
+    draw(chunk, first)), in chunks of per = max(1, K // 2) points,
+    K = _chunk_points(shape).
 
-    The stream takes an array of K rows (a second row where K is 1 and
-    count > 1) when it starts, and asks the worker for chunks 0 and 1, in
-    its two halves.  Each time it hands out chunk c > 0 it asks for chunk
-    c + 1, into the half of chunk c - 1, which the reader has let go: the
-    worker is never more than two chunks ahead, and a chunk holds until
-    the next one is asked for.  draw is called in the stream's order, on
-    the worker alone: the caller must not use what draw reads, such as its
-    generator, until the stream has ended or is closed.  An exception from
-    draw, or from the allocation, is raised to the reader at its chunk,
-    and the stream is closed.  close works on a stream in any state, read
-    or not, started or not: it cancels the chunks not yet begun and waits
-    for the one being drawn, and it lets go of the stream's array and
-    draw."""
+    At its first chunk the stream takes an array of K rows (a second row
+    where K is 1 and count > 1), starts its worker, a single-worker
+    executor, and asks it for chunks 0 and 1, in the array's two halves.
+    Each time it hands out chunk c > 0 it asks for chunk c + 1, into the
+    half of chunk c - 1, which the reader has let go: the worker is never
+    more than two chunks ahead, and a chunk holds until the next one is
+    asked for.  draw is called in the stream's order, on the worker alone:
+    the caller must not use what draw reads, such as its generator, until
+    the stream has ended or is closed.  An exception from draw is raised
+    to the reader at its chunk, and the stream is closed.  close, also
+    called at the stream's end, cancels the chunks not yet begun, waits for
+    the one being drawn, joins the worker and lets go of the array and
+    draw; a stream closed before its first chunk starts no thread.  count
+    below 1 is a ValueError, raised here."""
 
-    def __init__(self, thread: _DrawThread, shape: BlockShape, count: int, draw):
+    def __init__(self, shape: BlockShape, count: int, draw):
         if count < 1:
             raise ValueError("count must be >= 1")
-        self._thread, self._shape, self._count, self._draw = thread, shape, count, draw
-        self._rows = max(_chunk_points(shape), min(count, 2))
-        self._per = self._rows // 2 or 1
+        self._shape, self._count, self._draw = shape, count, draw
+        self._per = max(1, _chunk_points(shape) // 2)
         self._chunks = -(-count // self._per)
-        self._array = None  # the stream's array once started, or the exception allocating it
+        self._array = self._executor = None  # made at the first chunk
         self._ahead: deque = deque()  # the futures of the chunks asked for, not handed out
-        self._started = self._closed = False
-        self._read = 0
+        self._read, self._closed = 0, False
 
-    def _start(self, array) -> None:
-        """Take array and ask for the first two chunks, on the reader's thread."""
-        self._started, self._array = True, array
+    def _start(self) -> None:
+        from concurrent.futures import ThreadPoolExecutor  # not at package import
+
+        self._array = np.empty((max(_chunk_points(self._shape), min(self._count, 2)), self._shape.n))
+        self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ball-draw")
         self._ask(0)
-        self._ask(1)
 
     def _ask(self, c: int) -> None:
         if c < self._chunks:
-            self._ahead.append(self._thread._executor.submit(self._fill, c))
+            self._ahead.append(self._executor.submit(self._fill, c))
 
     def _fill(self, c: int) -> tuple[int, np.ndarray, object]:
         """Draw chunk c into its half, on the worker."""
-        if isinstance(self._array, MemoryError):
-            raise self._array
         first, lo = c * self._per, self._per * (c % 2)
         chunk = self._array[lo : lo + min(self._per, self._count - first)]
         return first, chunk, self._draw(chunk, first)
@@ -651,14 +576,11 @@ class _Drawn:
         c = self._read
         if self._closed or c == self._chunks:
             self.close()
-            if c == self._chunks:
-                self._thread._start_next()  # into the array this stream has let go
             raise StopIteration
-        if not self._started:
-            self._thread._start(self)
-        if c:  # chunk c - 1 is let go; a stream started early asked for chunk 1 already
-            self._ask(c + 1)
         try:
+            if c == 0:
+                self._start()
+            self._ask(c + 1)  # into the other half, let go with chunk c - 1
             drawn = self._ahead.popleft().result()
         except BaseException:
             self.close()
@@ -672,10 +594,10 @@ class _Drawn:
         self._closed = True
         for future in [future for future in self._ahead if not future.cancel()]:
             future.exception()  # waits for the chunk being drawn
-        if self._thread._holder is self:
-            self._thread._holder = None
+        if self._executor is not None:
+            self._executor.shutdown()
         self._ahead.clear()
-        self._array, self._draw = None, None
+        self._array = self._executor = self._draw = None
 
 
 def _draw_ball_chunk(

@@ -30,7 +30,7 @@ from .designs import (
     affine_line_design,
     design_size_error,
 )
-from .norms import BlockShape, _json_ints
+from .norms import BlockShape, _check_non_negative, _json_ints
 
 __all__ = [
     "CellGroups",
@@ -106,6 +106,7 @@ class Partition:
     dropped_empty: int = 0
 
     def __post_init__(self):
+        _check_non_negative(r=self.r, l=self.l, dropped_empty=self.dropped_empty)
         if not isinstance(self.groups, CellGroups):
             object.__setattr__(self, "groups", CellGroups(self.groups))
 

@@ -28,8 +28,6 @@ from .norms import (
     BlockMatrix,
     BlockShape,
     Exponent,
-    _CHUNK_CELLS,
-    _DrawThread,
     _Drawn,
     _SLAB_CELLS,
     _abs_row_norms,
@@ -209,8 +207,11 @@ def spread_error_coefficient(partition: Partition, p, q1, q2) -> float:
     c = l^(1/q1-1/p)_+ * b^(1/q2-1/p)_+ * (r-1)^(1/p), using the
     partition's certified (r, l).  Conventions: (r-1)^(1/p) is 1 when
     p = inf and 0 when r = 1 with p finite.  Remembered per (r, l, b) and
-    exponents, so repeated checks on one partition pay for it once.
+    exponents, so repeated checks on one partition pay for it once.  r
+    below 1, where (r-1)^(1/p) is not a real factor, is a ValueError.
     """
+    if partition.r < 1:
+        raise ValueError(f"certified r={partition.r} must be at least 1")
     p, q1, q2 = Exponent.of(p), Exponent.of(q1), Exponent.of(q2)
     return _error_coefficient(partition.r, partition.l, partition.shape.b, p, q1, q2)
 
@@ -538,9 +539,7 @@ class _Plan:
                 measured[mine[some]] = _row_norms(rows, q2)
         return measured, bounds, scores
 
-    def scores(
-        self, seed: int, count: int, ball: _BallStream | None = None
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def scores(self, seed: int, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(measured, bounds) arrays of the pipeline's exact values at a set
         of points of sampled_sup's streams that holds both suprema.
 
@@ -555,9 +554,8 @@ class _Plan:
         estimate reaches a floor, or whose estimate the screen could not
         trust, is drawn again alone from its saved state and run through
         the pipeline, up to a chunk of them together.  A ball point left
-        out has both values below a value that is yielded.  The ball stream
-        is ball's, drawn ahead (_ball_stream), or drawn here from seed.
-        count below 1 is a ValueError, raised before any point is drawn."""
+        out has both values below a value that is yielded.  count below 1
+        is a ValueError, raised before any point is drawn."""
         if count < 1:
             raise ValueError("count must be >= 1")
         shape, params = self.shape, self.params
@@ -566,9 +564,8 @@ class _Plan:
             measured, bounds, column_scores = self._extreme_scores(seed + 1, count)
             floors = (measured.max(), bounds.max())
             yield measured, bounds
-        rng = np.random.default_rng(seed) if ball is None else ball.rng
-        drawn = None if ball is None else ball.chunks
-        (floor_e, floor_b), candidates = self._screen(rng, count, floors, column_scores, drawn)
+        rng = np.random.default_rng(seed)
+        (floor_e, floor_b), candidates = self._screen(rng, count, floors, column_scores)
         redraw = [(first, state) for first, state, up_e, up_b in candidates if up_e >= floor_e or up_b >= floor_b]
         per = _chunk_points(shape)
         for at in range(0, len(redraw), per):
@@ -579,10 +576,7 @@ class _Plan:
                 _draw_ball_chunk(rng, shape, params.p1, params.p2, chunk[i : i + 1], first)
             yield self.run(chunk)[1:3]
 
-    def _screen(
-        self, rng: np.random.Generator, count: int, floors: tuple, column_scores: list[float] | None,
-        drawn: Iterator | None = None,
-    ):
+    def _screen(self, rng: np.random.Generator, count: int, floors: tuple, column_scores: list[float] | None):
         """Screen the count points of the ball stream rng draws, a chunk at a
         time: from their weights alone with column_scores
         (_weight_estimates), then the points that screen keeps from their
@@ -592,9 +586,8 @@ class _Plan:
         the floors, raised by the screened points, and the candidates
         (index, generator state before its draw, upper estimates of its
         measured error and bound) whose exact values may reach them.  rng
-        is drawn on a draw thread while the raw screen runs, and is out of
-        the stream when this returns; drawn, if given, is the raw draw's
-        chunks, already started (_raw_estimates).
+        is drawn on a worker thread while the raw screen runs, and is out
+        of the stream when this returns (_raw_estimates).
 
         An unflagged point's exact values lie within delta = margin *
         (d0 + B) of its raw estimates, B its estimated bound; the weight
@@ -605,7 +598,7 @@ class _Plan:
         only rise.  A flagged point's upper estimates are inf."""
         margin = self.margin()
         if column_scores is None:
-            return self._kept(self._raw_estimates(rng, count, margin, drawn), floors, margin, True)
+            return self._kept(self._raw_estimates(rng, count, margin), floors, margin, True)
         weighed = self._weight_estimates(rng, count, margin, column_scores)
         floors, candidates = self._kept(weighed, floors, margin, False)
         return self._kept(self._rescreened(rng, candidates, margin), floors, margin, True)
@@ -655,22 +648,18 @@ class _Plan:
             flagged |= g.ties(weights, margin)
         return weights, flagged
 
-    def _raw_estimates(self, rng: np.random.Generator, count: int, margin: float, drawn: Iterator | None = None):
+    def _raw_estimates(self, rng: np.random.Generator, count: int, margin: float):
         """(first, states, measured, bounds, flagged) for each chunk of the
         ball stream rng draws: the generator state before each point's
-        draw, then _estimate's values from the chunk's raw draw.  A draw
-        thread draws the next chunk while _estimate reads this one, so the
-        screen's passes overlap the generator calls: drawn, the chunks of
-        _raw_draw on a sweep's thread (_ball_stream), or by default on a
-        draw thread of this stream's own, made at the first chunk.  The
-        stream is closed, and the thread out of it, when this ends or is
-        closed."""
-        with _DrawThread() as draws:
-            if drawn is None:
-                drawn = draws.add(self.shape, count, _raw_draw(rng, self.shape, self.params.p1, self.params.p2))
-            with closing(drawn) as chunks:
-                for first, chunk, (weights, scales, states) in chunks:
-                    yield first, states, *self._estimate(chunk, weights, scales, first, margin)
+        draw, then _estimate's values from the chunk's raw draw.  The
+        stream's worker (norms._Drawn, started at the first chunk) draws
+        the next chunk while _estimate reads this one, so the screen's
+        passes overlap the generator calls.  The stream is closed, and its
+        worker joined, when this ends or is closed."""
+        drawn = _Drawn(self.shape, count, _raw_draw(rng, self.shape, self.params.p1, self.params.p2))
+        with closing(drawn) as chunks:
+            for first, chunk, (weights, scales, states) in chunks:
+                yield first, states, *self._estimate(chunk, weights, scales, first, margin)
 
     def _rescreened(self, rng: np.random.Generator, candidates: list, margin: float):
         """(first, states, measured, bounds, flagged) for each of the weight
@@ -912,10 +901,8 @@ def _good_operator(s: int, width: int, d: int) -> SpreadOperator:
 
 def _raw_draw(rng: np.random.Generator, shape: BlockShape, p1: Exponent, p2: Exponent):
     """The raw draw of rng's ball stream (norms._draw_ball_raw) as the draw
-    of a norms._DrawThread stream: each chunk's points, and its weights,
-    scales and the generator state before each point.  It reads only rng,
-    the shape and the exponents, so a stream can be drawn before its
-    operators are built."""
+    of a norms._Drawn stream: each chunk's points, and its weights, scales
+    and the generator state before each point."""
 
     def draw(chunk, first):
         weights, states = np.empty((chunk.shape[0], shape.b)), []
@@ -923,36 +910,6 @@ def _raw_draw(rng: np.random.Generator, shape: BlockShape, p1: Exponent, p2: Exp
         return weights, scales, states
 
     return draw
-
-
-@dataclass(frozen=True)
-class _BallStream:
-    """A ball stream started before its sampled_sup call (_ball_stream):
-    the call's key (shape, p1, p2, q1, seed, count), the stream's
-    generator and the chunks of its raw draw on a shared draw thread."""
-
-    key: tuple
-    rng: np.random.Generator
-    chunks: _Drawn
-
-
-def _ball_stream(draws: _DrawThread, shape: BlockShape, p1, p2, q1, seed: int, count: int) -> _BallStream | None:
-    """The ball stream that sampled_sup at (shape, p1, p2, q1, seed, count)
-    screens from its raw draw, added to draws, so that it is drawn while
-    whatever runs before that call runs: a sweep starts the streams of all
-    its rows, and the thread draws them back to back.  None where the call
-    draws its own or none: the (inf, 1) ball with q1 = 1 is screened from
-    its weights, which draws nothing on a thread, and a grid over
-    norms._CHUNK_CELLS cells is not drawn before its call, so the array
-    the thread's streams share is at most two such grids (1 MiB), and a
-    row that fails before it reads its stream has drawn at most that.
-    count and seed must be valid: seed >= 0, count >= 1."""
-    p1, p2, q1 = Exponent.of(p1), Exponent.of(p2), Exponent.of(q1)
-    if (p1.is_inf and p2 == Exponent.ONE and q1 == Exponent.ONE) or shape.n > _CHUNK_CELLS:
-        return None
-    rng = np.random.default_rng(seed)
-    chunks = draws.add(shape, count, _raw_draw(rng, shape, p1, p2))
-    return _BallStream((shape, p1, p2, q1, seed, count), rng, chunks)
 
 
 @dataclass(frozen=True)
@@ -974,8 +931,7 @@ class SampledSup:
 
 
 def sampled_sup(
-    shape: BlockShape, params: PipelineParams, ops: dict[int, SpreadOperator], seed: int, count: int,
-    *, ball: _BallStream | None = None,
+    shape: BlockShape, params: PipelineParams, ops: dict[int, SpreadOperator], seed: int, count: int
 ) -> SampledSup:
     """The suprema of the pipeline's measured error and certified bound
     over count points of the (p1, p2) ball from seed (sample_ball's) and,
@@ -1008,29 +964,22 @@ def sampled_sup(
     of max(1, K // 2) points, K = _chunk_points(shape), the two halves of
     the stream's one array of K rows, at most 2^16 cells (one 256 x 256
     grid) unless one grid alone is larger (then a second row), so memory
-    does not grow with count.  A draw thread draws the next chunk into
-    one half while each chunk is screened from its raw draw in the other
-    (norms._DrawThread): the points' block norms and entries are
+    does not grow with count.  The stream's worker thread draws the next
+    chunk into one half while each chunk is screened from its raw draw in
+    the other (norms._Drawn): the points' block norms and entries are
     estimated, within a stated margin of the exact values, without
     normalising the points or taking their block norms (_Plan._estimate).
     Only the points that can hold a supremum, or whose estimate the
     screen cannot trust, are drawn again from their saved generator
     state and run through the exact pipeline (_Plan.run), on this thread
-    once the draw thread is out of the stream.  So an (inf, 1) ball point
-    pays for its weights, and every other ball point for its generator
-    calls, with the screen's few passes beside them; only the points kept
-    pay for the exact pipeline.
-
-    A sweep's rows share one draw thread: ball, from _ball_stream, is this
-    call's ball stream, started on it before this call, while the rows
-    before it ran; by default the stream is drawn here, on a thread of its
-    own.  A ball for another call is a ValueError.  count below 1 is a
-    ValueError, raised before any point is drawn."""
-    if ball is not None and ball.key != (shape, params.p1, params.p2, params.q1, seed, count):
-        raise ValueError("ball stream started for another call")
+    once the worker is joined.  So an (inf, 1) ball point pays for its
+    weights, and every other ball point for its generator calls, with the
+    screen's few passes beside them; only the points kept pay for the
+    exact pipeline.  count below 1 is a ValueError, raised before any
+    point is drawn."""
     plan = _Plan(shape, params, min(shape.s, shape.b), ops, _chunk_points(shape))
     sup_error = sup_bound = -math.inf
-    for measured, bounds in plan.scores(seed, count, ball):
+    for measured, bounds in plan.scores(seed, count):
         sup_error = max(sup_error, *measured.tolist())
         sup_bound = max(sup_bound, *bounds.tolist())
     extreme = params.p1.is_inf and params.p2 == Exponent.ONE

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from mixedwidths import good_partition
-from mixedwidths import spread
+from mixedwidths import cli, spread
 from mixedwidths.cli import SWEEP_COLUMNS, _derived_seed, main, sweep_row
 
 
@@ -279,6 +279,14 @@ class TestBoundCommand:
         assert (rc, out) == (3, "")
         assert err.startswith("error: ") and f"{flag[2:]}={value} " in err
 
+    @pytest.mark.parametrize("s, b", [(0, 4), (4, 0), (-2, 4)])
+    def test_non_positive_grid_exits_3(self, s, b):
+        rc, out, err = run_cli(
+            ["bound", "--p1", "inf", "--p2", "1", "--q1", "1", "--q2", "2", "--s", str(s), "--b", str(b)]
+        )
+        assert (rc, out) == (3, "")
+        assert err == f"error: block shape {s}x{b} must be positive\n"
+
 
 class TestSweepCommand:
     TRANSPOSE_ARGS = [
@@ -325,6 +333,16 @@ class TestSweepCommand:
         assert rc == 0
         rows = json.loads(out)
         assert len(rows) == 1 and rows[0]["s"] == 8
+
+    @pytest.mark.parametrize("bad", ["0x8", "8x0", "0x0"])
+    def test_a_non_positive_grid_fails_before_any_row_runs(self, bad, monkeypatch):
+        rows = []
+        monkeypatch.setattr(cli, "sweep_row", lambda *args, **kwargs: rows.append(args))
+        rc, out, err = run_cli(
+            ["sweep", "--p1", "2", "--p2", "1", "--q1", "1", "--q2", "2", "--sizes", "8x8", bad, "--samples", "2"]
+        )
+        assert (rc, out, rows) == (3, "", [])
+        assert err == f"error at size {bad}: block shape {bad} must be positive\n"
 
     def test_rigid_tuple_exits_3(self):
         rc, out, _ = run_cli(
@@ -436,8 +454,8 @@ def test_readme_commands_golden_stdout(args, golden):
 
 
 class TestSweepDrawThread:
-    """A (2, 1) sweep draws its rows' ball streams back to back on one
-    thread (spread._ball_stream, norms._DrawThread)."""
+    """A (2, 1) sweep row draws its ball stream on a worker of its own
+    (norms._Drawn), joined when the row ends or fails."""
 
     ARGS = ["sweep", "--p1", "2", "--p2", "1", "--q1", "1", "--q2", "2"]
 
@@ -457,8 +475,8 @@ class TestSweepDrawThread:
         assert err.startswith(f"error at size {sizes[0]}:") and err.count("error") == 1
 
     def test_a_screen_that_raises_joins_the_thread(self, monkeypatch):
-        # the screen of the second row raises: its stream was started when
-        # the first row's ended, and the third row's never was
+        # the screen of the second row raises: its worker is joined, and
+        # the third row never runs
         estimate, calls = spread._Plan._estimate, []
 
         def raising(self, *args):
@@ -473,6 +491,19 @@ class TestSweepDrawThread:
             run_cli(self.ARGS + ["--sizes", "16x16", "24x24", "32x32", "--samples", "8"])
         assert calls == [16, 24]
         assert threading.active_count() == before
+
+    def test_a_sweep_in_dev_mode_warns_of_nothing(self):
+        # both chunk layouts, a half of many points (16x16) and one-point
+        # halves in two rows (300x300), in a process whose warnings are
+        # errors: a worker or an array left behind would show on stderr
+        src = str(Path(spread.__file__).parents[1])
+        argv = ["-X", "dev", "-W", "error", "-m", "mixedwidths.cli", *self.ARGS]
+        done = subprocess.run(
+            [sys.executable, *argv, "--sizes", "16x16", "300x300", "--samples", "4"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert len(done.stdout.splitlines()) == 3
 
     @pytest.mark.parametrize("p1", ["inf", "2"])
     def test_warm_and_cold_sweeps_print_the_same(self, p1):
@@ -506,6 +537,13 @@ class TestExampleTranspose:
         rc, out, err = run_cli(["example-transpose", "--sizes", "0"])
         assert (rc, out) == (3, "")
         assert err.startswith("error at size 0x0:")
+
+    def test_a_bad_size_fails_before_any_row_runs(self, monkeypatch):
+        rows = []
+        monkeypatch.setattr(cli, "sweep_row", lambda *args, **kwargs: rows.append(args))
+        rc, out, err = run_cli(["example-transpose", "--sizes", "4", "0", "8"])
+        assert (rc, out, rows) == (3, "", [])
+        assert err == "error at size 0x0: block shape 0x0 must be positive\n"
 
     def test_non_integer_size_exits_2(self):
         rc, _, _ = run_cli(["example-transpose", "--sizes", "4x4"])

@@ -241,6 +241,24 @@ class TestSerialization:
         assert Partition(BlockShape(2, 1), cells, r=1, l=0).groups == (((0, 0),), ((1, 0),))
         assert Design(4, 2, 1, ((np.int64(0), 1.0), (2, 3))).sets == ((0, 1), (2, 3))
 
+    @pytest.mark.parametrize("field, value", [("r", -1), ("l", -3), ("dropped_empty", -2)])
+    def test_a_negative_partition_field_fails_as_it_is_built(self, field, value):
+        # a negative r or l loaded and gave a negative or complex certified coefficient
+        data = {"s": 2, "b": 1, "r": 1, "l": 0, "groups": [[[0, 0]], [[1, 0]]], field: value}
+        with pytest.raises(ValueError, match=f"^{field}={value} must be non-negative$"):
+            Partition.from_json_dict(data)
+        fields = {"r": 1, "l": 0, "dropped_empty": 0, field: value}
+        with pytest.raises(ValueError, match=f"^{field}={value} must be non-negative$"):
+            Partition(BlockShape(2, 1), (((0, 0),), ((1, 0),)), **fields)
+
+    @pytest.mark.parametrize("field, value", [("r", -2), ("l", -1)])
+    def test_a_negative_design_field_fails_as_it_is_built(self, field, value):
+        data = {"b": 4, "r": 2, "l": 1, "sets": [[0, 1], [2, 3]], field: value}
+        with pytest.raises(ValueError, match=f"^{field}={value} must be non-negative$"):
+            Design.from_json_dict(data)
+        with pytest.raises(ValueError, match=f"^{field}={value} must be non-negative$"):
+            Design(**data)
+
     def test_integral_floats_load_as_ints(self):
         part = Partition.from_json_dict({"s": 2.0, "b": 1, "r": 1.0, "l": 0, "groups": [[[0, 0.0]], [[1, 0]]]})
         assert part == Partition(BlockShape(2, 1), (((0, 0),), ((1, 0),)), r=1, l=0)

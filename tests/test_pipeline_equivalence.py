@@ -12,6 +12,7 @@ point the streams draw.
 import math
 import sys
 import threading
+from contextlib import closing
 from dataclasses import replace
 from functools import partial
 
@@ -574,8 +575,8 @@ def _assert_run_ahead_matches_a_loop(shape, p1, seed, count):
     p1 = Exponent.of(p1)
     per = max(1, _chunk_points(shape) // 2)
     rng, got = np.random.default_rng(seed), []
-    with norms_module._DrawThread() as draws:
-        for first, chunk, (weights, scales, states) in draws.add(shape, count, _raw_draw(rng, shape, p1)):
+    with closing(norms_module._Drawn(shape, count, _raw_draw(rng, shape, p1))) as stream:
+        for first, chunk, (weights, scales, states) in stream:
             half = per * (len(got) % 2)  # chunk c in half c % 2
             got.append((first, chunk.copy(), weights, scales, states))
             rows = chunk.base
@@ -1079,11 +1080,11 @@ def test_column_bounds_have_the_closed_form(s, b, k):
         assert _bits(bounds[:full]) == _bits(np.full(full, plan.tail_factor))
 
 
-# ------------------------------------------------------------- one draw thread
+# ------------------------------------------------------------- one stream's worker
 
 
-def _stream_of(draws, shape, seed, count):
-    return draws.add(shape, count, _raw_draw(np.random.default_rng(seed), shape, Exponent.TWO))
+def _stream_of(shape, seed, count):
+    return norms_module._Drawn(shape, count, _raw_draw(np.random.default_rng(seed), shape, Exponent.TWO))
 
 
 def _serial(shape, seed, count):
@@ -1093,61 +1094,25 @@ def _serial(shape, seed, count):
     return chunk
 
 
-def test_one_draw_thread_draws_streams_back_to_back():
-    # three streams on one thread, each read to its end: each equals its
-    # serial draw, the next one starts as one ends, and every stream
-    # takes the one array, sized for the largest
-    shapes = [BlockShape(40, 40), BlockShape(100, 100), BlockShape(200, 200)]
-    before = threading.active_count()
-    with norms_module._DrawThread() as draws:
-        streams = [_stream_of(draws, shape, seed, 5) for seed, shape in enumerate(shapes)]
-        assert not any(stream._started for stream in streams)
-        for seed, (shape, stream) in enumerate(zip(shapes, streams)):
-            got = [chunk.copy() for _, chunk, _ in stream]
-            assert _bits(np.concatenate(got)) == _bits(_serial(shape, seed, 5))
-            if seed < 2:
-                assert streams[seed + 1]._started
-        assert draws._array.shape == (2, 200 * 200)
-        assert threading.active_count() == before + 1
-    assert threading.active_count() == before
-
-
-def test_a_stream_started_but_never_read_can_be_closed():
-    # the end of the first stream starts the second, whose reader never
-    # comes; closing it lets the worker go on to the third
-    shape = BlockShape(100, 100)  # 6 points a chunk, 3 a half
-    before = threading.active_count()
-    with norms_module._DrawThread() as draws:
-        first, second, third = (_stream_of(draws, shape, seed, 9) for seed in range(3))
-        assert len(list(first)) == 3 and second._started and not third._started
-        second.close()
-        assert list(second) == []
-        got = np.concatenate([chunk.copy() for _, chunk, _ in third])
-        assert _bits(got) == _bits(_serial(shape, 2, 9))
-    assert threading.active_count() == before
-
-
-def test_a_stream_closed_before_its_end_lets_the_next_one_start():
+def test_a_stream_closed_before_its_end_yields_nothing_more():
+    # after one chunk and close, the stream yields nothing and its worker is joined
     shape = BlockShape(100, 100)
     before = threading.active_count()
-    with norms_module._DrawThread() as draws:
-        first, second = (_stream_of(draws, shape, seed, 9) for seed in range(2))
-        next(first)
-        first.close()
-        assert not second._started and list(first) == []
-        got = np.concatenate([chunk.copy() for _, chunk, _ in second])
-        assert _bits(got) == _bits(_serial(shape, 1, 9))
-        assert threading.active_count() == before + 1
+    stream = _stream_of(shape, 0, 9)
+    _, chunk, _ = next(stream)
+    assert _bits(chunk) == _bits(_serial(shape, 0, 9)[:3])
+    assert threading.active_count() == before + 1
+    stream.close()
+    assert list(stream) == []
     assert threading.active_count() == before
 
 
 def test_a_stream_never_asked_for_starts_no_thread():
-    # a stream's thread starts at its first chunk, not when it is added,
+    # a stream's thread starts at its first chunk, not when it is made,
     # and a stream closed unread draws nothing
     shape, drawn = BlockShape(40, 40), []
     before = threading.active_count()
-    with norms_module._DrawThread() as draws:
-        chunks = draws.add(shape, 4, lambda chunk, first: drawn.append(first))
+    with closing(norms_module._Drawn(shape, 4, lambda chunk, first: drawn.append(first))) as chunks:
         assert threading.active_count() == before
         chunks.close()
         assert threading.active_count() == before and drawn == []
@@ -1160,60 +1125,28 @@ def test_the_worker_draws_at_most_one_chunk_ahead_of_the_reader():
     # every chunk is drawn on that worker
     shape, count, filled = BlockShape(100, 100), 14, []  # 5 chunks of up to 3 points
     firsts = list(range(0, count, 3))
-    with norms_module._DrawThread() as draws:
-        stream = draws.add(shape, count, lambda chunk, first: filled.append((first, threading.get_ident())))
+    with closing(norms_module._Drawn(shape, count, lambda chunk, first: filled.append((first, threading.get_ident())))) as stream:
         for c, (first, _, _) in enumerate(stream):
-            draws._executor.submit(lambda: None).result()
+            stream._executor.submit(lambda: None).result()
             assert first == firsts[c]
             assert [f for f, _ in filled] == firsts[: c + 2]
     workers = {ident for _, ident in filled}
     assert len(workers) == 1 and threading.get_ident() not in workers
 
 
-def test_streams_read_interleaved_equal_their_serial_draws():
-    # the second stream starts while the first holds the thread's array,
-    # so in an array of its own: read chunk by chunk in turn, each equals
-    # its serial draw and the two never share memory; the third waits for
-    # the thread's array until the first has ended, not the second
-    shape = BlockShape(100, 100)  # 3 points a chunk
-    before = threading.active_count()
-    with norms_module._DrawThread() as draws:
-        one, two, three = (_stream_of(draws, shape, seed, count) for seed, count in enumerate((9, 6, 9)))
-        got_one, got_two = [], []
-        for c in range(3):
-            _, a, _ = next(one)
-            got_one.append(a.copy())
-            if c < 2:
-                _, b, _ = next(two)
-                got_two.append(b.copy())
-                assert a.base is draws._array and not np.shares_memory(b.base, draws._array)
-        assert list(two) == [] and not three._started
-        assert list(one) == [] and three._started
-        got_three = []
-        for _, chunk, _ in three:
-            assert chunk.base is draws._array
-            got_three.append(chunk.copy())
-        assert threading.active_count() == before + 1
-    for seed, (count, got) in enumerate(zip((9, 6, 9), (got_one, got_two, got_three))):
-        assert _bits(np.concatenate(got)) == _bits(_serial(shape, seed, count))
-    assert threading.active_count() == before
-
-
 def test_draw_threads_side_by_side_keep_each_stream_s_order():
-    # four readers, each with a draw thread of three streams of one-point
-    # chunks, at once with a short switch interval: every stream equals
-    # its serial draw, and every worker is joined
+    # four readers, each reading three streams of one-point chunks one
+    # after another, at once with a short switch interval: every stream
+    # equals its serial draw, and every worker is joined
     shape, count, failures = BlockShape(181, 181), 6, []
     assert max(1, _chunk_points(shape) // 2) == 1
 
     def read(reader):
         try:
-            with norms_module._DrawThread() as draws:
-                seeds = [3 * reader + i for i in range(3)]
-                streams = [_stream_of(draws, shape, seed, count) for seed in seeds]
-                for seed, stream in zip(seeds, streams):
+            for seed in [3 * reader + i for i in range(3)]:
+                with closing(_stream_of(shape, seed, count)) as stream:
                     got = np.concatenate([chunk.copy() for _, chunk, _ in stream])
-                    assert _bits(got) == _bits(_serial(shape, seed, count))
+                assert _bits(got) == _bits(_serial(shape, seed, count))
         except BaseException as exc:  # asserted empty after the join
             failures.append(exc)
 

@@ -160,6 +160,14 @@ class TestErrorCoefficient:
         assert _error_coefficient.cache_info().hits == hits + 1
 
 
+    @pytest.mark.parametrize("p", [1, 2, "inf"])
+    def test_an_r_below_1_is_refused(self, p):
+        # (r - 1)^(1/p) is real only for r >= 1: r = 0 gave 0j, or -1.0 at p = inf
+        part = Partition(BlockShape(2, 1), (((0, 0),), ((1, 0),)), r=0, l=0)
+        with pytest.raises(ValueError, match="^certified r=0 must be at least 1$"):
+            spread_error_coefficient(part, p, 1, 2)
+
+
 class TestOneColumnBound:
     def test_zero_vector(self):
         part = transposition_partition(3)
