@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     # a preset of sweep: the (inf,1) -> (1,2) tuple on square grids, as JSON
     p = sub.add_parser("example-transpose", help="square (inf,1) -> (1,2) example")
     p.add_argument(
-        "--sizes", type=_square_size_arg, nargs="+", default=[(4, 4), (8, 8), (16, 16)], metavar="N"
+        "--sizes", type=_square_size_arg, nargs="+", default=((4, 4), (8, 8), (16, 16)), metavar="N"
     )
     add_common_flags(p)
     p.set_defaults(
@@ -299,8 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser of main, built once per process: parsing leaves it as it was,
+# and every default it gives a handler is immutable.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     return args.func(args)
 
 

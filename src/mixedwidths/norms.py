@@ -659,10 +659,11 @@ def _draw_ball_raw(
     return scales
 
 
-def _ball_weights(weights: np.ndarray, p2: Exponent) -> np.ndarray:
+def _ball_weights(weights: np.ndarray, p2: Exponent) -> tuple[np.ndarray, np.ndarray]:
     """Normalise raw block weights in place, each row to |w| / ||w||_p2,
-    and return the mask of the rows that were all zero: those are set to
-    all ones first (the zero-norm guard)."""
+    and return the mask of the rows that were all zero, and the norms
+    divided by: the zero rows are set to all ones first (the zero-norm
+    guard), so every norm is positive."""
     np.abs(weights, out=weights)
     wnorm = _row_norms(weights, p2)
     zero = wnorm == 0.0
@@ -670,7 +671,7 @@ def _ball_weights(weights: np.ndarray, p2: Exponent) -> np.ndarray:
         weights[zero] = 1.0
         wnorm[zero] = _row_norms(weights[zero], p2)
     weights /= wnorm[:, None]
-    return zero
+    return zero, wnorm
 
 
 def extreme_points_inf1(shape: BlockShape, seed: int, count: int) -> list[BlockMatrix]:

@@ -54,10 +54,19 @@ from .partitions import CellGroups, Partition, _check_grid, good_partition
 # order r with r^d >= b, so the design grid r^d overshoots b the least.
 PIPELINE_FIELD_ORDER = "smallest"
 
-# Block weights the (inf, 1) screen takes together (_Plan._weight_estimates):
-# 2^12, 32 KiB.  With 2^14 the peak RSS of the pipeline benchmark's rounds
-# read about 0.4 MiB higher; with 2^12 as low as when every point was drawn.
-_WEIGHT_CELLS = 2**12
+# Floats an array of the screens holds, at least a chunk's points: the
+# (inf, 1) screen's batches of block weights (_Plan._weight_estimates), and
+# the raw screen's batches of block weights and runs of cells read
+# (_Plan._estimates), 2^13, 64 KiB an array.  Against 2^12 the raw screen
+# costs about 15 % less a chunk, and the pipeline benchmark's peak RSS read
+# 0.1 to 0.3 MiB higher; at 2^14 a 128 x 128 stream of 64 points no longer
+# stays within eight points of memory (tests/test_spread.py).
+_WEIGHT_CELLS = 2**13
+
+# Least block p1-norm the raw screen trusts (_Plan._estimate): below it a
+# point is flagged.  For p1 = 2 that is a sum of squares below 2^-900, where
+# squares that underflow could lose more than u of it.
+_NORM_FLOOR = 2.0**-450
 
 __all__ = [
     "SpreadOperator",
@@ -368,6 +377,24 @@ class _ColumnGroups:
         # the groups of a chunk, point by point: each one's first column in
         # the chunk's stack of points * b columns
         self.first = np.tile(self.starts, points) + np.repeat(b * np.arange(points), count)
+        self.first_cells = self.first * op.partition.shape.s  # and its first cell
+        self.kept_starts = np.repeat(self.starts, kept)  # the first column of each kept column's group
+        # a window: as many places in the operator's cells by group as its largest group
+        self.slots = np.arange(int(op._group_size.max())).reshape(-1, 1, 1)
+
+    def windows(self, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(groups, places) for the kept columns of k points' groups of this
+        width, a (k, count * kept) array of columns within their groups:
+        the group through each of their cells, (k, 1, count, kept * s), and
+        its window, slot by slot, R places in the operator's cells by group
+        (SpreadOperator._group_cells) from the group's first,
+        (k, R, count, kept * s), R the largest group size.  A window's
+        first places are its group's own, as many as its size; the others
+        are cells of the groups after it, or past the last cell, which
+        np.take with mode "clip" reads as the last."""
+        k = kept.shape[0]
+        groups = self.op._column_groups[kept.reshape(k * self.count, self.kept)].reshape(k, 1, self.count, -1)
+        return groups, self.op._group_start[groups] + self.slots
 
     def select(self, y: np.ndarray, q2: Exponent):
         """(support, selected columns, tails, sums) of these groups for the
@@ -394,18 +421,21 @@ class _ColumnGroups:
         selected = (support.reshape(k, self.count, kept) + self.starts[:, None]).reshape(k, self.count * kept)
         return support, selected, tails.reshape(k, self.count), sums.reshape(k, self.count)
 
-    def ties(self, y: np.ndarray, margin: float) -> np.ndarray:
-        """For the (k, b) block norms y of k points, whether some group of
-        each point has a near-tie at its kept/not-kept boundary: its least
-        kept norm at most 1 + margin times its greatest norm not kept.
-        Norms off by less than a relative margin / 2 select the same
-        columns as y does in every other group."""
+    def cut(self, y: np.ndarray, margin: float):
+        """(ties, kept, rest) for the (k, b) block norms y of k points:
+        whether some group of each point has a near-tie at its kept/not-kept
+        boundary, its least kept norm at most 1 + margin times its greatest
+        norm not kept, and the norms of each group split there, a row per
+        group: the kept ones and the others, each in no order.  Norms off by
+        less than a relative margin / 2 select the same columns as y does in
+        every group without a near-tie."""
         k, kept = y.shape[0], self.kept
-        if kept in (0, self.width):
-            return np.zeros(k, dtype=bool)
         norms = y[:, self.lo : self.hi].reshape(k * self.count, self.width)
+        if kept in (0, self.width):
+            return np.zeros(k, dtype=bool), norms[:, :kept], norms[:, kept:]
         order = -np.partition(-norms, (kept - 1, kept), axis=1)  # order[:, kept - 1] is the least kept norm
-        return (order[:, kept - 1] <= order[:, kept] * (1 + margin)).reshape(k, self.count).any(axis=1)
+        ties = (order[:, kept - 1] <= order[:, kept] * (1 + margin)).reshape(k, self.count).any(axis=1)
+        return ties, order[:, :kept], order[:, kept:]
 
 
 class _Plan:
@@ -420,7 +450,7 @@ class _Plan:
         missing = [w for w in widths if w not in ops]
         if missing:
             raise ValueError(f"no column-group operator for width {', '.join(map(str, missing))}")
-        self.params, self.shape = params, shape
+        self.params, self.shape, self.points = params, shape, points
         self.groups = []
         for w in widths:
             op = ops[w]
@@ -430,6 +460,7 @@ class _Plan:
             lo, count = (0, full) if w == width else (full * width, 1)
             coeff = spread_error_coefficient(op.partition, params.p1, params.q1, params.q2)
             self.groups.append(_ColumnGroups(op, lo, w, count, min(max(k - 1, 0), w), coeff, b, points))
+        self.screened = [g for g in self.groups if g.kept]  # the widths the raw screen reads windows for
         self.tail_factor = float_pow(s, recip_gap(params.q1, params.p1))
         self.dim = sum(g.op.dim * g.count for g in self.groups)
         self.exact_points = 0
@@ -461,17 +492,10 @@ class _Plan:
         The block norms, the ball check, the selection, the spread and the
         error norms each take one pass over the whole chunk; the residual
         x - Dx is formed in chunk itself, then its absolute value."""
-        k, shape = chunk.shape[0], self.shape
-        self.exact_points += k
-        y = _row_norms(chunk.reshape(k * shape.b, shape.s), self.params.p1)
-        return self._run_on(chunk, y.reshape(k, shape.b))
-
-    def _run_on(self, chunk: np.ndarray, y: np.ndarray):
-        """run on the points of chunk whose (k, b) block norms are taken to
-        be y: the ball check on y, the selection, bounds and tails from y,
-        and the spread, residual and error norms from chunk."""
         params, shape = self.params, self.shape
         k = chunk.shape[0]
+        self.exact_points += k
+        y = _row_norms(chunk.reshape(k * shape.b, shape.s), params.p1).reshape(k, shape.b)
         if (_row_norms(y, params.p2) > 1 + 1e-9).any():
             raise ValueError("input lies outside the unit ball")
         entries = chunk.reshape(-1)
@@ -577,8 +601,8 @@ class _Plan:
             yield self.run(chunk)[1:3]
 
     def _screen(self, rng: np.random.Generator, count: int, floors: tuple, column_scores: list[float] | None):
-        """Screen the count points of the ball stream rng draws, a chunk at a
-        time: from their weights alone with column_scores
+        """Screen the count points of the ball stream rng draws, a batch at
+        a time: from their weights alone with column_scores
         (_weight_estimates), then the points that screen keeps from their
         raw draw (_rescreened); or from their raw draw (_raw_estimates)
         when column_scores is None.  floors are values of the measured
@@ -586,15 +610,15 @@ class _Plan:
         the floors, raised by the screened points, and the candidates
         (index, generator state before its draw, upper estimates of its
         measured error and bound) whose exact values may reach them.  rng
-        is drawn on a worker thread while the raw screen runs, and is out
-        of the stream when this returns (_raw_estimates).
+        is drawn on a worker thread while the raw screen reads its chunks,
+        and is out of the stream when this returns (_raw_estimates).
 
         An unflagged point's exact values lie within delta = margin *
         (d0 + B) of its raw estimates, B its estimated bound; the weight
         screen's bound B is exact, and its error is below its estimate +
         delta.  So an estimate - delta is a floor they reach, and a point
         whose estimates + delta are below both floors cannot hold a
-        supremum: it is dropped, in its chunk or a later one, as the floors
+        supremum: it is dropped, in its batch or a later one, as the floors
         only rise.  A flagged point's upper estimates are inf."""
         margin = self.margin()
         if column_scores is None:
@@ -603,17 +627,17 @@ class _Plan:
         floors, candidates = self._kept(weighed, floors, margin, False)
         return self._kept(self._rescreened(rng, candidates, margin), floors, margin, True)
 
-    def _kept(self, chunks: Iterator, floors: tuple, margin: float, raw: bool):
-        """_screen's floors and candidates from the estimates of each chunk,
-        (first, states, measured, bounds, flagged): raw estimates, or the
-        weight screen's, whose error is an upper bound only.  chunks is
+    def _kept(self, batches: Iterator, floors: tuple, margin: float, raw: bool):
+        """_screen's floors and candidates from the estimates of each batch,
+        (indices, states, measured, bounds, flagged): raw estimates, or the
+        weight screen's, whose error is an upper bound only.  batches is
         closed on every exit."""
         params = self.params
         d0 = d0_mixed(self.shape, params.p1, params.p2, params.q1, params.q2)
         floor_e, floor_b = floors
         candidates = []
-        with closing(chunks):
-            for first, states, measured, bounds, flagged in chunks:
+        with closing(batches):
+            for indices, states, measured, bounds, flagged in batches:
                 delta = margin * (d0 + bounds)
                 if not flagged.all():
                     if raw:
@@ -623,64 +647,64 @@ class _Plan:
                 up_e[flagged] = math.inf
                 candidates = [c for c in candidates if c[2] >= floor_e or c[3] >= floor_b]
                 near = np.flatnonzero((up_e >= floor_e) | (up_b >= floor_b))
-                candidates += [(first + i, states[i], up_e[i], up_b[i]) for i in near]
+                candidates += [(indices[i], states[i], up_e[i], up_b[i]) for i in near]
         return (floor_e, floor_b), candidates
 
     def margin(self) -> float:
-        """The screen's relative margin, max(2^-30, 8 C u) with u = 2^-53
-        and C = 8s + 6b + 4S + 64, S the largest group size: eight times
-        the first-order error bound of _estimate, and 2^-30 while C stays
-        below 2^20."""
+        """The screen's relative margin, max(2^-30, 8 (C u)^(1/q1)) with
+        u = 2^-53 and C = 8s + 6b + 4S + 64, S the largest group size:
+        twice the error bound of _estimate, and 2^-30 for q1 = 1 while C
+        stays below 2^20."""
         s, b = self.shape.s, self.shape.b
         size = 8 * s + 6 * b + 4 * max(int(g.op._group_size.max()) for g in self.groups) + 64
-        return max(2.0**-30, size * 2.0**-50)
+        return max(2.0**-30, 8 * float_pow(size * 2.0**-53, self.params.q1.recip))
 
-    def _block_norms(self, weights: np.ndarray, scales: list[float], first: int, margin: float):
-        """(y, flagged) for the raw weights and scales of the points first,
-        first + 1, ...: y = w * t in weights itself, w the normalised
-        weights (norms._ball_weights) and t the interior scale (1 at even
-        indices), and the mask of the points whose weights were all zero or
-        some of whose groups has a near-tie (_ColumnGroups.ties)."""
-        flagged = _ball_weights(weights, self.params.p2)
-        if scales:
-            weights[(first + 1) % 2 :: 2] *= np.array(scales)[:, None]
-        for g in self.groups:
-            flagged |= g.ties(weights, margin)
-        return weights, flagged
+    def _block_norms(self, weights: np.ndarray, t: np.ndarray):
+        """(zero, norms) for the raw weights of some points and their
+        interior scales t (_interior_scales): their block norms y = w * t
+        are made in weights itself, w the normalised weights
+        (norms._ball_weights), and returned are the mask of the points
+        whose weights were all zero and the p2-norms the weights were
+        divided by."""
+        zero, norms = _ball_weights(weights, self.params.p2)
+        weights *= t[:, None]
+        return zero, norms
 
     def _raw_estimates(self, rng: np.random.Generator, count: int, margin: float):
-        """(first, states, measured, bounds, flagged) for each chunk of the
-        ball stream rng draws: the generator state before each point's
-        draw, then _estimate's values from the chunk's raw draw.  The
-        stream's worker (norms._Drawn, started at the first chunk) draws
-        the next chunk while _estimate reads this one, so the screen's
-        passes overlap the generator calls.  The stream is closed, and its
-        worker joined, when this ends or is closed."""
+        """_estimates of the ball stream rng draws.  The stream's worker
+        (norms._Drawn, started at the first chunk) draws the next chunk
+        while _estimate reads this one, so the screen's passes overlap the
+        generator calls.  The stream is closed, and its worker joined, when
+        this ends or is closed."""
         drawn = _Drawn(self.shape, count, _raw_draw(rng, self.shape, self.params.p1, self.params.p2))
         with closing(drawn) as chunks:
-            for first, chunk, (weights, scales, states) in chunks:
-                yield first, states, *self._estimate(chunk, weights, scales, first, margin)
+            yield from self._estimates(((first, chunk, *raw) for first, chunk, raw in chunks), margin)
 
     def _rescreened(self, rng: np.random.Generator, candidates: list, margin: float):
-        """(first, states, measured, bounds, flagged) for each of the weight
-        screen's candidates, a chunk of one point: drawn again from its
-        saved state, blocks and all, and estimated from its raw draw
-        (_estimate), which is two-sided and much tighter than the weight
-        bound where the column scores are loose, as on small grids."""
+        """_estimates of the weight screen's candidates, each drawn again
+        from its saved state, blocks and all, as a chunk of one point: two-
+        sided and much tighter than the weight bound where the column
+        scores are loose, as on small grids."""
         shape, params = self.shape, self.params
         chunk, weights = np.empty((1, shape.n)), np.empty((1, shape.b))
-        for first, state, *_ in candidates:
-            rng.bit_generator.state = state
-            scales = _draw_ball_raw(rng, shape, params.p1, params.p2, chunk, weights, first)
-            yield first, [state], *self._estimate(chunk, weights, scales, first, margin)
+
+        def redrawn():
+            for index, state, *_ in candidates:
+                rng.bit_generator.state = state
+                scales = _draw_ball_raw(rng, shape, params.p1, params.p2, chunk, weights, index)
+                yield index, chunk, weights, scales, [state]
+
+        return self._estimates(redrawn(), margin)
 
     def _weight_estimates(self, rng: np.random.Generator, count: int, margin: float, column_scores: list[float]):
-        """(first, states, upper, bounds, flagged) for each chunk of up to
+        """(indices, states, upper, bounds, flagged) for each batch of up to
         _WEIGHT_CELLS // b points of the (inf, 1) ball stream rng draws, for
         q1 = 1, from the points' weights and scales alone: their blocks are
         skipped, not drawn (norms._draw_ball_raw with no chunk).  bounds
         are the certified bounds, upper is U * (1 + margin) with U the
-        bound below on the measured error, and flagged is _block_norms'.
+        bound below on the measured error, and flagged marks the points
+        whose weights were all zero (_block_norms) or some of whose groups
+        has a near-tie (_ColumnGroups.cut).
 
         Block j of a point is its raw block over the block's max |.|, in
         [-1, 1] and +-1 at the max, times w_j and then t, so y = w * t is
@@ -710,70 +734,220 @@ class _Plan:
         for first in range(0, count, per):
             weights, states = np.empty((min(per, count - first), shape.b)), []
             scales = _draw_ball_raw(rng, shape, params.p1, params.p2, None, weights, first, states)
-            y, flagged = self._block_norms(weights, scales, first, margin)
-            tails, sums = self._select(y)[2:]
+            indices = range(first, first + weights.shape[0])
+            flagged = self._block_norms(weights, _interior_scales(indices, scales))[0]
+            for g in self.groups:
+                flagged |= g.cut(weights, margin)[0]
+            tails, sums = self._select(weights)[2:]
             upper = self._bounds(tails, sums, column_scores) * (1 + margin)
-            yield first, states, upper, self._bounds(tails, sums), flagged
+            yield indices, states, upper, self._bounds(tails, sums), flagged
 
-    def _estimate(self, chunk: np.ndarray, weights: np.ndarray, scales: list[float], first: int, margin: float):
-        """Estimates (measured, bounds) of the pipeline's values at the
-        points first, first + 1, ... whose raw draw chunk, weights and
-        scales hold, and the mask of the points whose estimate may be off
-        by more than margin * (d0 + bound).  chunk and weights are
-        overwritten.
+    def _estimates(self, draws: Iterator, margin: float):
+        """(indices, states, measured, bounds, flagged) for each batch of
+        the raw draws, each (first, chunk, weights, scales, states) of the
+        points first, first + 1, ... as norms._draw_ball_raw gives them:
+        each point's index in its stream, the generator state before its
+        draw and _batch_estimates' values.  Each chunk is read as it comes
+        and never written (_estimate); what was read of a run of points is
+        folded into their errors (_fold), and what depends only on the
+        block norms runs once a batch (_batch_estimates).
 
-        The estimate.  With w the point's normalised weights
-        (norms._ball_weights, the draw's own bits) and t its interior
-        scale (1 at even indices), block j's norm is estimated as
-        y_j = w_j * t (_block_norms), and its entries as g * (y_j / |g|),
-        g the raw block and |g| its p1-norm: max |g| for p1 = inf (exact,
-        the draw's own), the sqrt of an einsum for p1 = 2, the draw's
-        kernel otherwise.  The ball check and the selection, bounds and
-        tails are taken from y, and the spread, residual and error norms
-        from those entries, as run takes them.
+        A batch holds whole chunks, up to max(points, _WEIGHT_CELLS // b)
+        points, and a run up to max(points, _WEIGHT_CELLS // c), c the
+        window cells _estimate reads of a point: each array they keep or
+        work in holds about _WEIGHT_CELLS floats, so what a stream holds
+        does not grow with its count."""
+        s, b = self.shape.s, self.shape.b
+        cells = [g.count * g.kept * g.slots.size * s for g in self.screened]
+        size = max(self.points, _WEIGHT_CELLS // b)
+        run = max(self.points, _WEIGHT_CELLS // max(1, sum(cells)))
+        magnitudes, errors, low = np.empty((size, b)), np.empty(size), np.empty(size, dtype=bool)
+        inner, power = np.empty((run, b)), np.empty((run, b))
+        kept = [np.empty((run, g.count * g.kept), dtype=np.intp) for g in self.screened]
+        values = [np.empty((run, c)) for c in cells]
+        indices, scales, states, read = [], [], [], 0
+
+        def fold():  # the run read last
+            rows, at = slice(len(indices) - read, len(indices)), slice(0, read)
+            read_at = [a[at] for a in kept], [v[at] for v in values]
+            low[rows], errors[rows] = self._fold(magnitudes[rows], inner[at], power[at], *read_at)
+
+        def batch():
+            n = len(indices)
+            return indices, states, *self._batch_estimates(magnitudes[:n], errors[:n], low[:n], indices, scales, margin)
+
+        for first, chunk, weights, drawn_scales, drawn_states in draws:
+            k = chunk.shape[0]
+            if read + k > run or len(indices) + k > size:
+                fold()
+                read = 0
+            if len(indices) + k > size:
+                yield batch()
+                indices, scales, states = [], [], []
+            rows, at = slice(len(indices), len(indices) + k), slice(read, read + k)
+            read_at = [a[at] for a in kept], [v[at] for v in values]
+            self._estimate(chunk, weights, magnitudes[rows], inner[at], power[at], *read_at)
+            indices += range(first, first + k)
+            scales += drawn_scales
+            states += drawn_states
+            read += k
+        if indices:
+            fold()
+            yield batch()
+
+    def _estimate(
+        self, chunk: np.ndarray, weights: np.ndarray, magnitudes: np.ndarray, inner: np.ndarray, power: np.ndarray,
+        kept: list, values: list,
+    ) -> None:
+        """Read the raw draw of the k points in the rows of chunk and
+        weights, writing nothing to either, into the rows of the others,
+        each (k, b) or a list with an array for each width whose groups
+        keep columns: magnitudes, their |w|; inner, each block's p1-norm
+        nu_j (its square for p1 = 2); power, each block's q1-th power sum
+        sum_i |g_ij|^q1, g the raw blocks; kept, the columns each group
+        keeps, those of its largest |w_j|, (k, count * kept); and values,
+        the raw values in the window of every group that meets them
+        (_ColumnGroups.windows), (k, R * count * kept * s).
+
+        The estimate (_fold, _batch_estimates).  A point is taken as
+        x' = g * f_j, column by column, f_j = |w_j| / nu_j: the drawn point
+        is c x', c = t / ||w||_p2 and t its interior scale, up to roundings,
+        and y = c |w| its block norms.  The columns kept are y's own where
+        no near-tie flags the point, since y rounds monotonically in |w|.
+        Column j's residual q1-th power sum is its total
+        T_j = f_j^q1 sum_i |g_ij|^q1 plus D_j, the sum over its cells in
+        groups that meet the kept columns S of |r|^q1 - |x'|^q1,
+        r = x' - Dx'_S: a group's sum of x' over its kept cells, its m >= 1
+        reads (one for each kept cell) each weighted 1/m, so it counts
+        once.  The error is c ||N||_q2, N_j the q1-th root of T_j + D_j,
+        clamped at 0.
 
         Its float error, to first order in u = 2^-53, with S the largest
-        group size.  A norm of m terms, by _row_norms or the einsum, is
-        within (m + 4)u of its value.  So the drawn entries (three
-        roundings after |g|) and the estimated ones (two) are both within
-        (s + 7)u of g * w_j * t / ||g||, so within eps = 2(s + 7)u of each
-        other, and the drawn block norm is within (2s + 12)u of y_j.
+        group size.  A norm or power sum of m terms, by _row_norms or an
+        einsum, is within (m + 4)u of its value.
+        - Entries: the drawn ones take four roundings after nu, and so do
+          c x' (f_j, g f_j, c and its product), with nu within (2s + 8)u of
+          the draw's for p1 = 2 (equal otherwise).  So the two are within
+          eps = (2s + 16)u of each other, and the drawn block norm is
+          within (2s + 12)u of y_j.
         - Selection: where every group's least kept y_j exceeds 1 + margin
           times its greatest y_j not kept, the drawn norms select the same
-          columns.  Otherwise the point is flagged (_ColumnGroups.ties).
+          columns.  Otherwise the point is flagged (_ColumnGroups.cut).
         - Bound B: with the same columns it is a monotone, homogeneous
           function of the block norms, with roundings of its own within
           (3b + 12)u, so the two are within (2s + 6b + 40)u * B.
-        - Error e = ||x - Dx||: the residuals differ by at most
-          eps * (|x| + D|x|) entrywise, and a group sum of at most S terms
-          rounds by (S - 1)u of D|x|.  ||x|| <= d0 in the ball, and
-          ||D|x|_kept|| <= d0 + B by the one-column bound; with the norms'
-          own (s + b + 8)u of e <= 2 d0 + B, the two are within
-          (4s + 2b + 2S + 32)u * (2 d0 + B).
-        Both are within C u (d0 + B), C = 8s + 6b + 4S + 64, which margin
-        bounds eight times over.  A zero-norm guard of
-        norms._draw_ball_chunk (all weights 0, or a zero block) also flags
-        the point; for p1 = 2 so does a block whose sum of squares is
-        below 2^-900, where squares that underflow could lose more than u
-        of it.  The p1 = 2 draws are standard normals, so the sum cannot
-        overflow."""
-        shape, p1 = self.shape, self.params.p1
-        k, b, s = chunk.shape[0], shape.b, shape.s
-        y, flagged = self._block_norms(weights, scales, first, margin)
+        - Error e = ||x - Dx||: the residuals of x and c x' differ by at
+          most eps * (|x| + D|x_S|) entrywise, ||x|| <= d0 in the ball and
+          ||D|x_S||| <= d0 + B by the one-column bound; the pipeline's own
+          roundings are within (s + b + 8)u e + (S - 1)u ||D|x_S|||.  Here
+          T_j + D_j is within K u W_j of its value for the f_j computed,
+          K = 3s + 4S + 20 and W_j the power sum of |x'_j| + (D|x'_S|)_j,
+          which bounds the total, the cells read and their residual: T_j
+          (s + 4)u (the powers, their sum, f_j^q1 and the product), each
+          value read and its power 4u, each residual, its group sum of at
+          most S terms and its power (2S + 6)u, their difference 2u, the
+          weight 1/m and the m reads (2S + 2)u, the bincount's sum of at
+          most s of them 2(s - 1)u, and the last sum 3u.  The
+          cancellation in T_j + D_j has no relative bound, so its root,
+          clamped at 0, moves by at most (K u W_j)^(1/q1), t -> t^(1/q1)
+          being (1/q1)-Hölder, and over the columns by
+          (K u)^(1/q1) (||x'|| + ||D|x'_S|||) (Minkowski): times c,
+          (K u)^(1/q1) (2 d0 + B).  The root, the outer norm and c add
+          (b + 10)u e.
+        With e <= 2 d0 + B, both are within 4 (C u)^(1/q1) (d0 + B),
+        C = 8s + 6b + 4S + 64 (linear in u for q1 = 1), which margin bounds
+        twice over.  A zero-norm guard of norms._draw_ball_chunk (all
+        weights 0, or a zero block) also flags the point, and so does a
+        block norm at most _NORM_FLOOR."""
+        params, (s, b) = self.params, (self.shape.s, self.shape.b)
+        k = chunk.shape[0]
+        np.abs(weights, out=magnitudes)
         blocks = chunk.reshape(k * b, s)
-        if p1 == Exponent.TWO:
-            inner = np.einsum("ij,ij->i", blocks, blocks)
-            zero = inner < 2.0**-900
-            np.sqrt(inner, out=inner)
+        powers = np.abs(blocks)
+        if params.p1.float_value == 2.0:  # standard normals: the sum cannot overflow
+            np.einsum("ij,ij->i", powers, powers, out=inner.reshape(-1))
         else:
-            inner = _row_norms(blocks, p1)
-            zero = inner == 0.0
-        if zero.any():
-            flagged |= zero.reshape(k, b).any(axis=1)
-            inner[zero] = 1.0
-        blocks *= (y.reshape(-1) / inner)[:, None]
-        measured, bounds = self._run_on(chunk, y)[1:3]
-        return measured, bounds, flagged
+            inner[:] = _row_norms(blocks, params.p1).reshape(k, b)
+        if params.q1.float_value != 1.0:  # |g| is its own first power
+            powers **= params.q1.float_value
+        np.einsum("ij->i", powers, out=power.reshape(-1))
+        entries = chunk.reshape(-1)
+        for g, columns, read in zip(self.screened, kept, values):
+            cut = g.width - g.kept  # ties at the cut flag the point
+            largest = magnitudes[:, g.lo : g.hi].reshape(-1, g.width).argpartition(cut, axis=1)[:, cut:]
+            columns[:] = largest.reshape(k, -1)
+            cells = g.op._group_cells.take(g.windows(columns)[1], mode="clip")
+            cells += g.first_cells[: k * g.count].reshape(k, 1, g.count, 1)
+            entries.take(cells, out=read.reshape(cells.shape), mode="clip")
+
+    def _fold(
+        self, magnitudes: np.ndarray, inner: np.ndarray, power: np.ndarray, kept: list, values: list
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(low, errors) of a run of points from what _estimate read of
+        them: the mask of the points with a block norm at most _NORM_FLOOR,
+        which nu is raised to, and ||N||_q2, N_j the q1-th root of column
+        j's residual power sum T_j + D_j, clamped at 0 (_estimate).  The
+        arrays are overwritten.  A window's places past its group's own
+        cells read nothing: they go to a last column, "nowhere", where f is
+        0 and no column is kept."""
+        params, b = self.params, self.shape.b
+        points, q1 = inner.shape[0], params.q1.float_value
+        if params.p1.float_value == 2.0:
+            np.sqrt(inner, out=inner)
+        low = inner.min(axis=1) <= _NORM_FLOOR
+        np.maximum(inner, _NORM_FLOOR, out=inner)
+        nowhere = points * b
+        scale = np.zeros(nowhere + 1)  # f_j by column of the run, then nowhere
+        np.divide(magnitudes, inner, out=scale[:nowhere].reshape(points, b))
+        power *= scale[:nowhere].reshape(points, b) ** q1  # T_j
+        starts = b * np.arange(points)[:, None]  # each point's first column
+        chosen = np.zeros(nowhere + 1)  # 1.0 at the columns kept
+        for g, columns in zip(self.screened, kept):
+            chosen[starts + g.kept_starts + columns] = 1.0
+        for g, columns, read in zip(self.screened, kept, values):
+            groups, cols = g.windows(columns)  # the places, then the columns there
+            cols = g.op.partition.groups.cols.take(cols, mode="clip")
+            cols += (starts + g.starts).reshape(points, 1, g.count, 1)
+            np.putmask(cols, g.slots >= g.op._group_size[groups], nowhere)
+            x = read.reshape(cols.shape)
+            x *= scale.take(cols)  # x' in the values' place
+            mine = chosen.take(cols)  # 1.0 at the group's kept cells
+            reads = mine.sum(axis=1, keepdims=True)  # m, one read for each kept cell
+            residual = np.subtract(x, np.einsum("prgc,prgc->pgc", mine, x)[:, None], out=mine)
+            np.abs(residual, out=residual)
+            np.abs(x, out=x)
+            if q1 != 1.0:  # |.| is its own first power
+                residual **= q1
+                x **= q1
+            residual -= x
+            if (reads > 1.0).any():  # so each group counts once
+                residual /= reads
+            power += np.bincount(cols.reshape(-1), residual.reshape(-1), nowhere + 1)[:nowhere].reshape(points, b)
+        np.maximum(power, 0.0, out=power)
+        power **= 1 / q1  # N_j
+        return low, _row_norms(power, params.q2)
+
+    def _batch_estimates(
+        self, magnitudes: np.ndarray, errors: np.ndarray, low: np.ndarray, indices, scales: list[float], margin: float
+    ):
+        """(measured, bounds, flagged) of the points of one batch from their
+        |w|, errors and low-norm mask (_fold), their indices in their stream
+        and the interior scales drawn at the odd ones, in order: the error
+        times c (_estimate), and from the block norms y (_block_norms) the
+        near-ties and the bound, each group's norms split at its
+        kept/not-kept boundary (_ColumnGroups.cut).  magnitudes is
+        overwritten."""
+        params, points = self.params, magnitudes.shape[0]
+        t = _interior_scales(indices, scales)
+        zero, norms = self._block_norms(magnitudes, t)
+        flagged, tails, sums = zero | low, [], []
+        for g in self.groups:
+            ties, kept, rest = g.cut(magnitudes, margin)
+            flagged |= ties
+            tails.append((_row_norms(rest, params.q2) if rest.size else np.zeros(len(rest))).reshape(points, g.count))
+            sums.append(kept.sum(axis=1).reshape(points, g.count))
+        bounds = self._bounds(np.concatenate(tails, axis=1), np.concatenate(sums, axis=1))
+        return errors * (t / norms), bounds, flagged
 
     def _extreme_scores(self, seed: int, count: int) -> tuple[np.ndarray, np.ndarray, list[float] | None]:
         """(measured, bounds, scores) of the pipeline at the count extreme
@@ -899,6 +1073,14 @@ def _good_operator(s: int, width: int, d: int) -> SpreadOperator:
     return SpreadOperator(good_partition(s, width, d, field_order=PIPELINE_FIELD_ORDER))
 
 
+def _interior_scales(indices, scales: list[float]) -> np.ndarray:
+    """Each point's interior scale t, by its index in its ball stream: 1 at
+    an even index, the next of scales, the draw's own in order, at an odd
+    one (norms._draw_ball_raw)."""
+    odd = iter(scales)
+    return np.array([next(odd) if i % 2 else 1.0 for i in indices])
+
+
 def _raw_draw(rng: np.random.Generator, shape: BlockShape, p1: Exponent, p2: Exponent):
     """The raw draw of rng's ball stream (norms._draw_ball_raw) as the draw
     of a norms._Drawn stream: each chunk's points, and its weights, scales
@@ -966,17 +1148,21 @@ def sampled_sup(
     grid) unless one grid alone is larger (then a second row), so memory
     does not grow with count.  The stream's worker thread draws the next
     chunk into one half while each chunk is screened from its raw draw in
-    the other (norms._Drawn): the points' block norms and entries are
-    estimated, within a stated margin of the exact values, without
-    normalising the points or taking their block norms (_Plan._estimate).
+    the other (norms._Drawn).  The screen reads a chunk and never writes
+    it: each block's p1-norm and q1-th power sum, and the raw values of
+    the cells of the groups that meet each point's kept columns
+    (_Plan._estimate).  From those, and the points' weights, it estimates
+    their errors and bounds within a stated margin of the exact values,
+    folding the cells read once for a run of points and doing the work on
+    the block norms once for a batch (_Plan._estimates).
     Only the points that can hold a supremum, or whose estimate the
     screen cannot trust, are drawn again from their saved generator
     state and run through the exact pipeline (_Plan.run), on this thread
     once the worker is joined.  So an (inf, 1) ball point pays for its
     weights, and every other ball point for its generator calls, with the
-    screen's few passes beside them; only the points kept pay for the
-    exact pipeline.  count below 1 is a ValueError, raised before any
-    point is drawn."""
+    screen's two passes over its chunk beside them; only the points kept
+    pay for the exact pipeline.  count below 1 is a ValueError, raised
+    before any point is drawn."""
     plan = _Plan(shape, params, min(shape.s, shape.b), ops, _chunk_points(shape))
     sup_error = sup_bound = -math.inf
     for measured, bounds in plan.scores(seed, count):

@@ -28,6 +28,33 @@ def run_cli(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
+class TestParser:
+    def test_main_builds_no_parser_per_call(self, monkeypatch):
+        # the parser is built once per process, at import: main parses with
+        # it, and a usage error still exits 2 with argparse's message
+        def refuse():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        argv = ["classify", "--p1", "inf", "--p2", "1", "--q1", "1", "--q2", "2"]
+        first, second = run_cli(argv), run_cli(argv)
+        assert first == second and first[0] == 0
+        rc, out, err = run_cli(["classify", "--p1", "bogus", "--p2", "1", "--q1", "1", "--q2", "2"])
+        assert (rc, out) == (2, "") and "argument --p1: cannot parse exponent 'bogus'" in err
+
+    def test_parses_leave_no_state_behind(self):
+        # a parse with every option given, then one with none, gives the
+        # defaults of a fresh parser; the handlers' defaults are immutable
+        fresh = cli.build_parser()
+        full = ["example-transpose", "--sizes", "3", "5", "--samples", "1", "--seed", "9", "--out", "-"]
+        cli._PARSER.parse_args(full)
+        again = vars(cli._PARSER.parse_args(["example-transpose"]))
+        assert again == vars(fresh.parse_args(["example-transpose"]))
+        assert again["sizes"] == ((4, 4), (8, 8), (16, 16))
+        for value in again.values():
+            assert not isinstance(value, (list, dict, set)), value
+
+
 class TestClassifyCommand:
     def test_exceptional_tuple(self):
         rc, out, _ = run_cli(["classify", "--p1", "inf", "--p2", "1", "--q1", "1", "--q2", "2"])
@@ -493,17 +520,25 @@ class TestSweepDrawThread:
         assert threading.active_count() == before
 
     def test_a_sweep_in_dev_mode_warns_of_nothing(self):
-        # both chunk layouts, a half of many points (16x16) and one-point
-        # halves in two rows (300x300), in a process whose warnings are
-        # errors: a worker or an array left behind would show on stderr
+        # every path of the raw screen, in processes whose warnings are
+        # errors: a worker or an array left behind, or a float warning,
+        # would show on stderr.  Both chunk layouts, a half of many points
+        # (16x16) and one-point halves in two rows (300x300); wide grids
+        # of many column groups (4x300), one of them with a narrower last
+        # group (4x302); two columns kept in each group (--k 3)
         src = str(Path(spread.__file__).parents[1])
-        argv = ["-X", "dev", "-W", "error", "-m", "mixedwidths.cli", *self.ARGS]
-        done = subprocess.run(
-            [sys.executable, *argv, "--sizes", "16x16", "300x300", "--samples", "4"],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
-        )
-        assert (done.returncode, done.stderr) == (0, "")
-        assert len(done.stdout.splitlines()) == 3
+        argv = ["-X", "dev", "-W", "error", "-m", "mixedwidths.cli", *self.ARGS, "--samples", "4"]
+        for extra, rows in [
+            (["--sizes", "16x16", "300x300"], 2),
+            (["--sizes", "4x300", "4x302"], 2),
+            (["--sizes", "16x16", "40x40", "--k", "3"], 2),
+        ]:
+            done = subprocess.run(
+                [sys.executable, *argv, *extra],
+                env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
+            )
+            assert (done.returncode, done.stderr) == (0, ""), extra
+            assert len(done.stdout.splitlines()) == rows + 1, extra
 
     @pytest.mark.parametrize("p1", ["inf", "2"])
     def test_warm_and_cold_sweeps_print_the_same(self, p1):

@@ -407,6 +407,18 @@ class TestSampledSup:
         assert sup.sup_error <= sup.sup_bound + 1e-9
         assert peak < 8 * s * b * 8, peak / (s * b * 8)
 
+    @pytest.mark.parametrize("n,before", [(68, 2), (126, 2), (251, 2)])
+    def test_pipeline_rows_run_no_more_points_exactly(self, n, before):
+        # the (2, 1) sweep rows of the pipeline benchmark at seed 1 (sweep
+        # seed 1314036597, 96 samples): the screen runs no more points
+        # through the exact pipeline than the one it replaced (before)
+        from mixedwidths.cli import _derived_seed
+
+        params = choose_pipeline_params("2", 1, 1, 2, n, n)
+        ops = pipeline_operators(n, n, params.d, "good")
+        sup = sampled_sup(BlockShape(n, n), params, ops, _derived_seed(1314036597, n, n), 96)
+        assert 1 <= sup.exact_points <= before
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_screen_runs_few_points_exactly(self, seed):
         # one point a chunk at 251 x 251: only the points the screen cannot
